@@ -21,12 +21,13 @@ results are independent of thread count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .errors import EmptyScan, FrameMismatch, MissingPose
+from .geometry import ORIGIN_EPS, PARALLEL_EPS
 from .sensor_model import MIN_BEAM_RANGE, Beam, OccupancyState, Scan, SensorConfig
 
 # Fixed current-beam chunk length; must not depend on thread count or the
@@ -34,9 +35,6 @@ from .sensor_model import MIN_BEAM_RANGE, Beam, OccupancyState, Scan, SensorConf
 # so a chunk's (current, adjacent, rank) sort key fits 64 bits.
 CHUNK = 16384
 PAIR_BLOCK = 1 << 14
-# Matches the parallel-line / degenerate-plane epsilons of the scalar ops.
-PARALLEL_EPS = 1e-9
-ORIGIN_EPS = 1e-3
 
 RECORD_DTYPE = np.dtype(
     [
@@ -78,8 +76,9 @@ class ExtractionConfig:
     cell_size_rad: float | None = None
 
     def __post_init__(self):
-        if self.n_adjacent < 1:
-            raise ValueError(f"n_adjacent must be >= 1: {self.n_adjacent}")
+        # scan_offset is stored as a signed byte
+        if not 1 <= self.n_adjacent <= 127:
+            raise ValueError(f"n_adjacent must be in 1..127: {self.n_adjacent}")
         b = tuple(float(v) for v in self.bounds)
         if len(b) != 6 or b[0] >= b[1] or b[2] >= b[3] or b[4] >= b[5]:
             raise ValueError(f"bounds must be (x0,x1,y0,y1,z0,z1) with lo < hi: {self.bounds}")
@@ -125,7 +124,7 @@ class OverlapSet:
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
         if not presorted and len(records) > 1:
-            records = records[_canonical_order(records)]
+            records = records.view(_RECORD_BYTES).take(_canonical_order(records)).view(RECORD_DTYPE)
         self.records = records
 
     @classmethod
@@ -219,39 +218,28 @@ class DirectionIndex:
         self.el_cell = el_cell
 
         order = np.lexsort((az, el_cell))
-        self._az_sorted = az[order]
-        self._order = order
+        az_sorted = az[order]
         rows, starts = np.unique(el_cell[order], return_index=True)
-        self.row_cells = rows
-        self._row_ptr = np.append(starts, len(order))
+        row_ptr = np.append(starts, len(order))
         self.row_el_centers = -np.pi / 2 + (rows.astype(float) + 0.5) * cs
         # per-row azimuths duplicated one turn up, so interval queries that
         # wrap the -pi seam need a single searchsorted; built once, queried
         # for every chunk of every current scan that hits this index
         self._az_doubled = [
-            np.concatenate([self._az_sorted[lo:hi], self._az_sorted[lo:hi] + 2.0 * np.pi])
-            for lo, hi in zip(self._row_ptr[:-1], self._row_ptr[1:])
+            np.concatenate([az_sorted[lo:hi], az_sorted[lo:hi] + 2.0 * np.pi])
+            for lo, hi in zip(row_ptr[:-1], row_ptr[1:])
         ]
         self._pos_doubled = [
             np.concatenate([order[lo:hi], order[lo:hi]]).astype(np.int32)
-            for lo, hi in zip(self._row_ptr[:-1], self._row_ptr[1:])
+            for lo, hi in zip(row_ptr[:-1], row_ptr[1:])
         ]
 
     def __len__(self) -> int:
         return len(self.directions)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_cells)
-
     def occupied_cell_count(self) -> int:
         keys = self.el_cell * (2 ** 32) + self.az_cell
         return len(np.unique(keys))
-
-    def row_slice(self, r: int):
-        """(sorted azimuths, positions into the valid-beam arrays) of row r."""
-        lo, hi = self._row_ptr[r], self._row_ptr[r + 1]
-        return self._az_sorted[lo:hi], self._order[lo:hi]
 
 
 def build_direction_index(adjacent: Scan, cell_size_rad: float) -> DirectionIndex:
@@ -450,20 +438,34 @@ def candidate_pairs(current_beam: Beam, index: DirectionIndex, adjacent_origin) 
     When the plane is degenerate (baseline collinear with the beam, or
     origins coincide) all indexed beams are returned.
     """
-    a = np.asarray(adjacent_origin, dtype=float)
-    d = current_beam.direction
-    a_norm = np.linalg.norm(a)
-    degenerate = True
-    normal = np.zeros((1, 3))
-    if a_norm > ORIGIN_EPS:
-        c = np.cross(d, a / a_norm)
-        c_norm = np.linalg.norm(c)
-        if c_norm >= PARALLEL_EPS:
-            normal = (c / c_norm)[None, :]
-            degenerate = False
+    d = np.asarray(current_beam.direction, dtype=float)[None, :]
+    normals, degenerate, _ = _band_planes(d, np.asarray(adjacent_origin, dtype=float))
     # half-width cell/2 for the promise above, plus cell/2 of binning slack
-    ii, jj = _band_candidates(index, normal, np.array([degenerate]), math.sin(index.cell_size))
+    ii, jj = _band_candidates(index, normals, degenerate, math.sin(index.cell_size))
     return sorted(int(index.beam_ids[j]) for j in jj)
+
+
+def _band_planes(d, a, theta=None):
+    """Band planes of beams with unit directions ``d`` (n, 3) against the
+    adjacent origin ``a``: (normals, degenerate, forward).
+
+    The normals are those of the planes spanned by each beam and the
+    baseline.  A baseline of ORIGIN_EPS or less, or a beam within
+    PARALLEL_EPS of its line, spans no plane; such beams are flagged
+    degenerate (their normal is meaningless).  ``forward`` holds the
+    :func:`_forward_caps` of the beams when ``theta`` is given and the
+    baseline spans planes, else None.
+    """
+    a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
+    if a_norm <= ORIGIN_EPS:
+        return np.zeros_like(d), np.ones(len(d), dtype=bool), None
+    a_hat = a / a_norm
+    cvec = np.cross(d, a_hat)
+    c_norm = np.linalg.norm(cvec, axis=1)
+    degenerate = c_norm < PARALLEL_EPS
+    normals = cvec / np.where(degenerate, 1.0, c_norm)[:, None]
+    forward = None if theta is None else _forward_caps(d, a_hat, c_norm, theta)
+    return normals, degenerate, forward
 
 
 # ---------------------------------------------------------------------------
@@ -534,46 +536,25 @@ def _forward_caps(d, a_hat, sin_g, theta):
     return centres, radii
 
 
-def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, offset, cfg, sensor):
-    """Records of current beams [lo, hi) against one adjacent scan, in
-    (current, adjacent, rank) order; None when there are none."""
+def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, offset, time, cfg, sensor):
+    """Records of current beams [lo, hi) against one adjacent scan taken
+    ``time`` seconds after the current one, in (current, adjacent, rank)
+    order; None when there are none."""
     theta = sensor.divergence_angle_rad
-    a = adj_scan.sensor_origin
-    a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
-
-    d_chunk = cur_dirs[lo:hi]
-    valid = cur_valid[lo:hi]
-    forward = None
-    if a_norm > ORIGIN_EPS:
-        a_hat = a / a_norm
-        cvec = np.cross(d_chunk, a_hat)
-        c_norm = np.linalg.norm(cvec, axis=1)
-        degenerate = c_norm < PARALLEL_EPS
-        safe = np.where(degenerate, 1.0, c_norm)
-        normals = cvec / safe[:, None]
-        forward = _forward_caps(d_chunk, a_hat, c_norm, theta)
-    else:
-        degenerate = np.ones(len(d_chunk), dtype=bool)
-        normals = np.zeros_like(d_chunk)
-    all_valid = bool(valid.all())
-    if not all_valid:
-        degenerate = degenerate.copy()
-        normals[~valid] = 0.0
-        degenerate[~valid] = False  # invalid beams: no candidates at all
-
+    # beams on the sensor origin have no direction and draw no candidates
+    rows = lo + np.nonzero(cur_valid[lo:hi])[0]
+    d = cur_dirs.take(rows, axis=0)
+    normals, degenerate, forward = _band_planes(d, adj_scan.sensor_origin, theta)
     # band half-width: the coplanarity tolerance theta/2 tested below, plus
     # the cell/2 of elevation binning slack the band query asks callers for
     s_lim = math.sin(theta / 2.0 + index.cell_size / 2.0)
     ii, jj = _band_candidates(index, normals, degenerate, s_lim, forward)
-    if not all_valid:
-        keep = valid[ii]
-        ii, jj = ii[keep], jj[keep]
     # the pair stages run on cache-sized blocks of candidates
     runs = []
     for b in range(0, len(ii), PAIR_BLOCK):
         runs += _pair_runs(
-            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], lo, normals, degenerate,
-            cur_dirs, cur_ranges, index, adj_scan, offset, cfg, sensor,
+            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], rows, d, normals, degenerate,
+            cur_ranges, index, adj_scan, offset, time, cfg, sensor,
         )
     if not runs:
         return None
@@ -586,9 +567,10 @@ def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, off
     return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)
 
 
-def _pair_runs(ii, jj, lo, normals, degenerate, cur_dirs, cur_ranges, index, adj_scan, offset, cfg, sensor):
-    """Records of candidate pairs (chunk-local current ii, index-local
-    adjacent jj), as a list of unsorted record runs viewed as bytes."""
+def _pair_runs(ii, jj, rows, d, normals, degenerate, cur_ranges, index, adj_scan, offset, time, cfg, sensor):
+    """Records of candidate pairs (current beam ``rows[ii]`` with direction
+    ``d[ii]``, index-local adjacent jj), as a list of unsorted record runs
+    viewed as bytes."""
     theta = sensor.divergence_angle_rad
     a = adj_scan.sensor_origin
     if len(ii) == 0:
@@ -610,7 +592,7 @@ def _pair_runs(ii, jj, lo, normals, degenerate, cur_dirs, cur_ranges, index, adj
 
     # centerline crossing q = t * d_i, kept where the lines truly cross ahead
     # of both sensors (t > 0 and p_adj > 0; NaN from parallel lines fails both)
-    d_i = cur_dirs.take(ii + lo, axis=0)
+    d_i = d.take(ii, axis=0)
     d0, d1, d2 = d_i[:, 0], d_i[:, 1], d_i[:, 2]
     e0, e1, e2 = e_j[:, 0], e_j[:, 1], e_j[:, 2]
     m = np.empty_like(d_i)
@@ -630,7 +612,7 @@ def _pair_runs(ii, jj, lo, normals, degenerate, cur_dirs, cur_ranges, index, adj
     sel = np.nonzero(ok)[0]
     if len(sel) == 0:
         return []
-    gi = ii[sel] + lo
+    gi = rows[ii[sel]]
     jj, t, p_adj = jj[sel], t[sel], p_adj[sel]
     d_i, e_j, q = d_i.take(sel, axis=0), e_j.take(sel, axis=0), q.take(sel, axis=0)
     r_i = cur_ranges[gi]
@@ -643,7 +625,7 @@ def _pair_runs(ii, jj, lo, normals, degenerate, cur_dirs, cur_ranges, index, adj
     single = alpha > theta
     runs = [
         _emit_records(
-            gi, j_ids, offset, q, p_adj, s_j, adj_scan.time, sensor, cfg, r_i, t,
+            gi, j_ids, offset, q, p_adj, s_j, time, sensor, cfg, r_i, t,
             np.zeros(len(gi), dtype=np.uint8), single,
         )
     ]
@@ -653,13 +635,13 @@ def _pair_runs(ii, jj, lo, normals, degenerate, cur_dirs, cur_ranges, index, adj
             _five_sample_records(
                 gi[two], j_ids[two], d_i.take(two, axis=0), e_j.take(two, axis=0),
                 q.take(two, axis=0), t[two], alpha[two], r_i[two], s_j[two],
-                adj_scan, offset, cfg, sensor,
+                adj_scan, offset, time, cfg, sensor,
             )
         )
     return [rec.view(_RECORD_BYTES) for rec in runs if rec is not None]
 
 
-def _five_sample_records(gi, j_ids, d_i, e_j, q, t, alpha, r_i, s_j, adj_scan, offset, cfg, sensor):
+def _five_sample_records(gi, j_ids, d_i, e_j, q, t, alpha, r_i, s_j, adj_scan, offset, time, cfg, sensor):
     """Records of pairs crossing at under the divergence angle: five samples
     along the overlap segment, after its start gate."""
     theta = sensor.divergence_angle_rad
@@ -694,7 +676,7 @@ def _five_sample_records(gi, j_ids, d_i, e_j, q, t, alpha, r_i, s_j, adj_scan, o
         p5.reshape(-1, 3),
         rho5.reshape(-1),
         np.repeat(s_j, 5),
-        adj_scan.time,
+        time,
         sensor,
         cfg,
         np.repeat(r_i, 5),
@@ -772,8 +754,10 @@ def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
                     index = build_direction_index(adjacent, cfg.cell_size(sensor))
                 except EmptyScan:
                     continue
+                # stored times are relative to the current scan
+                time = adjacent.time - current.time
                 args = [
-                    (lo, hi, dirs, ranges, valid, index, adjacent, offset, cfg, sensor)
+                    (lo, hi, dirs, ranges, valid, index, adjacent, offset, time, cfg, sensor)
                     for lo, hi in spans
                 ]
                 pieces += (pool.map if pool is not None else map)(lambda a: _extract_chunk(*a), args)

@@ -149,25 +149,46 @@ def write_poses(path, poses):
 
 # -- overlap and reconstruction sets ------------------------------------------
 
-def _read_header(path, data: bytes, header_dtype, magic: bytes, record_itemsize: int):
+def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header_fields):
+    """Write a magic/version/count header (plus ``header_fields``) and then
+    every record, cast to ``record_dtype`` in one pass.  In-memory and
+    on-disk record dtypes list the same fields in the same order, and
+    structured casts match fields by position."""
+    header = np.zeros(1, dtype=header_dtype)
+    header["magic"] = magic
+    header["version"] = FORMAT_VERSION
+    header["count"] = len(records)
+    for name, value in header_fields.items():
+        header[name] = value
+    with open(path, "wb") as fh:
+        fh.write(header.tobytes())
+        records.astype(record_dtype).tofile(fh)
+
+
+def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
+    """Validate and decode a file written by :func:`_write_set`; returns
+    (header, records cast to ``memory_dtype``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:4] != magic:  # checked first so a wrong file type names itself
         raise MagicMismatch(f"{path}: expected magic {magic!r}, found {data[:4]!r}")
     if len(data) < header_dtype.itemsize:
         raise TruncatedFile(f"{path}: {len(data)} bytes is shorter than the "
                             f"{header_dtype.itemsize}-byte header")
-    header = np.frombuffer(data[:header_dtype.itemsize], dtype=header_dtype)[0]
+    header = np.frombuffer(data, dtype=header_dtype, count=1)[0]
     if header["version"] != FORMAT_VERSION:
         raise VersionUnsupported(f"{path}: version {int(header['version'])} "
                                  f"(supported: {FORMAT_VERSION})")
     payload = len(data) - header_dtype.itemsize
-    if payload % record_itemsize != 0:
+    if payload % record_dtype.itemsize != 0:
         raise TruncatedFile(f"{path}: payload of {payload} bytes is not a "
-                            f"whole number of {record_itemsize}-byte records")
-    n_stored = payload // record_itemsize
+                            f"whole number of {record_dtype.itemsize}-byte records")
+    n_stored = payload // record_dtype.itemsize
     if n_stored != int(header["count"]):
         raise CountMismatch(f"{path}: header promises {int(header['count'])} "
                             f"records, file holds {n_stored}")
-    return header
+    stored = np.frombuffer(data, dtype=record_dtype, offset=header_dtype.itemsize)
+    return header, stored.astype(memory_dtype)
 
 
 @dataclass(frozen=True)
@@ -181,34 +202,16 @@ def write_overlap_file(path, oset: OverlapSet, sensor: SensorConfig,
                        config_digest: bytes = b"\x00" * 16):
     if len(config_digest) != 16:
         raise ValueError("config digest must be 16 bytes")
-    rec = oset.records
-    header = np.zeros(1, dtype=_OVERLAP_HEADER)
-    header["magic"] = OVERLAP_MAGIC
-    header["version"] = FORMAT_VERSION
-    header["count"] = len(rec)
-    header["divergence_angle_rad"] = sensor.divergence_angle_rad
-    header["occupied_confidence_threshold"] = sensor.occupied_confidence_threshold
-    header["decay_rate_per_meter"] = sensor.decay_rate_per_meter
-    header["config_hash"] = config_digest
-
-    # one cast of every record; both dtypes list the same fields in the same
-    # order, and structured casts match fields by position
-    out = rec.astype(_OVERLAP_RECORD)
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        out.tofile(fh)
+    _write_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, oset.records,
+               divergence_angle_rad=sensor.divergence_angle_rad,
+               occupied_confidence_threshold=sensor.occupied_confidence_threshold,
+               decay_rate_per_meter=sensor.decay_rate_per_meter,
+               config_hash=config_digest)
 
 
 def read_overlap_file(path):
     """Returns (OverlapSet, OverlapFileInfo)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = _read_header(path, data, _OVERLAP_HEADER, OVERLAP_MAGIC,
-                          _OVERLAP_RECORD.itemsize)
-    stored = np.frombuffer(data[_OVERLAP_HEADER.itemsize:], dtype=_OVERLAP_RECORD)
-    rec = np.zeros(len(stored), dtype=RECORD_DTYPE)
-    for name in rec.dtype.names:
-        rec[name] = stored[name]
+    header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, RECORD_DTYPE)
     info = OverlapFileInfo(
         sensor=SensorConfig(
             divergence_angle_rad=float(header["divergence_angle_rad"]),
@@ -222,26 +225,11 @@ def read_overlap_file(path):
 
 
 def write_recon_file(path, rset: ReconSet):
-    header = np.zeros(1, dtype=_RECON_HEADER)
-    header["magic"] = RECON_MAGIC
-    header["version"] = FORMAT_VERSION
-    header["count"] = len(rset.records)
-    out = np.zeros(len(rset.records), dtype=_RECON_RECORD)
-    for name in ("current_index", "position", "time", "state"):
-        out[name] = rset.records[name]
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        out.tofile(fh)
+    _write_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, rset.records)
 
 
 def read_recon_file(path) -> ReconSet:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _read_header(path, data, _RECON_HEADER, RECON_MAGIC, _RECON_RECORD.itemsize)
-    stored = np.frombuffer(data[_RECON_HEADER.itemsize:], dtype=_RECON_RECORD)
-    rec = np.zeros(len(stored), dtype=RECON_DTYPE)
-    for name in rec.dtype.names:
-        rec[name] = stored[name]
+    _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, RECON_DTYPE)
     return ReconSet(rec)
 
 

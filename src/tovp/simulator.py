@@ -90,25 +90,32 @@ class SpinningLidarSpec:
         return d.reshape(-1, 3)
 
 
-def _scene_crossings(origins, dirs_unit, scene: SceneSpec, time: float) -> np.ndarray:
-    """Nearest positive surface-crossing distance per ray; inf for misses.
+def _nearest_hits(origins, dirs_unit, scene: SceneSpec, time: float):
+    """Nearest positive surface crossing per ray: (distance, hit).
 
-    ``dirs_unit`` must be unit-norm so distances come out in meters.
+    ``origins`` holds one row per ray or a single row for all of them;
+    ``dirs_unit`` must be unit-norm so distances come out in meters.  The
+    distance is inf for misses; ``hit`` indexes ``scene.all_boxes()``, -1
+    for the ground or a miss.
     """
     n = dirs_unit.shape[0]
     nearest = np.full(n, np.inf)
-    for box in scene.all_boxes():
+    hit_box = np.full(n, -1, dtype=np.int64)
+    for b_idx, box in enumerate(scene.all_boxes()):
         t, valid = ray_box_crossings(origins, dirs_unit, box.center_at(time), box.size, box.yaw)
         t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
-        np.minimum(nearest, t, out=nearest)
+        closer = t < nearest
+        nearest[closer] = t[closer]
+        hit_box[closer] = b_idx
     if scene.ground_plane:
-        oz = origins[:, 2] if origins.ndim == 2 else np.full(n, origins[2])
         dz = dirs_unit[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -oz / dz
+            t = -origins[:, 2] / dz
         t = np.where((dz != 0.0) & (t > MIN_HIT_RANGE), t, np.inf)
-        np.minimum(nearest, t, out=nearest)
-    return nearest
+        closer = t < nearest
+        nearest[closer] = t[closer]
+        hit_box[closer] = -1
+    return nearest, hit_box
 
 
 def simulate_scan(
@@ -138,22 +145,7 @@ def simulate_scan_with_hits(
     origin = sensor_pose.translation
 
     n = d_world.shape[0]
-    nearest = np.full(n, np.inf)
-    hit_box = np.full(n, -1, dtype=np.int64)
-    for b_idx, box in enumerate(scene.all_boxes()):
-        t, valid = ray_box_crossings(origin[None, :], d_world, box.center_at(time), box.size, box.yaw)
-        t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
-        closer = t < nearest
-        nearest[closer] = t[closer]
-        hit_box[closer] = b_idx
-    if scene.ground_plane:
-        dz = d_world[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -origin[2] / dz
-        t = np.where((dz != 0.0) & (t > MIN_HIT_RANGE), t, np.inf)
-        closer = t < nearest
-        nearest[closer] = t[closer]
-        hit_box[closer] = -1
+    nearest, hit_box = _nearest_hits(origin[None, :], d_world, scene, time)
 
     ranges = nearest
     if lidar.range_noise_std_m > 0.0:
@@ -196,7 +188,7 @@ def ground_truth_states(
     safe = np.maximum(dist, 1e-12)
     dirs = delta / safe[:, None]
 
-    nearest = _scene_crossings(np.broadcast_to(origin, pts.shape), dirs, scene, time)
+    nearest, _ = _nearest_hits(np.broadcast_to(origin, pts.shape), dirs, scene, time)
 
     inside = np.zeros(pts.shape[0], dtype=bool)
     for box in scene.all_boxes():

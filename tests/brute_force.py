@@ -13,10 +13,8 @@ import math
 import numpy as np
 
 from tovp.extraction import RECORD_DTYPE, ExtractionConfig
+from tovp.geometry import ORIGIN_EPS, PARALLEL_EPS
 from tovp.sensor_model import MIN_BEAM_RANGE, OccupancyState, Scan, SensorConfig
-
-ORIGIN_EPS = 1e-3
-PARALLEL_EPS = 1e-9
 
 
 def brute_force_overlaps(
@@ -31,6 +29,7 @@ def brute_force_overlaps(
 
     theta = sensor.divergence_angle_rad
     a = adjacent.sensor_origin
+    time = adjacent.time - current.time  # stored relative to the current scan
 
     r_cur = np.linalg.norm(current.points, axis=1)
     cur_ok = np.nonzero(r_cur >= MIN_BEAM_RANGE)[0]
@@ -87,7 +86,7 @@ def brute_force_overlaps(
         rows.append(
             _label(
                 gi[one], gj[one], offset, q[~two], p_adj[~two], s_j[one],
-                adjacent.time, sensor, cfg, r_i[one], t[~two],
+                time, sensor, cfg, r_i[one], t[~two],
                 np.zeros(len(one), dtype=np.uint8),
             )
         )
@@ -119,7 +118,7 @@ def brute_force_overlaps(
                 _label(
                     np.repeat(gi[sel2], 5), np.repeat(gj[sel2], 5), offset,
                     p5.reshape(-1, 3), rho5.reshape(-1), np.repeat(s_j[sel2], 5),
-                    adjacent.time, sensor, cfg, np.repeat(r_i[sel2], 5),
+                    time, sensor, cfg, np.repeat(r_i[sel2], 5),
                     ranges5.reshape(-1), np.tile(np.arange(5, dtype=np.uint8), len(sel2)),
                 )
             )

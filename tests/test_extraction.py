@@ -7,7 +7,7 @@ import pytest
 
 from brute_force import brute_force_overlaps
 from scan_factories import random_scan_pair, scan_pair_for_directions, unit_rows
-from tovp import OccupancyState, RigidTransform, Scan, SensorConfig, beam_from_point
+from tovp import OccupancyState, RigidTransform, Scan, SensorConfig, beam_from_point, extraction
 from tovp.errors import EmptyScan, FrameMismatch, MissingPose
 from tovp.extraction import (
     RECORD_DTYPE,
@@ -285,6 +285,32 @@ class TestForwardArcPruning:
         assert _assert_matches_reference(cur, adj, cfg) > 10
 
 
+class TestOriginBeams:
+    def test_beams_on_the_origin_draw_no_candidates(self, monkeypatch):
+        # half the current points moved onto the sensor origin must cost the
+        # band query nothing over deleting them outright
+        cur, adj = random_scan_pair(4, n_current=200, n_adjacent=300)
+        on_origin = np.arange(0, 200, 2)
+        pts = cur.points.copy()
+        pts[on_origin] = 0.0
+        scans = (Scan(points=pts, time=0.0), Scan(points=np.delete(cur.points, on_origin, axis=0), time=0.0))
+        band_query = extraction._band_candidates
+        drawn = []
+
+        def counting(*args):
+            ii, jj = band_query(*args)
+            drawn.append(len(ii))
+            return ii, jj
+
+        monkeypatch.setattr(extraction, "_band_candidates", counting)
+        totals = []
+        for scan in scans:
+            drawn.clear()
+            assert _assert_matches_reference(scan, adj, CFG) > 0
+            totals.append(sum(drawn))
+        assert totals[0] == totals[1] > 0
+
+
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_pipeline_matches_all_pairs_reference(self, seed):
@@ -325,11 +351,11 @@ class TestBruteForceEquivalence:
 
 
 class TestSequence:
-    def _window(self, n=2, n_points=80):
+    def _window(self, n=2, n_points=80, t_current=0.0):
         rng = np.random.default_rng(42)
         scans = []
         for k in range(2 * n + 1):
-            t = 0.5 * (k - n)
+            t = t_current + 0.5 * (k - n)
             shift = np.array([0.8 * (k - n), 0.0, 0.0])
             pose = RigidTransform(np.eye(3), shift)
             pts = unit_rows(rng, n_points) * rng.uniform(2.0, 50.0, (n_points, 1))
@@ -348,6 +374,18 @@ class TestSequence:
             times = np.unique(oset.records["time"][oset.records["scan_offset"] == off])
             assert len(times) == 1
             np.testing.assert_allclose(times[0], 0.5 * off)
+
+    def test_times_are_relative_to_the_current_scan(self):
+        cfg = ExtractionConfig(n_adjacent=2)
+        current, adjacents = self._window(2, t_current=1.5)
+        rec = extract_sequence(current, adjacents, cfg, SENSOR).records
+        assert len(rec) > 0
+        np.testing.assert_array_equal(rec["time"], 0.5 * rec["scan_offset"])
+
+    def test_offsets_must_fit_the_record_byte(self):
+        assert ExtractionConfig(n_adjacent=127).n_adjacent == 127
+        with pytest.raises(ValueError):
+            ExtractionConfig(n_adjacent=128)
 
     def test_canonical_order(self):
         cfg = ExtractionConfig(n_adjacent=2)
