@@ -21,8 +21,6 @@ from .sensor_model import (
     range_along_beam,
 )
 from .geometry import (
-    BeamPairGeometry,
-    IntersectionSegment,
     Scenario,
     centerline_intersection,
     classify_scenario,
@@ -73,12 +71,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Beam",
-    "BeamPairGeometry",
     "ClassWeights",
     "EncodingConfig",
     "EvalReport",
     "ExtractionConfig",
-    "IntersectionSegment",
     "MotionClass",
     "OccupancyState",
     "OverlapPoint",

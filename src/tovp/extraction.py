@@ -6,18 +6,19 @@ five overlap points are emitted depending on the crossing angle, each
 labeled FREE / OCCUPIED / UNKNOWN by projecting onto the adjacent beam and
 applying the occupancy rule against that beam's reported range.
 
-The all-pairs search is pruned by a spherical azimuth-elevation grid over
-adjacent beam directions.  A beam pair can only be coplanar when the
-adjacent direction lies near the great circle whose plane is spanned by the
-current direction and the baseline, so candidates are read from the grid
-cells intersecting that band (padded by half a cell for the binning error)
-and then re-tested exactly.  Only the part of the great circle from the
-adjacent sensor's view of the current origin to the current direction can
-hold crossings ahead of both sensors, so band arcs far from that forward
-arc are dropped in the query too.  Everything downstream of the candidate
-query is vectorized; worker threads split the current scan into fixed-size
-beam chunks, each sorted on its own and merged by current index, so
-results are independent of thread count.
+The all-pairs search is pruned by an index of the adjacent beam directions
+in the frame of the baseline between the two sensors.  Every coplanarity
+plane contains the baseline, so it is an epipolar plane of the two sensors
+and one angle fixes it: its azimuth around the baseline axis.  Coplanarity
+then is a window test on the azimuth, read from rows of adjacent
+directions with similar angles to the axis, and the candidates are
+re-tested exactly.  Crossings ahead of both sensors need an adjacent beam
+farther from the baseline axis than the current one, on the current beam's
+side of that axis except in two thin bands, so the query skips the other
+rows and windows (see :func:`_band_candidates`).  Everything downstream of
+the candidate query is vectorized; worker threads split the current scan
+into fixed-size beam chunks, each sorted on its own and merged by current
+index, so results are independent of thread count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -62,9 +63,10 @@ class ExtractionConfig:
 
     ``max_tail_beyond_hit_m`` limits how far past the current beam's own hit
     overlap points are kept; None means one occupied-band length.
-    ``cell_size_rad`` is the direction-grid resolution; finer cells shrink
-    the candidate band at no accuracy cost.  Defaults to an eighth of the
-    divergence angle.
+    ``cell_size_rad`` (default: an eighth of the divergence angle) only sets
+    the half-width of :func:`candidate_pairs`; extraction does not read
+    it.  It stays because it is part of ``config_hash``, and so of the
+    ``.tovp`` header and ``config.json``.
     """
 
     n_adjacent: int = 6
@@ -124,7 +126,9 @@ class OverlapSet:
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
         if not presorted and len(records) > 1:
-            records = records.view(_RECORD_BYTES).take(_canonical_order(records)).view(RECORD_DTYPE)
+            order = _canonical_order(records)
+            if order is not None:
+                records = records.view(_RECORD_BYTES).take(order).view(RECORD_DTYPE)
         self.records = records
 
     @classmethod
@@ -161,8 +165,9 @@ class OverlapSet:
         }
 
 
-def _canonical_order(records: np.ndarray) -> np.ndarray:
-    """Sort permutation by (current, offset, adjacent, rank).
+def _canonical_order(records: np.ndarray) -> np.ndarray | None:
+    """Sort permutation by (current, offset, adjacent, rank), or None when
+    the records already are in that order.
 
     The four keys fit one u64 when indices stay below 2^24 (16.7M beams),
     which is the fast common case; otherwise fall back to lexsort.
@@ -170,11 +175,21 @@ def _canonical_order(records: np.ndarray) -> np.ndarray:
     i = records["current_index"]
     j = records["adjacent_index"]
     if len(i) and max(int(i.max()), int(j.max())) < (1 << 24):
+        # built in place through one scratch array; offset + 128 is the
+        # offset byte with its top bit flipped
         key = i.astype(np.uint64)
         key <<= np.uint64(40)
-        key |= (records["scan_offset"].astype(np.int64) + 128).astype(np.uint64) << np.uint64(32)
-        key |= j.astype(np.uint64) << np.uint64(8)
-        key |= records["sample_rank"].astype(np.uint64)
+        part = np.empty_like(key)
+        np.copyto(part, records["scan_offset"].view(np.uint8) ^ np.uint8(0x80))
+        part <<= np.uint64(32)
+        key |= part
+        np.copyto(part, j)
+        part <<= np.uint64(8)
+        key |= part
+        np.copyto(part, records["sample_rank"])
+        key |= part
+        if np.all(key[1:] >= key[:-1]):
+            return None
         return np.argsort(key)
     return np.lexsort(
         (records["sample_rank"], records["adjacent_index"], records["scan_offset"], records["current_index"])
@@ -184,22 +199,35 @@ def _canonical_order(records: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # direction index
 
+# beta rows of the direction index: a constant, so the candidate sets (and
+# what they cost) depend on no option
+ROWS = 64
+
 
 class DirectionIndex:
-    """Azimuth-elevation grid over adjacent beam directions (current frame).
+    """Adjacent beam directions in the frame of the baseline to their sensor.
 
-    Beams are grouped into elevation rows of ``cell_size`` radians and kept
-    azimuth-sorted within each row; a cell is one (azimuth, elevation) bin.
-    Points sitting on the adjacent sensor origin form no direction and are
-    left out (their indices never appear in any cell).
+    Every coplanarity plane contains the baseline a (the adjacent sensor
+    origin in the current frame), so it is an epipolar plane of the two
+    sensors and one angle fixes it: its azimuth around a_hat.  The index
+    frame ``frame`` has rows (a_hat, u, v), with any fixed axis for a_hat
+    when the baseline is ORIGIN_EPS or shorter (every plane is degenerate
+    then).  A direction sits at angle beta to a_hat and azimuth psi in
+    [-pi, pi) around it.  Beams are grouped into ROWS rows of equal beta
+    width, each sorted by psi; per row the index keeps the smallest and the
+    largest beta of its beams and the smallest sin(beta), which is the
+    smaller of their sines since sine is concave on [0, pi].  Points sitting
+    on the adjacent sensor origin form no direction and are left out (their
+    indices never appear in any row).  ``cell_size`` only sets the
+    half-width of :func:`candidate_pairs`.
     """
 
     def __init__(self, adjacent: Scan, cell_size_rad: float):
         if len(adjacent) == 0:
             raise EmptyScan("cannot index an empty scan")
         self.cell_size = float(cell_size_rad)
-        origin = adjacent.sensor_origin
-        delta = adjacent.points - origin
+        self.origin = adjacent.sensor_origin.copy()
+        delta = adjacent.points - self.origin
         ranges = np.linalg.norm(delta, axis=1)
         valid = ranges >= MIN_BEAM_RANGE
         if not valid.any():
@@ -208,38 +236,36 @@ class DirectionIndex:
         self.directions = delta[valid] / ranges[valid, None]
         self.ranges = ranges[valid]
 
-        az = np.arctan2(self.directions[:, 1], self.directions[:, 0])  # [-pi, pi)
-        el = np.arcsin(np.clip(self.directions[:, 2], -1.0, 1.0))
-        cs = self.cell_size
-        self.az_cell = np.floor((az + np.pi) / cs).astype(np.int64)
-        el_cell = np.floor((el + np.pi / 2) / cs).astype(np.int64)
-        n_el = max(int(math.ceil(np.pi / cs)), 1)
-        np.clip(el_cell, 0, n_el - 1, out=el_cell)
-        self.el_cell = el_cell
+        a = self.origin
+        a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
+        a_hat = a / a_norm if a_norm > ORIGIN_EPS else np.array([0.0, 0.0, 1.0])
+        u = np.cross(a_hat, np.eye(3)[np.argmin(np.abs(a_hat))])
+        u /= np.linalg.norm(u)
+        self.frame = np.stack([a_hat, u, np.cross(a_hat, u)])
 
-        order = np.lexsort((az, el_cell))
-        az_sorted = az[order]
-        rows, starts = np.unique(el_cell[order], return_index=True)
-        row_ptr = np.append(starts, len(order))
-        self.row_el_centers = -np.pi / 2 + (rows.astype(float) + 0.5) * cs
-        # per-row azimuths duplicated one turn up, so interval queries that
-        # wrap the -pi seam need a single searchsorted; built once, queried
-        # for every chunk of every current scan that hits this index
-        self._az_doubled = [
-            np.concatenate([az_sorted[lo:hi], az_sorted[lo:hi] + 2.0 * np.pi])
-            for lo, hi in zip(row_ptr[:-1], row_ptr[1:])
+        beta, _, psi = _baseline_angles(self.directions, self.frame)
+        row = np.minimum((beta * (ROWS / np.pi)).astype(np.int64), ROWS - 1)
+        order = np.lexsort((psi, row))
+        _, starts = np.unique(row[order], return_index=True)
+        ptr = np.append(starts, len(order))
+        self.row_beta_lo = np.minimum.reduceat(beta[order], starts)
+        self.row_beta_hi = np.maximum.reduceat(beta[order], starts)
+        self.row_sin_lo = np.minimum(np.sin(self.row_beta_lo), np.sin(self.row_beta_hi))
+        # per-row azimuths duplicated one turn up, so windows that wrap the
+        # -pi seam need a single searchsorted; built once, queried for every
+        # chunk of every current scan that hits this index
+        psi_sorted = psi[order]
+        self._psi_doubled = [
+            np.concatenate([psi_sorted[lo:hi], psi_sorted[lo:hi] + 2.0 * np.pi])
+            for lo, hi in zip(ptr[:-1], ptr[1:])
         ]
         self._pos_doubled = [
             np.concatenate([order[lo:hi], order[lo:hi]]).astype(np.int32)
-            for lo, hi in zip(row_ptr[:-1], row_ptr[1:])
+            for lo, hi in zip(ptr[:-1], ptr[1:])
         ]
 
     def __len__(self) -> int:
         return len(self.directions)
-
-    def occupied_cell_count(self) -> int:
-        keys = self.el_cell * (2 ** 32) + self.az_cell
-        return len(np.unique(keys))
 
 
 def build_direction_index(adjacent: Scan, cell_size_rad: float) -> DirectionIndex:
@@ -247,168 +273,108 @@ def build_direction_index(adjacent: Scan, cell_size_rad: float) -> DirectionInde
     return DirectionIndex(adjacent, cell_size_rad)
 
 
-def _band_candidates(index: DirectionIndex, normals: np.ndarray, degenerate: np.ndarray, s_lim: float,
-                     forward=None):
+def _baseline_angles(dirs: np.ndarray, frame: np.ndarray):
+    """(beta, sin beta, psi) of unit directions in a baseline frame: the
+    angle to its first axis, and the azimuth around it in [-pi, pi)."""
+    c = dirs @ frame.T
+    sin_b = np.hypot(c[:, 1], c[:, 2])
+    psi = np.arctan2(c[:, 2], c[:, 1])
+    psi[psi >= np.pi] -= 2.0 * np.pi
+    return np.arctan2(sin_b, c[:, 0]), sin_b, psi
+
+
+def _band_candidates(index: DirectionIndex, d: np.ndarray, degenerate: np.ndarray, s_lim: float,
+                     theta=None):
     """Candidate (chunk-local current id, index-local adjacent id) pairs.
 
-    ``normals`` holds the (not necessarily valid) coplanarity-plane normals
-    of a chunk of current beams; rows flagged ``degenerate`` get every
-    adjacent beam as a candidate.  ``s_lim`` is the sine-domain half-width
-    of the band, tested at each row's center elevation.  A beam binned in a
-    row can sit up to half a cell off that center, and the plane distance
-    moves by at most the elevation offset (the gradient is at most one), so
-    callers must fold cell/2 into whatever angular tolerance they need
-    covered.  Azimuth intervals are snapped outward to whole cells.
+    ``d`` holds unit directions of current beams; beams flagged
+    ``degenerate`` get every adjacent beam as a candidate.  Every other beam
+    gets at least each adjacent direction e within sine distance ``s_lim``
+    of its coplanarity plane (|n . e| <= s_lim), and no pair twice.
 
-    ``forward``, when given, is a pair (cap centres, cap radii) of unit
-    vectors and angles, one per beam, such that every adjacent direction the
-    caller can use lies in its beam's cap.  Each band arc whose cells all lie
-    outside the cap is dropped, so the output stays a superset of the
-    in-band directions the caller needs.  The test takes a reference point
-    in the arc at the row's center elevation (where the band's center circle
-    crosses it, or the middle of an arc merged across the normal's azimuth
-    or its antipode) and widens the radius by how far a beam binned into the
-    snapped arc can sit off that point: cell/2 in elevation plus the arc's
-    longer side from the reference along the row.  An infinite radius keeps
-    every arc of its beam; degenerate beams and full rows are never dropped.
+    The plane of a beam at angle gamma to a_hat has the beam's own azimuth
+    psi_d, and e lies sin(beta_e) |sin(psi_e - psi_d)| from it.  In a row
+    whose smallest sin(beta) is m, that bounds |sin(psi_e - psi_d)| by
+    x = s_lim / m: the beam reads the window psi_d +- asin(x) on its own
+    half-plane and, where asked, the same window around psi_d + pi.  From
+    x = 0.999 on it reads the whole row instead, which costs little more
+    and keeps the two windows from meeting.  s_lim is padded by
+    1e-13 / sin(gamma).  That is at least 1e-13, far above the rounding of
+    the frame and of psi_e; near the baseline axis, where psi_d and the
+    caller's normal are off by a few ulps over sin(gamma), it is a thousand
+    times their error.
 
-    Output pairs are duplicate-free: the two azimuth arcs of a (beam, row)
-    combination are merged into one whenever they meet across the band
-    normal's azimuth or its antipode, so every emission is disjoint and no
-    dedup pass is needed.
+    ``theta``, when given, also skips pairs that cannot cross ahead of both
+    sensors (t > 0 and p_adj > 0 in :func:`_pair_runs`).  With
+    c = cos(psi_e - psi_d), t has the sign of
+    A = cos(gamma) sin(beta) - sin(gamma) cos(beta) c and p_adj that of
+    B = c cos(gamma) sin(beta) - sin(gamma) cos(beta).  As
+    A + B = (1 + c) sin(beta - gamma), a record needs beta > gamma, so rows
+    whose largest beta is below gamma - theta are skipped.  On the far
+    half-plane (c < 0) A and B are both positive only for gamma < pi/2, and
+    for in-band e only within theta of beta = pi (by -a_hat, where the
+    half-planes meet) or of beta = pi - gamma (near-antiparallel beams whose
+    closest points fall ahead of both sensors).  So the far window is read
+    only in rows that reach pi - theta or meet pi - gamma +- theta.  The
+    theta margins dwarf the rounding of t and p_adj near their sign
+    changes.  The pruning applies when sin(gamma) >= 4 theta; beams nearer
+    the baseline axis read both windows of every row.
     """
-    cs = index.cell_size
-    s_lim = min(float(s_lim), 1.0)
-
-    def snap_down(az):
-        return np.floor((az + np.pi) / cs) * cs - np.pi
-
-    def snap_up(az):
-        return np.ceil((az + np.pi) / cs) * cs - np.pi
-
-    nx, ny, nz = normals[:, 0], normals[:, 1], normals[:, 2]
-    cn = np.hypot(nx, ny)
-    psi = np.arctan2(ny, nx)
+    deg = np.nonzero(degenerate)[0].astype(np.int32)
+    live = np.nonzero(~degenerate)[0].astype(np.int32)
+    gamma, sin_g, psi = _baseline_angles(d.take(live, axis=0), index.frame)
+    with np.errstate(divide="ignore"):
+        s = s_lim + 1e-13 / sin_g
+    # a beam reads a row when the row's largest beta is >= near_from; it
+    # reads the far window too when that beta is >= far_from or the row
+    # meets the near-antiparallel band [anti_lo, anti_hi]
+    near_from = np.full(len(live), -np.inf)
+    far_from = near_from.copy()
+    anti_lo = np.full(len(live), np.inf)
+    anti_hi = anti_lo.copy()
+    if theta is not None:
+        prune = sin_g >= 4.0 * theta
+        near_from[prune] = gamma[prune] - theta
+        far_from[prune] = np.pi - theta
+        on = prune & (gamma < np.pi / 2)
+        anti_lo[on] = np.pi - gamma[on] - theta
+        anti_hi[on] = np.pi - gamma[on] + theta
 
     out_i: list = []
     out_j: list = []
-
-    ce = np.cos(index.row_el_centers)
-    se = np.sin(index.row_el_centers)
-
-    active = np.nonzero(~degenerate)[0].astype(np.int32)
-    psi_a = psi[active]
-    cn_a = cn[active]
-    nz_a = nz[active]
-    # a row emits nothing unless some beam satisfies |k_off| <= s_lim + c_amp
-    # (the per-beam interval test below, cleared of its divisions); the 1e-12
-    # slack dwarfs the divide rounding, so skipped rows are provably empty
-    reach = np.abs(nz_a[None, :] * se[:, None]) <= s_lim + cn_a[None, :] * ce[:, None] + 1e-12
-    if forward is not None:
-        # cap centres in each beam's band frame: u along the normal's
-        # azimuth psi, v a quarter turn on, z up; radii as given
-        cap = forward[0].take(active, axis=0)
-        cap_r = forward[1][active]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos_psi, sin_psi = nx[active] / cn_a, ny[active] / cn_a
-        cap_u = cap[:, 0] * cos_psi + cap[:, 1] * sin_psi
-        cap_v = cap[:, 1] * cos_psi - cap[:, 0] * sin_psi
-        cap_z = cap[:, 2]
-    live_rows = np.nonzero(reach.any(axis=1))[0] if len(active) else []
-    for r in live_rows:
-        c_amp = cn_a * ce[r]
-        k_off = nz_a * se[r]
-        flat = c_amp < 1e-300
-        c_safe = np.where(flat, 1.0, c_amp)
-        lo = (-s_lim - k_off) / c_safe
-        hi = (s_lim - k_off) / c_safe
-        empty = (lo > 1.0) | (hi < -1.0)
-        full = flat & (np.abs(k_off) <= s_lim)
-        empty = np.where(flat, ~full, empty)
-        full |= (~flat) & (lo <= -1.0) & (hi >= 1.0)
-
+    for r in range(len(index.row_sin_lo)):
+        beta_lo, beta_hi = index.row_beta_lo[r], index.row_beta_hi[r]
+        near = beta_hi >= near_from
+        if not near.any():
+            continue
+        far = near & ((beta_hi >= far_from) | ((beta_hi >= anti_lo) & (beta_lo <= anti_hi)))
+        with np.errstate(divide="ignore"):  # a beam on the axis: whole rows
+            x = s / index.row_sin_lo[r]
+        full = near & (x >= 0.999)
         pos2 = index._pos_doubled[r]
         n_row = len(pos2) >> 1
-        row_pos = pos2[:n_row]
-        full_ids = [active[np.nonzero(full)[0]]] if full.any() else []
-
-        sel = np.nonzero(~empty & ~full)[0]
-        if len(sel):
-            phi1 = np.arccos(np.clip(hi[sel], -1.0, 1.0))
-            phi2 = np.arccos(np.clip(lo[sel], -1.0, 1.0))
-            base = psi_a[sel]
-            # arcs [phi1, phi2] and [-phi2, -phi1] around the normal azimuth;
-            # within a cell of 0 or pi they meet once snapped, so merge them
-            top = phi1 <= cs
-            bot = phi2 >= np.pi - cs
-            # per arc: snapped ends, owner (position in active), and for the
-            # forward test a reference azimuth psi + delta inside the arc
-            # with (cos delta, sin delta)
-            lo_arcs, hi_arcs, owners, refs = [], [], [], []
-            both = top & bot
-            if both.any():
-                full_ids.append(active[sel[both]])
-            m = np.nonzero(top & ~bot)[0]
-            if len(m):
-                lo_arcs.append(snap_down(base[m] - phi2[m]))
-                hi_arcs.append(snap_up(base[m] + phi2[m]))
-                owners.append(sel[m])
-                if forward is not None:  # reference: the middle, psi
-                    refs.append((base[m], np.ones(len(m)), np.zeros(len(m))))
-            m = np.nonzero(bot & ~top)[0]
-            if len(m):
-                lo_arcs.append(snap_down(base[m] + phi1[m]))
-                hi_arcs.append(snap_up(base[m] + 2 * np.pi - phi1[m]))
-                owners.append(sel[m])
-                if forward is not None:  # reference: the middle, psi + pi
-                    refs.append((base[m] + np.pi, -np.ones(len(m)), np.zeros(len(m))))
-            m = np.nonzero(~top & ~bot)[0]
-            if len(m):
-                lo_arcs.extend((snap_down(base[m] + phi1[m]), snap_down(base[m] - phi2[m])))
-                hi_arcs.extend((snap_up(base[m] + phi2[m]), snap_up(base[m] - phi1[m])))
-                owners.extend((sel[m], sel[m]))
-                if forward is not None:  # reference: the center circle's crossing
-                    cos0 = np.clip(-k_off[sel[m]] / c_amp[sel[m]], -1.0, 1.0)
-                    phi0 = np.arccos(cos0)
-                    sin0 = np.sqrt(1.0 - cos0 * cos0)
-                    refs.extend(((base[m] + phi0, cos0, sin0), (base[m] - phi0, cos0, -sin0)))
-            if lo_arcs:
-                a_lo = np.concatenate(lo_arcs)
-                a_hi = np.concatenate(hi_arcs)
-                own = np.concatenate(owners)
-                if forward is not None:
-                    # drop an arc when its reference point is farther from the
-                    # cap than the radius plus how far a beam binned into the
-                    # arc can sit from it: cell/2 across the row, the arc's
-                    # longer side from the reference along it
-                    x, cos_d, sin_d = (np.concatenate(v) for v in zip(*refs))
-                    dot = ce[r] * (cos_d * cap_u[own] + sin_d * cap_v[own]) + se[r] * cap_z[own]
-                    side = np.maximum(x - a_lo, a_hi - x)
-                    near = np.arccos(np.clip(dot, -1.0, 1.0)) <= cap_r[own] + (0.5 * cs + 1e-9) + ce[r] * side
-                    a_lo, a_hi, own = a_lo[near], a_hi[near], own[near]
-                own = active[own]
-                span = a_hi - a_lo
-                wrap = span >= 2 * np.pi
-                if wrap.any():
-                    full_ids.append(own[wrap])
-                    a_lo, span, own = a_lo[~wrap], span[~wrap], own[~wrap]
-                start = np.mod(a_lo + np.pi, 2 * np.pi) - np.pi
-                doubled = index._az_doubled[r]
-                s_idx = np.searchsorted(doubled, start, side="left")
-                e_idx = np.searchsorted(doubled, start + span, side="right")
-                counts = e_idx - s_idx
-                keep = counts > 0
-                if keep.any():
-                    flat_pos = _ranges_to_indices(s_idx[keep], e_idx[keep])
-                    out_j.append(pos2[flat_pos])
-                    out_i.append(np.repeat(own[keep], counts[keep]))
-
-        if full_ids:
-            who = np.concatenate(full_ids)
+        if full.any():
+            who = live[full]
             out_i.append(np.repeat(who, n_row))
-            out_j.append(np.tile(row_pos, len(who)))
+            out_j.append(np.tile(pos2[:n_row], len(who)))
+        near_win = np.nonzero(near & ~full)[0]
+        far_win = np.nonzero(far & ~full)[0]
+        own = np.concatenate([near_win, far_win])
+        if len(own) == 0:
+            continue
+        w = np.arcsin(x[own])
+        start = psi[own] - w
+        start[len(near_win):] += np.pi
+        start = np.mod(start + np.pi, 2.0 * np.pi) - np.pi
+        doubled = index._psi_doubled[r]
+        s_idx = np.searchsorted(doubled, start, side="left")
+        e_idx = np.searchsorted(doubled, start + 2.0 * w, side="right")
+        counts = e_idx - s_idx
+        keep = counts > 0
+        if keep.any():
+            out_j.append(pos2[_ranges_to_indices(s_idx[keep], e_idx[keep])])
+            out_i.append(np.repeat(live[own[keep]], counts[keep]))
 
-    deg = np.nonzero(degenerate)[0].astype(np.int32)
     if len(deg):
         out_i.append(np.repeat(deg, len(index)))
         out_j.append(np.tile(np.arange(len(index), dtype=np.int32), len(deg)))
@@ -433,39 +399,37 @@ def candidate_pairs(current_beam: Beam, index: DirectionIndex, adjacent_origin) 
     """Adjacent point indices that might form a coplanar pair with the beam.
 
     Conservative superset: every beam whose direction lies within half the
-    index's cell size of the coplanarity plane is included, which covers
-    half the divergence angle whenever the cell is at least that coarse.
-    When the plane is degenerate (baseline collinear with the beam, or
-    origins coincide) all indexed beams are returned.
+    index's cell size of the coplanarity plane is included, on both sides
+    of the baseline axis (no forward pruning).  When the plane is degenerate
+    (baseline collinear with the beam, or origins coincide) all indexed
+    beams are returned.  ``adjacent_origin`` must be the indexed scan's
+    sensor origin, the baseline the index frame is built on.
     """
+    a = np.asarray(adjacent_origin, dtype=float)
+    if not np.array_equal(a, index.origin):
+        raise ValueError("adjacent_origin is not the sensor origin of the indexed scan")
     d = np.asarray(current_beam.direction, dtype=float)[None, :]
-    normals, degenerate, _ = _band_planes(d, np.asarray(adjacent_origin, dtype=float))
-    # half-width cell/2 for the promise above, plus cell/2 of binning slack
-    ii, jj = _band_candidates(index, normals, degenerate, math.sin(index.cell_size))
+    _, degenerate = _band_planes(d, a)
+    _, jj = _band_candidates(index, d, degenerate, math.sin(index.cell_size / 2.0))
     return sorted(int(index.beam_ids[j]) for j in jj)
 
 
-def _band_planes(d, a, theta=None):
+def _band_planes(d, a):
     """Band planes of beams with unit directions ``d`` (n, 3) against the
-    adjacent origin ``a``: (normals, degenerate, forward).
+    adjacent origin ``a``: (normals, degenerate).
 
     The normals are those of the planes spanned by each beam and the
     baseline.  A baseline of ORIGIN_EPS or less, or a beam within
     PARALLEL_EPS of its line, spans no plane; such beams are flagged
-    degenerate (their normal is meaningless).  ``forward`` holds the
-    :func:`_forward_caps` of the beams when ``theta`` is given and the
-    baseline spans planes, else None.
+    degenerate (their normal is meaningless).
     """
     a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
     if a_norm <= ORIGIN_EPS:
-        return np.zeros_like(d), np.ones(len(d), dtype=bool), None
-    a_hat = a / a_norm
-    cvec = np.cross(d, a_hat)
+        return np.zeros_like(d), np.ones(len(d), dtype=bool)
+    cvec = np.cross(d, a / a_norm)
     c_norm = np.linalg.norm(cvec, axis=1)
     degenerate = c_norm < PARALLEL_EPS
-    normals = cvec / np.where(degenerate, 1.0, c_norm)[:, None]
-    forward = None if theta is None else _forward_caps(d, a_hat, c_norm, theta)
-    return normals, degenerate, forward
+    return cvec / np.where(degenerate, 1.0, c_norm)[:, None], degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -513,29 +477,6 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     return rec
 
 
-def _forward_caps(d, a_hat, sin_g, theta):
-    """Per-beam spherical caps holding every adjacent direction that can
-    yield a record, for the band query's ``forward`` argument.
-
-    A record needs its centerlines to cross ahead of both sensors (t > 0 and
-    p_adj > 0).  For a direction e in the plane of d and the baseline that
-    happens exactly on the great-circle arc from -a_hat to d, which lies in
-    the cap centred at normalize(d - a_hat) with radius (pi - gamma) / 2,
-    gamma being the angle between a_hat and d.  A coplanar e sits up to
-    theta/2 off that plane, and the off-plane tilt lets t > 0 spill past the
-    arc's ends by at most tan^2(theta/2) * |cot gamma|, below theta/16 once
-    sin(gamma) >= 4 theta; the radius is padded by theta to cover both.
-    Beams closer than that to the baseline's line keep an infinite radius,
-    so the caps only ever drop pairs with t <= 0 or p_adj <= 0.
-    """
-    cos_g = d @ a_hat
-    gamma = np.arctan2(sin_g, cos_g)
-    centres = d - a_hat
-    centres /= np.maximum(np.linalg.norm(centres, axis=1), 1e-300)[:, None]
-    radii = np.where(sin_g >= 4.0 * theta, 0.5 * (np.pi - gamma) + theta, np.inf)
-    return centres, radii
-
-
 def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, offset, time, cfg, sensor):
     """Records of current beams [lo, hi) against one adjacent scan taken
     ``time`` seconds after the current one, in (current, adjacent, rank)
@@ -544,16 +485,16 @@ def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, off
     # beams on the sensor origin have no direction and draw no candidates
     rows = lo + np.nonzero(cur_valid[lo:hi])[0]
     d = cur_dirs.take(rows, axis=0)
-    normals, degenerate, forward = _band_planes(d, adj_scan.sensor_origin, theta)
-    # band half-width: the coplanarity tolerance theta/2 tested below, plus
-    # the cell/2 of elevation binning slack the band query asks callers for
-    s_lim = math.sin(theta / 2.0 + index.cell_size / 2.0)
-    ii, jj = _band_candidates(index, normals, degenerate, s_lim, forward)
+    normals, degenerate = _band_planes(d, adj_scan.sensor_origin)
+    # the coarse coplanarity bound of _pair_runs: every pair within it is
+    # a candidate
+    s_lim = math.sin(theta / 2.0) + 1e-9
+    ii, jj = _band_candidates(index, d, degenerate, s_lim, theta)
     # the pair stages run on cache-sized blocks of candidates
     runs = []
     for b in range(0, len(ii), PAIR_BLOCK):
         runs += _pair_runs(
-            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], rows, d, normals, degenerate,
+            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], rows, d, normals, degenerate, s_lim,
             cur_ranges, index, adj_scan, offset, time, cfg, sensor,
         )
     if not runs:
@@ -567,10 +508,12 @@ def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, off
     return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)
 
 
-def _pair_runs(ii, jj, rows, d, normals, degenerate, cur_ranges, index, adj_scan, offset, time, cfg, sensor):
+def _pair_runs(ii, jj, rows, d, normals, degenerate, s_lim, cur_ranges, index, adj_scan, offset, time, cfg,
+               sensor):
     """Records of candidate pairs (current beam ``rows[ii]`` with direction
     ``d[ii]``, index-local adjacent jj), as a list of unsorted record runs
-    viewed as bytes."""
+    viewed as bytes.  ``s_lim`` bounds |n . e| in a coarse coplanarity test
+    ahead of the exact one."""
     theta = sensor.divergence_angle_rad
     a = adj_scan.sensor_origin
     if len(ii) == 0:
@@ -581,7 +524,7 @@ def _pair_runs(ii, jj, rows, d, normals, degenerate, cur_ranges, index, adj_scan
     pair_deg = degenerate[ii]
     e_j = index.directions.take(jj, axis=0)
     ndote = np.einsum("ij,ij->i", normals.take(ii, axis=0), e_j)
-    coarse = pair_deg | (np.abs(ndote) <= math.sin(theta / 2.0) + 1e-9)
+    coarse = pair_deg | (np.abs(ndote) <= s_lim)
     sel = np.nonzero(coarse)[0]
     cop = np.abs(np.arccos(np.clip(ndote[sel], -1.0, 1.0)) - np.pi / 2.0) <= theta / 2.0
     cop |= pair_deg[sel]
@@ -694,10 +637,12 @@ def _current_frame_arrays(current: Scan):
     return dirs, ranges, valid
 
 
-def _check_frames(current: Scan, adjacent: Scan):
+def _check_frames(current: Scan, adjacent: Scan | None = None):
+    """Raise FrameMismatch unless the current scan is in its own sensor
+    frame and the adjacent one, when given, in the current scan's frame."""
     if np.linalg.norm(current.sensor_origin) > 1e-9:
         raise FrameMismatch("current scan must be expressed in its own sensor frame (origin at 0)")
-    if current.pose is not None and adjacent.pose is not None:
+    if adjacent is not None and current.pose is not None and adjacent.pose is not None:
         if not current.pose.almost_equal(adjacent.pose, tol=1e-9):
             raise FrameMismatch("adjacent scan not re-expressed in the current scan's frame")
 
@@ -710,7 +655,8 @@ def _derive_offset(current: Scan, adjacent: Scan, cfg: ExtractionConfig) -> int:
         k = max(1, int(round(abs(dt) / cfg.scan_period_s)))
     else:
         k = 1
-    k = min(k, 127)  # record field is a signed byte
+    if k > 127:  # the record field is a signed byte
+        raise ValueError(f"adjacent scan is {k} periods away; scan offsets stop at 127")
     return k if dt > 0 else -k
 
 
@@ -817,8 +763,7 @@ def extract_sequence(
             f"need {n} past and {n} future scans, got {len(past)} and {len(future)}"
         )
 
-    if np.linalg.norm(current.sensor_origin) > 1e-9:
-        raise FrameMismatch("current scan must carry points in its own sensor frame")
+    _check_frames(current)
     jobs = [(off, scan.in_frame_of(current)) for off, scan in zip(range(-n, 0), past)]
     jobs += [(off, scan.in_frame_of(current)) for off, scan in zip(range(1, n + 1), future)]
     oset = _extract_jobs(current, jobs, cfg, sensor, threads)

@@ -11,7 +11,6 @@ Scenario TWO (at or below): beams run nearly parallel and share a whole
 segment ending at q; five representative points are sampled from it.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 import math
 
@@ -29,29 +28,6 @@ PARALLEL_EPS = 1e-9
 class Scenario(IntEnum):
     ONE = 1
     TWO = 2
-
-
-@dataclass(frozen=True)
-class BeamPairGeometry:
-    """Geometry of one admitted coplanar beam pair."""
-
-    current_beam_index: int
-    adjacent_beam_index: int
-    coplanarity_angle: float
-    spatial_angle: float
-    scenario: Scenario
-    intersection_point: np.ndarray
-    param_current: float
-    param_adjacent: float
-
-
-@dataclass(frozen=True)
-class IntersectionSegment:
-    """Scenario-2 segment on the current beam, with its five sample points."""
-
-    start_range_current: float
-    end_range_current: float
-    sampled_points: np.ndarray  # (5, 3)
 
 
 def _norm3(v) -> float:

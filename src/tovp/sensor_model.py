@@ -128,10 +128,6 @@ class Beam:
         if self.range <= 0.0:
             raise ValueError(f"range must be > 0: {self.range}")
 
-    @property
-    def hit_point(self) -> np.ndarray:
-        return self.origin + self.range * self.direction
-
 
 @dataclass
 class Scan:

@@ -1,6 +1,6 @@
 """Index-free reference extraction: test every (current, adjacent) beam pair.
 
-Used to check that the grid-pruned pipeline finds exactly the pairs the
+Used to check that the index-pruned pipeline finds exactly the pairs the
 plain formulas find.  No candidate query, no chunking, no deduplication;
 just the per-pair geometry over the full cross product.  The arithmetic
 deliberately uses the same numpy primitives in the same order as the

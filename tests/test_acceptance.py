@@ -13,6 +13,7 @@ import shutil
 import time
 
 import numpy as np
+import pytest
 from scipy.spatial import cKDTree
 
 from brute_force import brute_force_overlaps
@@ -57,7 +58,7 @@ def _line(num, ok, detail):
 
 
 def test_c01_indexed_extraction_matches_exhaustive_reference():
-    # the grid-pruned pipeline must return the exact record set an
+    # the index-pruned pipeline must return the exact record set an
     # index-free scan of every beam pair returns, at matched positions
     rng = np.random.default_rng(20240811)
     t0 = time.perf_counter()
@@ -399,6 +400,7 @@ def _file_digests(out_dir):
     return digests
 
 
+@pytest.mark.slow
 def test_c10_extract_cli_runtime_and_thread_determinism(tmp_path):
     scene = tmp_path / "scene.yaml"
     scene.write_text("""

@@ -136,6 +136,14 @@ class TestScanPairApi:
         oset = extract_scan_pair(cur, adj_past, CFG, SENSOR)
         assert oset[0].adjacent_scan_offset == -2
 
+    def test_offsets_stop_at_127_periods(self):
+        cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))
+        far = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=127 * 0.5)
+        assert extract_scan_pair(cur, far, CFG, SENSOR)[0].adjacent_scan_offset == 127
+        too_far = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=-128 * 0.5)
+        with pytest.raises(ValueError):
+            extract_scan_pair(cur, too_far, CFG, SENSOR)
+
     def test_equal_times_rejected(self):
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))
         adj = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=0.0)
@@ -167,12 +175,17 @@ class TestScanPairApi:
 
 
 class TestDirectionIndex:
-    def test_every_beam_lands_in_exactly_one_cell(self):
+    def test_every_beam_lands_in_exactly_one_row(self):
         _, adj = random_scan_pair(11)
         index = build_direction_index(adj, 0.003)
-        assert len(index.az_cell) == len(index)
-        assert len(index.el_cell) == len(index)
-        assert index.occupied_cell_count() <= len(index)
+        rows = [pos[: len(pos) // 2] for pos in index._pos_doubled]
+        assert sorted(np.concatenate(rows).tolist()) == list(range(len(index)))
+        assert len(rows) == len(index.row_beta_lo) == len(index.row_beta_hi) <= extraction.ROWS
+        # each row's recorded beta range holds its beams, sorted by psi
+        beta, _, psi = extraction._baseline_angles(index.directions, index.frame)
+        for r, pos in enumerate(rows):
+            assert index.row_beta_lo[r] == beta[pos].min() and index.row_beta_hi[r] == beta[pos].max()
+            assert np.all(np.diff(psi[pos]) >= 0)
 
     def test_empty_scan_rejected(self):
         with pytest.raises(EmptyScan):
@@ -216,9 +229,8 @@ class TestCandidatePairs:
     def test_band_around_a_horizontal_plane(self, row_phase):
         # current beam along +x, baseline along +y: the coplanarity plane is
         # z = 0.  Adjacent beams at eight azimuths and elevations 0, +-0.4
-        # cell (inside the promised half cell) and +-5 cells (outside it).
-        # Elevation 0 sits at row_phase within its grid row, so the +-0.4
-        # cell beams also land in the rows above and below it
+        # cell (inside the promised half cell) and +-5 cells (outside it),
+        # for three cells a fraction row_phase of a cell apart
         cell = (np.pi / 2) / (523 + row_phase)
         a = np.array([0.0, 2.0, 0.0])
         beam = beam_from_point(Scan(points=[[20.0, 0.0, 0.0]]), 0)
@@ -280,9 +292,117 @@ class TestForwardArcPruning:
     @pytest.mark.parametrize("cells_per_theta", [32, 8, 1, 0.5])
     @pytest.mark.parametrize("seed", range(3))
     def test_cell_sizes(self, cells_per_theta, seed):
+        # the cell size only sets candidate_pairs' half-width; extraction
+        # must give the reference's records whatever it is
         cfg = ExtractionConfig(cell_size_rad=SENSOR.divergence_angle_rad / cells_per_theta)
         cur, adj = random_scan_pair(seed, n_current=200, n_adjacent=300)
         assert _assert_matches_reference(cur, adj, cfg) > 10
+
+
+def _baseline_frame(a):
+    """a_hat and two unit axes completing it to a right-handed frame."""
+    a_hat = a / np.linalg.norm(a)
+    u = np.cross(a_hat, [0.3, -0.5, 0.8])
+    u /= np.linalg.norm(u)
+    return a_hat, u, np.cross(a_hat, u)
+
+
+def _at(frame, beta, psi):
+    """Unit directions at angle beta to a_hat and azimuth psi around it."""
+    a_hat, u, v = frame
+    beta, psi = (np.asarray(x, dtype=float)[:, None] for x in np.broadcast_arrays(beta, psi))
+    return np.cos(beta) * a_hat + np.sin(beta) * (np.cos(psi) * u + np.sin(psi) * v)
+
+
+def _baseline_pair(rng, a, cur_dirs, adj_dirs):
+    cur = Scan(points=cur_dirs * rng.uniform(5.0, 60.0, (len(cur_dirs), 1)), time=0.0)
+    adj_pts = a + adj_dirs * rng.uniform(5.0, 60.0, (len(adj_dirs), 1))
+    return cur, Scan(points=adj_pts, sensor_origin=a, time=0.5)
+
+
+def _far_side_records(cur, adj, rec):
+    """How many records pair beams on opposite sides of the baseline axis."""
+    a_hat = adj.sensor_origin / np.linalg.norm(adj.sensor_origin)
+    d = cur.points[rec["current_index"]]
+    e = adj.points[rec["adjacent_index"]] - adj.sensor_origin
+    d = d - np.outer(d @ a_hat, a_hat)
+    e = e - np.outer(e @ a_hat, a_hat)
+    return int(np.sum(np.einsum("ij,ij->i", d, e) < 0.0))
+
+
+class TestBaselineRows:
+    """Edges of the beta-row index, each against the all-pairs reference."""
+
+    def test_directions_on_row_boundaries(self):
+        # every adjacent beam sits within rounding of a row boundary past
+        # its partner's gamma, in the partner's plane up to 0.45 theta
+        theta = SENSOR.divergence_angle_rad
+        rng = np.random.default_rng(21)
+        a = np.array([0.9, -0.3, 0.2])
+        f = _baseline_frame(a)
+        gamma = rng.uniform(0.1, np.pi - 0.3, 300)
+        psi_d = rng.uniform(-np.pi, np.pi, 300)
+        k = np.floor(gamma * extraction.ROWS / np.pi) + rng.integers(1, 4, 300)
+        beta = k * (np.pi / extraction.ROWS)
+        beta = np.where(rng.random(300) < 0.5, np.nextafter(beta, 0.0), beta)
+        tilt = np.arcsin(rng.uniform(-1.0, 1.0, 300) * math.sin(0.45 * theta) / np.sin(beta))
+        cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, beta, psi_d + tilt))
+        assert _assert_matches_reference(cur, adj, CFG) > 10
+
+    def test_far_half_plane_next_to_minus_a_hat(self):
+        # current beams just past the 4 theta at which pruning starts, and
+        # adjacent beams 0.5025 theta from -a_hat (so their row reads
+        # windows, not the whole row) whose azimuth is a little over a
+        # quarter turn from some current beam's: they sit on its far
+        # half-plane and still cross it ahead of both sensors
+        theta = SENSOR.divergence_angle_rad
+        rng = np.random.default_rng(22)
+        a = np.array([1.1, 0.4, -0.3])
+        f = _baseline_frame(a)
+        gamma = math.asin(4.0 * theta) * rng.uniform(1.0001, 1.02, 200)
+        psi_d = rng.uniform(-np.pi, np.pi, 200)
+        k = rng.integers(0, 200, 400)
+        off = np.pi - 0.5025 * theta * rng.uniform(1.0, 1.0005, 400)
+        psi_e = psi_d[k] + rng.choice((-1.0, 1.0), 400) * np.arccos(rng.uniform(-0.12, -0.105, 400))
+        cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, off, psi_e))
+        oset = extract_scan_pair(cur, adj, CFG, SENSOR)
+        assert _assert_matches_reference(cur, adj, CFG) > 10
+        assert _far_side_records(cur, adj, oset.records) > 10
+
+    def test_near_antiparallel_beams(self):
+        # an adjacent beam almost opposite a current one, tilted out of
+        # their plane: the closest points of the two lines lie ahead of
+        # both sensors, on the far half-plane at beta = pi - gamma
+        theta = SENSOR.divergence_angle_rad
+        rng = np.random.default_rng(23)
+        a = np.array([-0.7, 1.3, 0.5])
+        f = _baseline_frame(a)
+        gamma = rng.uniform(0.1, 1.4, 100)
+        psi_d = rng.uniform(-np.pi, np.pi, 100)
+        tilt = np.arcsin(rng.uniform(-0.95, 0.95, 100) * math.sin(theta / 2) / np.sin(gamma))
+        cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, np.pi - gamma, psi_d + np.pi + tilt))
+        oset = extract_scan_pair(cur, adj, CFG, SENSOR)
+        assert _assert_matches_reference(cur, adj, CFG) > 10
+        assert _far_side_records(cur, adj, oset.records) > 10
+
+    @pytest.mark.parametrize("ratio", [0.999 - 1e-6, 0.999 + 1e-6])
+    def test_windows_that_just_turn_full(self, ratio):
+        # the last row's smallest sin(beta) puts s_lim / sin(beta) just
+        # below or above the 0.999 at which a window reads the whole row;
+        # 300 of its 800 beams sit within 1e-9 rad of a window edge
+        theta = SENSOR.divergence_angle_rad
+        rng = np.random.default_rng(24)
+        a = np.array([0.5, 0.8, -1.2])
+        f = _baseline_frame(a)
+        gamma = rng.uniform(0.1, 2.5, 200)
+        psi_d = rng.uniform(-np.pi, np.pi, 200)
+        beta_1 = np.pi - math.asin((math.sin(theta / 2) + 1e-9) / ratio)
+        k = rng.integers(0, 200, 300)
+        edge = psi_d[k] + rng.choice((-1.0, 1.0), 300) * (math.asin(ratio) + rng.uniform(-1e-9, 1e-9, 300))
+        beta = np.concatenate([np.full(600, beta_1), rng.uniform(np.pi * (1 - 1 / extraction.ROWS) + 1e-3, beta_1, 200)])
+        psi_e = np.concatenate([edge, rng.uniform(-np.pi, np.pi, 500)])
+        cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, beta, psi_e))
+        assert _assert_matches_reference(cur, adj, CFG) > 10
 
 
 class TestOriginBeams:
@@ -330,7 +450,7 @@ class TestBruteForceEquivalence:
 
     def test_spinning_scan_pair_matches_reference(self):
         # ring-structured scans put thousands of beams inside each band and
-        # are the stress case for arc merging in the candidate query
+        # are the stress case for the candidate query's windows
         cur, adj = _spinning_pair(channels=8, azimuths=64)
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         ref = brute_force_overlaps(cur, adj, 1, CFG, SENSOR)
@@ -399,6 +519,14 @@ class TestSequence:
         current, adjacents = self._window(2)
         with pytest.raises(ValueError):
             extract_sequence(current, adjacents, cfg, SENSOR)
+
+    def test_current_scan_not_in_its_own_frame_rejected(self):
+        cfg = ExtractionConfig(n_adjacent=2)
+        current, adjacents = self._window(2)
+        moved = Scan(points=current.points, sensor_origin=np.array([0.0, 0.0, 1.0]), time=current.time,
+                     pose=current.pose)
+        with pytest.raises(FrameMismatch):
+            extract_sequence(moved, adjacents, cfg, SENSOR)
 
     def test_missing_pose_rejected(self):
         cfg = ExtractionConfig(n_adjacent=2)

@@ -230,6 +230,21 @@ class TestOverlapFile:
             write_overlap_file(tmp_path / "x.tovp", OverlapSet.empty(), SENSOR,
                                b"short")
 
+    def test_read_back_in_canonical_order(self, tmp_path):
+        # values exact in float32, so a read gives back the written bytes
+        rec = overlap_records(200, seed=4)
+        rec["current_index"] //= 4  # tied current indices: order by the other keys
+        for name in ("position", "time", "confidence"):
+            rec[name] = rec[name].astype(np.float32)
+        canonical = OverlapSet(rec).records
+        shuffled = canonical[np.random.default_rng(4).permutation(len(canonical))]
+        assert shuffled.tobytes() != canonical.tobytes()
+        for i, records in enumerate((shuffled, canonical)):
+            path = tmp_path / f"{i}.tovp"
+            write_overlap_file(path, OverlapSet(records, presorted=True), SENSOR)
+            back, _ = read_overlap_file(path)
+            assert back.records.tobytes() == canonical.tobytes()
+
     @pytest.mark.slow
     def test_large_round_trip(self, tmp_path):
         oset = OverlapSet(overlap_records(1_000_000, seed=9))
