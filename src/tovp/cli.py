@@ -22,7 +22,7 @@ from .evaluation import EvalBox, ScanEvalInput, evaluate, object_size_cdf
 from .extraction import DEFAULT_BOUNDS, ExtractionConfig, extract_sequence
 from .labeling import MotionClass, ThresholdTable, box_motion_class, label_points
 from .objectives import ClassWeights, overlap_loss, recon_loss, total_loss
-from .recon import sample_recon_points
+from .recon import SEED_LIMIT, sample_recon_points
 from .sensor_model import Scan, SensorConfig
 from .simulator import simulate_scan_with_hits
 
@@ -88,7 +88,16 @@ def resolve_config(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             merged[key] = value
+    _check_seeds(merged["seed"])
     return merged
+
+
+def _check_seeds(seed, count: int = 1) -> None:
+    """Reject a base seed whose per-scan seeds seed + i, i < count, leave
+    [0, 2**63), the range where every seed has a stream of its own."""
+    if not isinstance(seed, int) or seed < 0 or seed + count > SEED_LIMIT:
+        raise DataError(f"seed {seed!r}: the per-scan seeds seed + i for "
+                        f"i < {count} must be integers in [0, 2**63)")
 
 
 def _sensor_from(cfg: dict) -> SensorConfig:
@@ -189,6 +198,7 @@ def cmd_extract(args) -> int:
     if len(scan_paths) < 2 * n + 1:
         raise DataError(f"need at least {2 * n + 1} scans for a window of "
                         f"n={n}, found {len(scan_paths)}")
+    _check_seeds(cfg["seed"], len(scan_paths))
 
     period = cfg["scan_period_s"]
     times = [k * period for k in range(len(scan_paths))]
@@ -230,6 +240,7 @@ def cmd_extract(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     sim = formats.read_scene(args.scene)
+    _check_seeds(cfg["seed"], len(sim.times))
     scans_dir = os.path.join(args.out, "scans")
     labels_dir = os.path.join(args.out, "labels")
     os.makedirs(scans_dir, exist_ok=True)

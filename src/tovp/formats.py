@@ -9,6 +9,7 @@ is byte-identical.
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -149,6 +150,11 @@ def write_poses(path, poses):
 
 # -- overlap and reconstruction sets ------------------------------------------
 
+# records decoded per read: a read holds the decoded set and one chunk of
+# stored bytes, not a copy of the whole file as well
+_READ_CHUNK = 1 << 16
+
+
 def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header_fields):
     """Write a magic/version/count header (plus ``header_fields``) and then
     every record, cast to ``record_dtype`` in one pass.  In-memory and
@@ -169,26 +175,31 @@ def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
     """Validate and decode a file written by :func:`_write_set`; returns
     (header, records cast to ``memory_dtype``)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != magic:  # checked first so a wrong file type names itself
-        raise MagicMismatch(f"{path}: expected magic {magic!r}, found {data[:4]!r}")
-    if len(data) < header_dtype.itemsize:
-        raise TruncatedFile(f"{path}: {len(data)} bytes is shorter than the "
-                            f"{header_dtype.itemsize}-byte header")
-    header = np.frombuffer(data, dtype=header_dtype, count=1)[0]
-    if header["version"] != FORMAT_VERSION:
-        raise VersionUnsupported(f"{path}: version {int(header['version'])} "
-                                 f"(supported: {FORMAT_VERSION})")
-    payload = len(data) - header_dtype.itemsize
-    if payload % record_dtype.itemsize != 0:
-        raise TruncatedFile(f"{path}: payload of {payload} bytes is not a "
-                            f"whole number of {record_dtype.itemsize}-byte records")
-    n_stored = payload // record_dtype.itemsize
-    if n_stored != int(header["count"]):
-        raise CountMismatch(f"{path}: header promises {int(header['count'])} "
-                            f"records, file holds {n_stored}")
-    stored = np.frombuffer(data, dtype=record_dtype, offset=header_dtype.itemsize)
-    return header, stored.astype(memory_dtype)
+        head = fh.read(header_dtype.itemsize)
+        size = os.fstat(fh.fileno()).st_size
+        if head[:4] != magic:  # checked first so a wrong file type names itself
+            raise MagicMismatch(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
+        if len(head) < header_dtype.itemsize:
+            raise TruncatedFile(f"{path}: {size} bytes is shorter than the "
+                                f"{header_dtype.itemsize}-byte header")
+        header = np.frombuffer(head, dtype=header_dtype, count=1)[0]
+        if header["version"] != FORMAT_VERSION:
+            raise VersionUnsupported(f"{path}: version {int(header['version'])} "
+                                     f"(supported: {FORMAT_VERSION})")
+        payload = size - header_dtype.itemsize
+        if payload % record_dtype.itemsize != 0:
+            raise TruncatedFile(f"{path}: payload of {payload} bytes is not a "
+                                f"whole number of {record_dtype.itemsize}-byte records")
+        n_stored = payload // record_dtype.itemsize
+        if n_stored != int(header["count"]):
+            raise CountMismatch(f"{path}: header promises {int(header['count'])} "
+                                f"records, file holds {n_stored}")
+        records = np.empty(n_stored, dtype=memory_dtype)
+        for start in range(0, n_stored, _READ_CHUNK):
+            count = min(_READ_CHUNK, n_stored - start)
+            records[start:start + count] = np.fromfile(fh, dtype=record_dtype,
+                                                       count=count)
+    return header, records
 
 
 @dataclass(frozen=True)

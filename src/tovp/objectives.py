@@ -12,6 +12,9 @@ from .errors import BadDimension, CountMismatch, EmptyBatch, NonFiniteLoss
 
 N_STATES = 3
 
+# rows per pass of the loss arithmetic; bounds the temporaries
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EncodingConfig:
@@ -104,15 +107,24 @@ def _probability_matrix(predictions) -> np.ndarray:
     return p
 
 
+def _chunks(n: int):
+    """Row slices of at most _CHUNK rows covering range(n)."""
+    return (slice(a, a + _CHUNK) for a in range(0, n, _CHUNK))
+
+
 def _true_class_nll(states, predictions) -> np.ndarray:
     probs = _probability_matrix(predictions)
     s = np.asarray(states)
     if s.shape != (len(probs),):
         raise CountMismatch(f"{len(s)} states for {len(probs)} predictions")
-    p_true = probs[np.arange(len(probs)), s.astype(np.intp)]
-    if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
-        raise NonFiniteLoss("true-class probability is zero or non-finite")
-    return -np.log(p_true)
+    nll = np.empty(len(probs))
+    for rows in _chunks(len(probs)):
+        block = probs[rows]
+        p_true = block[np.arange(len(block)), s[rows].astype(np.intp)]
+        if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
+            raise NonFiniteLoss("true-class probability is zero or non-finite")
+        np.negative(np.log(p_true), out=nll[rows])
+    return nll
 
 
 def overlap_loss(states, confidences, predictions, weights: ClassWeights = ClassWeights()) -> float:
@@ -154,8 +166,10 @@ def recon_loss(
     if expected == 0:
         raise EmptyBatch("reconstruction loss needs at least one sample")
     nll = _true_class_nll(states, predictions)
-    w = weights.as_array()[np.asarray(states).astype(np.intp)]
-    total = float(np.sum(w * nll))
+    w, s = weights.as_array(), np.asarray(states)
+    for rows in _chunks(expected):
+        nll[rows] *= w[s[rows].astype(np.intp)]
+    total = float(np.sum(nll))
     if not np.isfinite(total):
         raise NonFiniteLoss("reconstruction loss overflowed")
     return total / expected

@@ -134,6 +134,16 @@ class TestSimulate:
         assert main(["simulate", "--scene", str(scene),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_seed_range(self, tmp_path, capsys):
+        # 7 scans take the per-scan seeds seed .. seed + 6
+        scene = tmp_path / "scene.yaml"
+        write_scene(scene)
+        for seed, code in [(-1, 2), (2**63 - 6, 2), (2**63 - 7, 0)]:
+            out = tmp_path / f"out{code}"
+            assert main(["simulate", "--scene", str(scene), "--out", str(out),
+                         "--seed", str(seed)]) == code
+        assert "2**63" in capsys.readouterr().err
+
 
 class TestExtract:
     def test_window_arithmetic_13_scans_default_n(self, tmp_path):
@@ -214,6 +224,16 @@ class TestExtract:
         resolved = json.loads((out2 / "config.json").read_text())
         assert resolved["n_adjacent"] == 3
         assert resolved["seed"] == 9
+
+    def test_seed_range(self, tmp_path, capsys):
+        sim = simulate(tmp_path, count=7)
+        assert run_extract(sim, tmp_path / "out", "--n", "2",
+                           "--seed", str(2**63 - 1)) == 2
+        assert "2**63" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 1.5\n")
+        assert run_extract(sim, tmp_path / "out", "--config", str(cfg)) == 2
 
     def test_unknown_config_key(self, tmp_path, capsys):
         sim = simulate(tmp_path, count=7)

@@ -1,11 +1,26 @@
 """Reconstruction sampling: counts, supports, per-beam stream isolation."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from tovp.recon import RECON_DTYPE, sample_recon_points
-from tovp.sensor_model import OccupancyState, Scan, SensorConfig, occupancy_state
+from tovp.recon import (
+    _BEAM_BLOCK,
+    RECON_DTYPE,
+    SEED_LIMIT,
+    _philox_uniform,
+    sample_recon_points,
+)
+from tovp.sensor_model import (
+    MIN_BEAM_RANGE,
+    OccupancyState,
+    Scan,
+    SensorConfig,
+    occupancy_state,
+)
 
 SENSOR = SensorConfig()
 BAND = SENSOR.occupied_band_m
@@ -124,6 +139,76 @@ def test_sample_access_api():
     assert s.state == OccupancyState.OCCUPIED
     assert out.records.dtype == RECON_DTYPE
     assert len(list(iter(out))) == 6
+
+
+def scalar_uniform(seed, beams, k):
+    """Reference: one numpy Philox generator per beam, drawn in a loop."""
+    return np.stack([
+        np.random.Generator(np.random.Philox(key=[seed, int(beam)])).uniform(size=k)
+        for beam in beams])
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 30, 33])
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1])
+def test_vector_philox_matches_numpy_stream(seed, k):
+    beams = np.r_[0, 1, 2**31, 2**32 - 1, np.arange(2, 300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _philox_uniform(seed, beams, k)
+        want = scalar_uniform(seed, beams, k)
+    assert got.shape == (len(beams), k)
+    assert got.tobytes() == want.tobytes()
+
+
+def reference_recon_records(scan, occupied, free, seed):
+    """The per-beam generator loop that sample_recon_points replaces."""
+    ranges = np.linalg.norm(scan.points, axis=1)
+    valid = np.nonzero(ranges >= MIN_BEAM_RANGE)[0]
+    dirs = scan.points[valid] / ranges[valid, None]
+    draws = scalar_uniform(seed, valid, occupied + free)
+    r = ranges[valid]
+    sample_r = np.empty_like(draws)
+    sample_r[:, :occupied] = r[:, None] + draws[:, :occupied] * BAND
+    sample_r[:, occupied:] = draws[:, occupied:] * r[:, None]
+    rec = np.empty(len(valid) * (occupied + free), dtype=RECON_DTYPE)
+    rec["current_index"] = np.repeat(valid, occupied + free)
+    rec["position"] = (sample_r[:, :, None] * dirs[:, None, :]).reshape(-1, 3)
+    rec["time"] = scan.time
+    states = np.empty((len(valid), occupied + free), dtype=np.uint8)
+    states[:, :occupied] = int(OccupancyState.OCCUPIED)
+    states[:, occupied:] = int(OccupancyState.FREE)
+    rec["state"] = states.reshape(-1)
+    return rec
+
+
+@pytest.mark.parametrize("occupied,free", [(1, 0), (2, 1), (1, 3), (5, 25), (3, 30)])
+def test_beam_blocks_match_per_beam_generators(occupied, free):
+    # more beams than one block, ending partway through the next, with
+    # origin points that form no beam on both sides of the block boundary
+    scan = ball_scan(2 * _BEAM_BLOCK + 37, seed=6, time=0.75)
+    scan.points[[0, 5, _BEAM_BLOCK - 1, _BEAM_BLOCK, 2 * _BEAM_BLOCK + 36]] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in [0, 2**63 - 1]:
+            got = sample_recon_points(scan, occupied, free, SENSOR, seed=seed)
+            want = reference_recon_records(scan, occupied, free, seed)
+            assert len(got) == (len(scan) - 5) * (occupied + free)
+            assert got.records.tobytes() == want.tobytes()
+
+
+def test_golden_bytes():
+    # digest of the stream as numpy's per-beam Philox generators drew it
+    out = sample_recon_points(ball_scan(257, seed=3), 5, 25, SENSOR, seed=11)
+    assert hashlib.sha256(out.records.tobytes()).hexdigest() == \
+        "23ac950260dc75a1494de5bfb009be2ff59134fec3dab051d3362dfdbaddea79"
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_LIMIT, SEED_LIMIT + 5, 2**64 - 1])
+def test_seed_outside_the_stream_domain_rejected(seed):
+    scan = ball_scan(4)
+    with pytest.raises(ValueError, match="seed"):
+        sample_recon_points(scan, 1, 1, SENSOR, seed=seed)
+    assert len(sample_recon_points(scan, 1, 1, SENSOR, seed=SEED_LIMIT - 1)) == 8
 
 
 @pytest.mark.slow
