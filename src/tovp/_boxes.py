@@ -3,9 +3,27 @@
 Boxes are axis-aligned in their own frame, rotated about world z by a yaw
 angle and centered at a point.  Sizes are full extents (length, width,
 height).  Used by the simulator, motion labeling, and evaluation.
+
+The exact tests (the slab method for rays, the box-frame bounds for
+points) run only on the rows that pass a cheap conservative pre-test.
+:func:`points_in_box` keeps points whose world |dx| and |dy| from the
+center are within the box's xy half-diagonal r, grown by ``CULL_PAD * r``.
+``simulator._nearest_hits`` keeps rays whose line passes within the box's
+bounding sphere, of radius R, unless the sphere lies wholly behind the ray
+origin; R^2 grows by ``CULL_PAD * |v|^2``, v the center seen from the
+origin.  Each pad is far more than the rounding of the pre-test and of
+the exact test, so every row the exact test accepts survives.  The exact
+tests work row by row (the rotation is an (n, 3) @ (3, 3) product, which
+gives each row the same bits whichever rows share the call), so on the
+surviving rows they give the same bits as on all rows.
 """
 
 import numpy as np
+
+# Relative pad of the pre-tests.  Both the pre-tests and the exact tests
+# round at a few ulps (~1e-15) of the lengths involved; 1e-10 is 1e5 times
+# that, and still grows a 2.5 m bounding sphere by only 2 mm at 10 km.
+CULL_PAD = 1e-10
 
 
 def yaw_matrix(yaw: float) -> np.ndarray:
@@ -15,12 +33,24 @@ def yaw_matrix(yaw: float) -> np.ndarray:
 
 def points_in_box(points, center, size, yaw, margin: float = 0.0) -> np.ndarray:
     """Boolean mask of points inside (or on) the oriented box, grown by
-    ``margin`` on every face."""
+    ``margin`` on every face.
+
+    Only points with world |dx| and |dy| from the center within the grown
+    box's xy half-diagonal r, padded by ``CULL_PAD * r``, reach the exact
+    box-frame test.  The yaw turns about z only, so a point inside has
+    |dx|, |dy| <= |(dx, dy)| <= r; the pad covers the rounding of the
+    rotation.  The rest are outside.  The exact test works row by row, so
+    its result on the kept points is bit for bit its result on all points.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rel = pts - np.asarray(center, dtype=float)
-    local = rel @ yaw_matrix(yaw)  # world->box uses R^T; (p @ R) == R^T p row-wise
     half = np.asarray(size, dtype=float) / 2.0 + margin
-    return np.all(np.abs(local) <= half, axis=1)
+    r = np.sqrt(half[0] ** 2 + half[1] ** 2) * (1.0 + CULL_PAD)
+    near = np.nonzero((np.abs(rel[:, 0]) <= r) & (np.abs(rel[:, 1]) <= r))[0]
+    local = rel.take(near, axis=0) @ yaw_matrix(yaw)  # world->box uses R^T; (p @ R) == R^T p row-wise
+    inside = np.zeros(len(pts), dtype=bool)
+    inside[near] = np.all(np.abs(local) <= half, axis=1)
+    return inside
 
 
 def ray_box_crossings(origins, directions, center, size, yaw):
@@ -50,8 +80,10 @@ def ray_box_crossings(origins, directions, center, size, yaw):
     near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
     far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
 
-    t_enter = near.max(axis=1)
-    t_exit = far.min(axis=1)
+    # column by column: a reduction over rows of three costs several times
+    # more, for the same values
+    t_enter = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
+    t_exit = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
     hits_line = t_enter <= t_exit
     # nearest positive crossing: entry if ahead, else exit (ray starts inside)
     t = np.where(t_enter > 0.0, t_enter, t_exit)

@@ -694,7 +694,10 @@ def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
             for offset, adjacent in jobs:
-                if len(adjacent) == 0:
+                # a baseline of exactly zero (a stationary sensor) makes the
+                # crossing parameter t zero or NaN for every pair, and t > 0
+                # is a record's first gate: skip the index and band query
+                if len(adjacent) == 0 or not np.any(adjacent.sensor_origin):
                     continue
                 try:
                     index = build_direction_index(adjacent, cfg.cell_size(sensor))

@@ -150,16 +150,17 @@ def write_poses(path, poses):
 
 # -- overlap and reconstruction sets ------------------------------------------
 
-# records decoded per read: a read holds the decoded set and one chunk of
-# stored bytes, not a copy of the whole file as well
-_READ_CHUNK = 1 << 16
+# records cast per write and decoded per read: a write holds the set and
+# one chunk cast to the on-disk dtype, a read the decoded set and one chunk
+# of stored bytes, never a second copy of the whole set
+_CHUNK = 1 << 16
 
 
 def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header_fields):
     """Write a magic/version/count header (plus ``header_fields``) and then
-    every record, cast to ``record_dtype`` in one pass.  In-memory and
-    on-disk record dtypes list the same fields in the same order, and
-    structured casts match fields by position."""
+    every record, cast to ``record_dtype`` ``_CHUNK`` records at a time.
+    In-memory and on-disk record dtypes list the same fields in the same
+    order, and structured casts match fields by position."""
     header = np.zeros(1, dtype=header_dtype)
     header["magic"] = magic
     header["version"] = FORMAT_VERSION
@@ -168,7 +169,8 @@ def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header
         header[name] = value
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
-        records.astype(record_dtype).tofile(fh)
+        for start in range(0, len(records), _CHUNK):
+            records[start:start + _CHUNK].astype(record_dtype).tofile(fh)
 
 
 def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
@@ -195,8 +197,8 @@ def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
             raise CountMismatch(f"{path}: header promises {int(header['count'])} "
                                 f"records, file holds {n_stored}")
         records = np.empty(n_stored, dtype=memory_dtype)
-        for start in range(0, n_stored, _READ_CHUNK):
-            count = min(_READ_CHUNK, n_stored - start)
+        for start in range(0, n_stored, _CHUNK):
+            count = min(_CHUNK, n_stored - start)
             records[start:start + count] = np.fromfile(fh, dtype=record_dtype,
                                                        count=count)
     return header, records

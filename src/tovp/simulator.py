@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._boxes import points_in_box, ray_box_crossings
+from ._boxes import CULL_PAD, points_in_box, ray_box_crossings
 from .errors import SceneMismatch
 from .sensor_model import RigidTransform, Scan, SensorConfig
 
@@ -97,16 +97,41 @@ def _nearest_hits(origins, dirs_unit, scene: SceneSpec, time: float):
     ``dirs_unit`` must be unit-norm so distances come out in meters.  The
     distance is inf for misses; ``hit`` indexes ``scene.all_boxes()``, -1
     for the ground or a miss.
+
+    Per box, only rays that pass a bounding-sphere pre-test reach the slab
+    test of :func:`ray_box_crossings`.  With v the box center seen from the
+    ray origin and R the box half-diagonal, a ray d is kept when its line
+    passes within the sphere, |v|^2 |d|^2 - (d.v)^2 <= R^2 |d|^2, and the
+    sphere is not wholly behind the origin, d.v >= -R |d|.  A ray that
+    crosses the box ahead of its origin meets both.  Rows where the bounds
+    come out NaN (NaN directions or overflow) are kept.  R^2 is padded by
+    ``CULL_PAD * |v|^2``: at a distant box the cancellation in the
+    difference, and the slab test's own rounding, are a few ulps of
+    |v|^2 |d|^2, not of R^2.  The slab test is computed row by row, so
+    its result on the kept rays is bit for bit its result on all rays.
     """
     n = dirs_unit.shape[0]
     nearest = np.full(n, np.inf)
     hit_box = np.full(n, -1, dtype=np.int64)
+    dd = np.einsum("ij,ij->i", dirs_unit, dirs_unit)
     for b_idx, box in enumerate(scene.all_boxes()):
-        t, valid = ray_box_crossings(origins, dirs_unit, box.center_at(time), box.size, box.yaw)
+        center = box.center_at(time)
+        half = np.asarray(box.size, dtype=float) / 2.0
+        v = center - origins  # -(origins - center) of the slab test, bit for bit
+        with np.errstate(invalid="ignore", over="ignore"):
+            vv = np.einsum("ij,ij->i", v, v)
+            dv = np.einsum("ij,ij->i", dirs_unit, v)
+            lim = (half @ half + CULL_PAD * vv) * dd
+            dv2 = dv * dv
+            # rows the bounds cannot decide (NaN) are left to the slab test
+            out = (vv * dd - dv2 > lim) | ((dv < 0.0) & (dv2 > lim))
+        keep = np.nonzero(~out)[0]
+        o = origins if len(origins) == 1 else origins.take(keep, axis=0)
+        t, valid = ray_box_crossings(o, dirs_unit.take(keep, axis=0), center, box.size, box.yaw)
         t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
-        closer = t < nearest
-        nearest[closer] = t[closer]
-        hit_box[closer] = b_idx
+        closer = t < nearest[keep]
+        nearest[keep[closer]] = t[closer]
+        hit_box[keep[closer]] = b_idx
     if scene.ground_plane:
         dz = dirs_unit[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):

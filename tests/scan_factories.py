@@ -11,6 +11,31 @@ import numpy as np
 
 from tovp.sensor_model import Scan
 
+# the criterion-10 scene: 13 scans of 32x1024 beams past a parked and a
+# moving vehicle
+C10_SCENE_YAML = """
+ground_plane: true
+boxes:
+  - center: [12.0, 0.0, 1.0]
+    size: [4.0, 2.0, 1.8]
+    category: VEHICLE
+    instance_id: parked
+  - center: [8.0, -6.0, 1.0]
+    size: [4.0, 2.0, 1.8]
+    velocity: [1.5, 0.0, 0.0]
+    category: VEHICLE
+    instance_id: mover
+lidar:
+  elevations_rad: {min: -0.35, max: 0.03, count: 32}
+  azimuth_count: 1024
+  max_range_m: 120.0
+trajectory:
+  count: 13
+  period_s: 0.5
+  start: [0.0, 0.0, 1.7]
+  velocity: [2.0, 0.0, 0.0]
+"""
+
 
 def unit_rows(rng, n):
     v = rng.normal(size=(n, 3))

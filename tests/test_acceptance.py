@@ -17,7 +17,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from brute_force import brute_force_overlaps
-from scan_factories import random_scan_pair, unit_rows
+from scan_factories import C10_SCENE_YAML, random_scan_pair, unit_rows
 from tovp.cli import DEFAULTS, main
 from tovp.errors import NonPositiveStart
 from tovp.evaluation import EvalBox, ScanEvalInput, evaluate
@@ -403,28 +403,7 @@ def _file_digests(out_dir):
 @pytest.mark.slow
 def test_c10_extract_cli_runtime_and_thread_determinism(tmp_path):
     scene = tmp_path / "scene.yaml"
-    scene.write_text("""
-ground_plane: true
-boxes:
-  - center: [12.0, 0.0, 1.0]
-    size: [4.0, 2.0, 1.8]
-    category: VEHICLE
-    instance_id: parked
-  - center: [8.0, -6.0, 1.0]
-    size: [4.0, 2.0, 1.8]
-    velocity: [1.5, 0.0, 0.0]
-    category: VEHICLE
-    instance_id: mover
-lidar:
-  elevations_rad: {min: -0.35, max: 0.03, count: 32}
-  azimuth_count: 1024
-  max_range_m: 120.0
-trajectory:
-  count: 13
-  period_s: 0.5
-  start: [0.0, 0.0, 1.7]
-  velocity: [2.0, 0.0, 0.0]
-""")
+    scene.write_text(C10_SCENE_YAML)
     sim = tmp_path / "sim"
     assert main(["simulate", "--scene", str(scene), "--out", str(sim)]) == 0
 

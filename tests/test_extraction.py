@@ -1,6 +1,7 @@
 """Overlap extraction: candidate index, pair geometry, labeling, balance."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -429,6 +430,44 @@ class TestOriginBeams:
             assert _assert_matches_reference(scan, adj, CFG) > 0
             totals.append(sum(drawn))
         assert totals[0] == totals[1] > 0
+
+
+class TestZeroBaseline:
+    """A stationary sensor: the adjacent origin is exactly zero in the
+    current frame, every crossing parameter is zero or NaN, and the pair is
+    skipped before the index build.  Without the skip every beam is
+    degenerate and pairs with every adjacent beam, which at full size would
+    take gigabytes, so the index build is made to fail loudly instead."""
+
+    @pytest.fixture
+    def no_index(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a zero baseline reached the index build")
+
+        monkeypatch.setattr(extraction, "build_direction_index", refuse)
+
+    def test_small_pair_matches_brute_force(self):
+        cur, adj = random_scan_pair(5, n_current=150, n_adjacent=150)
+        for origin in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
+            adj0 = Scan(points=adj.points - adj.sensor_origin, sensor_origin=np.array(origin), time=0.5)
+            want = brute_force_overlaps(cur, adj0, 1, CFG, SENSOR)
+            got = extract_scan_pair(cur, adj0, CFG, SENSOR).records
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_skipped_before_the_index(self, no_index):
+        cur, adj = random_scan_pair(6, n_current=50, n_adjacent=50)
+        adj0 = Scan(points=adj.points, sensor_origin=np.zeros(3), time=0.5)
+        assert len(extract_scan_pair(cur, adj0, CFG, SENSOR)) == 0
+
+    def test_full_size_pair_under_a_second(self, no_index):
+        rng = np.random.default_rng(7)
+        n = 32 * 1024
+        cur = Scan(points=unit_rows(rng, n) * rng.uniform(2.0, 60.0, (n, 1)), time=0.0)
+        adj = Scan(points=unit_rows(rng, n) * rng.uniform(2.0, 60.0, (n, 1)),
+                   sensor_origin=np.zeros(3), time=0.5)
+        t0 = time.perf_counter()
+        assert len(extract_scan_pair(cur, adj, CFG, SENSOR, threads=2)) == 0
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestBruteForceEquivalence:

@@ -1,8 +1,11 @@
 """File format round trips, validation errors, and reader robustness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tovp import formats
 from tovp.errors import (
     BadLength,
     CountMismatch,
@@ -55,6 +58,16 @@ def overlap_records(n, seed=0):
     rec["confidence"] = rng.uniform(0, 1, size=n)
     rec["sample_rank"] = rng.integers(0, 5, size=n)
     return rec
+
+
+def recon_set(n, seed=0):
+    rng = np.random.default_rng(seed)
+    rec = np.zeros(n, dtype=RECON_DTYPE)
+    rec["current_index"] = np.arange(n)
+    rec["position"] = rng.uniform(-50, 50, size=(n, 3))
+    rec["time"] = rng.uniform(0, 10, size=n)
+    rec["state"] = rng.integers(0, 2, size=n)
+    return ReconSet(rec)
 
 
 class TestScanBin:
@@ -256,18 +269,44 @@ class TestOverlapFile:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestReconFile:
-    def recon_set(self, n, seed=0):
-        rng = np.random.default_rng(seed)
-        rec = np.zeros(n, dtype=RECON_DTYPE)
-        rec["current_index"] = np.arange(n)
-        rec["position"] = rng.uniform(-50, 50, size=(n, 3))
-        rec["time"] = rng.uniform(0, 10, size=n)
-        rec["state"] = rng.integers(0, 2, size=n)
-        return ReconSet(rec)
+class TestChunkedWrite:
+    """Sets are cast to the on-disk dtype a chunk at a time: the same bytes
+    as one whole-set cast, without a second copy of the set."""
 
+    def test_bytes_equal_a_whole_set_cast(self, tmp_path):
+        n = 2 * formats._CHUNK + 123
+        canonical = OverlapSet(overlap_records(n, seed=5)).records
+        shuffled = canonical[np.random.default_rng(5).permutation(n)]
+        for i, records in enumerate((shuffled, canonical)):
+            path = tmp_path / f"{i}.tovp"
+            write_overlap_file(path, OverlapSet(records, presorted=True), SENSOR)
+            head = formats._OVERLAP_HEADER.itemsize
+            data = path.read_bytes()
+            assert data[head:] == records.astype(formats._OVERLAP_RECORD).tobytes()
+        for n in (0, 1, formats._CHUNK, formats._CHUNK + 1):
+            rset = recon_set(n, seed=n)
+            path = tmp_path / f"{n}.trcn"
+            write_recon_file(path, rset)
+            data = path.read_bytes()
+            assert data[formats._RECON_HEADER.itemsize:] == rset.records.astype(formats._RECON_RECORD).tobytes()
+
+    def test_peak_memory_is_one_chunk(self, tmp_path):
+        oset = OverlapSet(overlap_records(8 * formats._CHUNK, seed=6))
+        chunk_bytes = formats._CHUNK * formats._OVERLAP_RECORD.itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_overlap_file(tmp_path / "a.tovp", oset, SENSOR)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a whole-set cast would hold 8 chunks
+        assert peak < 1.5 * chunk_bytes, peak
+
+
+class TestReconFile:
     def test_round_trip_bytes(self, tmp_path):
-        rset = self.recon_set(300)
+        rset = recon_set(300)
         p1, p2 = tmp_path / "a.trcn", tmp_path / "b.trcn"
         write_recon_file(p1, rset)
         write_recon_file(p2, read_recon_file(p1))
@@ -276,7 +315,7 @@ class TestReconFile:
 
     def test_magic_is_distinct_from_overlaps(self, tmp_path):
         path = tmp_path / "x.trcn"
-        write_recon_file(path, self.recon_set(1))
+        write_recon_file(path, recon_set(1))
         with pytest.raises(MagicMismatch):
             read_overlap_file(path)
 
