@@ -16,6 +16,11 @@ the exact test, so every row the exact test accepts survives.  The exact
 tests work row by row (the rotation is an (n, 3) @ (3, 3) product, which
 gives each row the same bits whichever rows share the call), so on the
 surviving rows they give the same bits as on all rows.
+
+Apart from the rotation, both tests run on the three coordinate columns as
+1-D arrays: numpy runs its inner loop once per row when it broadcasts a
+(3,) vector over (n, 3) rows or reduces over an axis of length 3, and once
+per column here, for the same values.
 """
 
 import numpy as np
@@ -43,13 +48,14 @@ def points_in_box(points, center, size, yaw, margin: float = 0.0) -> np.ndarray:
     its result on the kept points is bit for bit its result on all points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rel = pts - np.asarray(center, dtype=float)
+    c = np.asarray(center, dtype=float)
     half = np.asarray(size, dtype=float) / 2.0 + margin
     r = np.sqrt(half[0] ** 2 + half[1] ** 2) * (1.0 + CULL_PAD)
-    near = np.nonzero((np.abs(rel[:, 0]) <= r) & (np.abs(rel[:, 1]) <= r))[0]
-    local = rel.take(near, axis=0) @ yaw_matrix(yaw)  # world->box uses R^T; (p @ R) == R^T p row-wise
+    near = np.nonzero((np.abs(pts[:, 0] - c[0]) <= r) & (np.abs(pts[:, 1] - c[1]) <= r))[0]
+    local = (pts.take(near, axis=0) - c) @ yaw_matrix(yaw)  # world->box uses R^T; (p @ R) == R^T p row-wise
     inside = np.zeros(len(pts), dtype=bool)
-    inside[near] = np.all(np.abs(local) <= half, axis=1)
+    inside[near] = ((np.abs(local[:, 0]) <= half[0]) & (np.abs(local[:, 1]) <= half[1])
+                    & (np.abs(local[:, 2]) <= half[2]))
     return inside
 
 
@@ -70,20 +76,22 @@ def ray_box_crossings(origins, directions, center, size, yaw):
     half = np.asarray(size, dtype=float) / 2.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-half - ol) / dl
-        t2 = (half - ol) / dl
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
-    # axis-parallel rays: inside the slab -> (-inf, inf), outside -> empty
-    parallel = dl == 0.0
-    inside_slab = np.abs(ol) <= half
-    near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
-    far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
-
-    # column by column: a reduction over rows of three costs several times
-    # more, for the same values
-    t_enter = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
-    t_exit = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
+        for j in range(3):
+            oj, dj, h = ol[:, j], dl[:, j], half[j]
+            t1 = (-h - oj) / dj
+            t2 = (h - oj) / dj
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2)
+            # axis-parallel rays: inside the slab -> (-inf, inf), outside -> empty
+            parallel = dj == 0.0
+            inside_slab = np.abs(oj) <= h
+            near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
+            far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
+            if j == 0:
+                t_enter, t_exit = near, far
+            else:
+                t_enter = np.maximum(t_enter, near)
+                t_exit = np.minimum(t_exit, far)
     hits_line = t_enter <= t_exit
     # nearest positive crossing: entry if ahead, else exit (ray starts inside)
     t = np.where(t_enter > 0.0, t_enter, t_exit)

@@ -70,6 +70,10 @@ class CountMismatch(DataError):
     pass
 
 
+class BadState(DataError):
+    """A state byte outside FREE 0, OCCUPIED 1 and UNKNOWN 2."""
+
+
 class BadDimension(DataError):
     """Encoding dimension not divisible by 8."""
 

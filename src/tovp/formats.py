@@ -4,9 +4,13 @@ boxes, scene descriptions, and metric reports.
 Binary formats are little-endian and carry a magic plus version so stale
 files fail loudly instead of decoding garbage.  Readers validate sizes
 before touching content; writers produce files whose read-write round trip
-is byte-identical.
+is byte-identical.  Record sets are cast between their in-memory and
+on-disk dtypes through views that split each (3,) field into three scalar
+fields at the same offsets: numpy casts a subarray field one record row at
+a time, and a scalar field as one column, for the same bytes.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -156,6 +160,26 @@ def write_poses(path, poses):
 _CHUNK = 1 << 16
 
 
+@functools.lru_cache(maxsize=8)
+def _scalar_fields(dtype: np.dtype) -> np.dtype:
+    """``dtype`` with each (k,) subarray field split into k scalar fields
+    at the same offsets, to view the same bytes."""
+    names, formats, offsets = [], [], []
+    for name in dtype.names:
+        sub, offset = dtype.fields[name][:2]
+        if sub.shape == ():
+            names.append(name)
+            formats.append(sub)
+            offsets.append(offset)
+            continue
+        for i in range(sub.itemsize // sub.base.itemsize):
+            names.append(f"{name}[{i}]")
+            formats.append(sub.base)
+            offsets.append(offset + i * sub.base.itemsize)
+    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
+                     "itemsize": dtype.itemsize})
+
+
 def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header_fields):
     """Write a magic/version/count header (plus ``header_fields``) and then
     every record, cast to ``record_dtype`` ``_CHUNK`` records at a time.
@@ -167,10 +191,11 @@ def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header
     header["count"] = len(records)
     for name, value in header_fields.items():
         header[name] = value
+    memory, stored = _scalar_fields(records.dtype), _scalar_fields(record_dtype)
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         for start in range(0, len(records), _CHUNK):
-            records[start:start + _CHUNK].astype(record_dtype).tofile(fh)
+            records[start:start + _CHUNK].view(memory).astype(stored).tofile(fh)
 
 
 def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
@@ -197,10 +222,10 @@ def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
             raise CountMismatch(f"{path}: header promises {int(header['count'])} "
                                 f"records, file holds {n_stored}")
         records = np.empty(n_stored, dtype=memory_dtype)
+        flat, stored = records.view(_scalar_fields(memory_dtype)), _scalar_fields(record_dtype)
         for start in range(0, n_stored, _CHUNK):
             count = min(_CHUNK, n_stored - start)
-            records[start:start + count] = np.fromfile(fh, dtype=record_dtype,
-                                                       count=count)
+            flat[start:start + count] = np.fromfile(fh, dtype=stored, count=count)
     return header, records
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimension, CountMismatch, EmptyBatch, NonFiniteLoss
+from .errors import BadDimension, BadState, CountMismatch, EmptyBatch, NonFiniteLoss
 
 N_STATES = 3
 
@@ -120,7 +120,13 @@ def _true_class_nll(states, predictions) -> np.ndarray:
     nll = np.empty(len(probs))
     for rows in _chunks(len(probs)):
         block = probs[rows]
-        p_true = block[np.arange(len(block)), s[rows].astype(np.intp)]
+        idx = s[rows].astype(np.intp)
+        # a negative state wraps to a huge unsigned one
+        if idx.view(np.uintp).max() >= N_STATES:
+            bad = idx[(idx < 0) | (idx >= N_STATES)][0]
+            raise BadState(f"state {bad} is not FREE 0, OCCUPIED 1 or UNKNOWN 2")
+        # one gather from the flat block, not one per row of three
+        p_true = block.reshape(-1).take(np.arange(0, N_STATES * len(block), N_STATES) + idx)
         if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
             raise NonFiniteLoss("true-class probability is zero or non-finite")
         np.negative(np.log(p_true), out=nll[rows])

@@ -9,6 +9,10 @@ subset of beams can be generated in any order, or in parallel, with
 identical results.  The generator runs in numpy uint64 arithmetic over all
 beams at once and gives, bit for bit, the stream of
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, beam])).uniform``.
+Positions are written one coordinate column at a time, and the fields that
+every beam shares are copied from one per-beam byte template: numpy runs
+its inner loop once per record row on (3,) subarrays and structured
+fields, and once per column or per beam here, for the same bytes.
 """
 
 import operator
@@ -149,17 +153,24 @@ def sample_recon_points(
     if len(current) == 0 or per_beam == 0:
         return ReconSet.empty()
 
-    ranges = np.linalg.norm(current.points, axis=1)
+    # the columns of the points; the sum runs in np.linalg.norm's order
+    cols = [current.points[:, j] for j in range(3)]
+    ranges = np.sqrt(cols[0] * cols[0] + cols[1] * cols[1] + cols[2] * cols[2])
     valid = np.nonzero(ranges >= MIN_BEAM_RANGE)[0]
     if len(valid) == 0:
         return ReconSet.empty()
-    dirs = current.points[valid] / ranges[valid, None]
+    dirs = [c[valid] / ranges[valid] for c in cols]
 
+    # time and state are the same for every beam: one record template per
+    # beam, broadcast over the record bytes, then the beam indices
+    template = np.zeros(per_beam, dtype=RECON_DTYPE)
+    template["time"] = current.time
+    template["state"][:occupied_per_beam] = int(OccupancyState.OCCUPIED)
+    template["state"][occupied_per_beam:] = int(OccupancyState.FREE)
     rec = np.empty((len(valid), per_beam), dtype=RECON_DTYPE)
+    rec.view(np.uint8)[:] = template.view(np.uint8)
     rec["current_index"] = valid[:, None]
-    rec["time"] = current.time
-    rec["state"][:, :occupied_per_beam] = int(OccupancyState.OCCUPIED)
-    rec["state"][:, occupied_per_beam:] = int(OccupancyState.FREE)
+    pos = rec["position"]
     for start in range(0, len(valid), _BEAM_BLOCK):
         rows = slice(start, start + _BEAM_BLOCK)
         # unit draws become ranges in place: r + u * band, then u * r
@@ -168,6 +179,6 @@ def sample_recon_points(
         sample_r[:, :occupied_per_beam] *= sensor.occupied_band_m
         sample_r[:, :occupied_per_beam] += r
         sample_r[:, occupied_per_beam:] *= r
-        np.multiply(sample_r[:, :, None], dirs[rows, None, :],
-                    out=rec["position"][rows])
+        for j in range(3):
+            np.multiply(sample_r, dirs[j][rows, None], out=pos[rows, :, j])
     return ReconSet(rec.reshape(-1))

@@ -307,6 +307,106 @@ class TestSlabReductions:
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
+class TestColumnKernels:
+    """The slab and containment tests run on 1-D columns; the row forms
+    above are their references, bit for bit, where each axis matters on
+    its own: directions with zero components, origins and points on faces,
+    non-finite directions and empty inputs."""
+
+    def assert_rays_match(self, origins, dirs, center, size, yaw):
+        got = ray_box_crossings(origins, dirs, center, size, yaw)
+        want = reference_ray_box_crossings(origins, dirs, center, size, yaw)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        return want
+
+    def test_zero_direction_components(self):
+        # a yaw of 0 keeps zeros and face coordinates exact in the box frame;
+        # the z axis stays exact at any yaw
+        rng = np.random.default_rng(41)
+        center, size = np.array([1.0, -2.0, 0.5]), np.array([4.0, 2.0, 1.0])
+        half = size / 2.0
+        hits = 0
+        for zero in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
+            yaw = 0.0 if zero != [2] else 0.6
+            origins = center + rng.uniform(-1.5, 1.5, (3000, 3)) * size
+            # a third of the origins on a face of each zeroed axis, so the
+            # ray runs inside that face
+            for j in zero:
+                on = rng.random(3000) < 0.33
+                origins[on, j] = center[j] + rng.choice((-1.0, 1.0), on.sum()) * half[j]
+            # rays aimed at the box, with the zeroed components of either sign
+            dirs = center + rng.uniform(-0.4, 0.4, (3000, 3)) * size - origins
+            dirs[:, zero] = rng.choice((0.0, -0.0), (3000, len(zero)))
+            for o in (origins, origins[:1]):
+                _, valid = self.assert_rays_match(o, dirs, center, size, yaw)
+                hits += int(valid.sum())
+        assert hits > 0
+
+    def test_rays_inside_a_face_hit_the_box(self):
+        # origins on each face, directions in its plane: the slab of that
+        # axis is entered at t = 0/0 without the axis-parallel rule
+        center, size = np.zeros(3), np.array([2.0, 4.0, 6.0])
+        half = size / 2.0
+        for j in range(3):
+            for side in (-1.0, 1.0):
+                o = np.array([-5.0, -5.0, -5.0])
+                o[j] = side * half[j]
+                d = -o
+                d[j] = 0.0
+                _, valid = self.assert_rays_match(o[None, :], d[None, :], center, size, 0.0)
+                assert valid.tolist() == [True]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_origins_on_faces_and_non_finite_directions(self):
+        center, size = np.array([0.5, 0.0, -1.0]), np.array([1.0, 2.0, 3.0])
+        half = size / 2.0
+        faces = []
+        for j in range(3):
+            for side in (-1.0, 1.0):
+                o = center.copy()
+                o[j] += side * half[j]
+                faces.append(o)
+        faces = ulp_neighbours(np.array(faces))
+        dirs = np.array([
+            [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0],
+            [np.nan, 0.0, 0.0], [0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 0.0],
+            [np.inf, np.inf, np.inf], [0.3, -0.2, 0.9],
+        ])
+        origins = np.repeat(faces, len(dirs), axis=0)
+        rays = np.tile(dirs, (len(faces), 1))
+        for yaw in (0.0, 1.1):
+            self.assert_rays_match(origins, rays, center, size, yaw)
+
+    @pytest.mark.parametrize("margin", [-0.5, 0.0, 0.3])
+    def test_points_on_faces(self, margin):
+        # distinct extents, so a test against the wrong axis shows
+        center, size = np.array([3.0, -7.0, 1.25]), np.array([4.0, 2.5, 1.75])
+        half = size / 2.0 + margin
+        rng = np.random.default_rng(42)
+        pts = []
+        for j in range(3):
+            for side in (-1.0, 1.0):
+                p = center + rng.uniform(-1.0, 1.0, (40, 3)) * half
+                p[:, j] = center[j] + side * half[j]
+                pts.append(p)
+        pts = ulp_neighbours(np.concatenate(pts))
+        got = points_in_box(pts, center, size, 0.0, margin)
+        want = reference_points_in_box(pts, center, size, 0.0, margin)
+        assert same_bits(got, want)
+        assert 0 < want.sum() < len(pts)
+        got = points_in_box(pts, center, size, 0.9, margin)
+        assert same_bits(got, reference_points_in_box(pts, center, size, 0.9, margin))
+
+    def test_empty_inputs(self):
+        empty = np.empty((0, 3))
+        for origins in (empty, np.zeros((1, 3))):
+            t, valid = self.assert_rays_match(origins, empty, (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.3)
+            assert t.shape == valid.shape == (0,)
+        for margin in MARGINS:
+            assert same_bits(points_in_box(empty, (0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 0.4, margin),
+                             reference_points_in_box(empty, (0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 0.4, margin))
+
+
 # ---------------------------------------------------------------------------
 # points
 

@@ -403,6 +403,25 @@ class TestLossCheck:
         assert main(["loss-check", "--overlaps", str(path),
                      "--probs", str(probs)]) == 2
 
+    def test_overlap_state_outside_the_three_is_data_error(self, tmp_path, capsys):
+        path, probs = self.overlap_file(tmp_path, 3, 1.0, [0.2, 0.5, 0.3])
+        assert main(["loss-check", "--overlaps", str(path),
+                     "--probs", str(probs)]) == 2
+        assert "state 3" in capsys.readouterr().err
+
+    def test_recon_state_outside_the_three_is_data_error(self, tmp_path, capsys):
+        path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+        rec = np.zeros(2, dtype=RECON_DTYPE)
+        rec["state"] = [0, 3]
+        recon_path = tmp_path / "x.trcn"
+        write_recon_file(recon_path, ReconSet(rec))
+        rprobs_path = tmp_path / "r.prob"
+        write_probabilities(rprobs_path, np.full((2, 3), 1 / 3))
+        assert main(["loss-check", "--overlaps", str(path),
+                     "--probs", str(probs), "--recon", str(recon_path),
+                     "--recon-probs", str(rprobs_path)]) == 2
+        assert "state 3" in capsys.readouterr().err
+
     def test_recon_without_probs(self, tmp_path, capsys):
         path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
         assert main(["loss-check", "--overlaps", str(path),

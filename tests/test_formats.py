@@ -304,6 +304,45 @@ class TestChunkedWrite:
         assert peak < 1.5 * chunk_bytes, peak
 
 
+class TestScalarFieldCodec:
+    """Records are cast through views that split each (3,) field into three
+    scalar fields at the same offsets.  On random bytes in every field, and
+    on both sides of a chunk boundary, the file holds the bytes of a cast
+    of whole records, and a read decodes them as such a cast does."""
+
+    CASES = [(RECORD_DTYPE, formats._OVERLAP_HEADER, formats._OVERLAP_RECORD, formats.OVERLAP_MAGIC),
+             (RECON_DTYPE, formats._RECON_HEADER, formats._RECON_RECORD, formats.RECON_MAGIC)]
+
+    # random bytes hold NaNs, and doubles beyond the float32 range
+    @pytest.mark.filterwarnings("ignore:.*encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("n", [0, 1, formats._CHUNK, formats._CHUNK + 1])
+    @pytest.mark.parametrize("memory,header,stored,magic", CASES, ids=["tovp", "trcn"])
+    def test_random_bytes_equal_whole_record_casts(self, tmp_path, n, memory, header, stored, magic):
+        rng = np.random.default_rng(n)
+        records = np.frombuffer(rng.bytes(n * memory.itemsize), dtype=memory)
+        path = tmp_path / "x.set"
+        formats._write_set(path, magic, header, stored, records)
+        data = path.read_bytes()
+        assert data[header.itemsize:] == records.astype(stored).tobytes()
+        raw = rng.bytes(n * stored.itemsize)
+        path.write_bytes(data[:header.itemsize] + raw)
+        _, back = formats._read_set(path, magic, header, stored, memory)
+        assert back.dtype == memory
+        assert back.tobytes() == np.frombuffer(raw, dtype=stored).astype(memory).tobytes()
+
+    @pytest.mark.parametrize("dtype", [RECORD_DTYPE, RECON_DTYPE, formats._OVERLAP_RECORD,
+                                       formats._RECON_RECORD])
+    def test_view_keeps_the_layout(self, dtype):
+        flat = formats._scalar_fields(dtype)
+        assert flat.itemsize == dtype.itemsize
+        assert formats._scalar_fields(dtype) is flat
+        for name in dtype.names:
+            sub, offset = dtype.fields[name][:2]
+            parts = [name] if sub.shape == () else [f"{name}[{i}]" for i in range(sub.shape[0])]
+            for i, part in enumerate(parts):
+                assert flat.fields[part][:2] == (sub.base, offset + i * sub.base.itemsize)
+
+
 class TestReconFile:
     def test_round_trip_bytes(self, tmp_path):
         rset = recon_set(300)

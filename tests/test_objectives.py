@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tovp.errors import BadDimension, CountMismatch, EmptyBatch, NonFiniteLoss
+from tovp.errors import BadDimension, BadState, CountMismatch, DataError, EmptyBatch, NonFiniteLoss
 from tovp.objectives import (
     ClassWeights,
     EncodingConfig,
@@ -209,6 +209,25 @@ class TestReconLoss:
     def test_zero_true_probability(self):
         with pytest.raises(NonFiniteLoss):
             recon_loss([UNKNOWN], [[0.5, 0.5, 0.0]], n_beams=1, per_beam=1)
+
+
+class TestStatesOutsideTheThree:
+    """A state that is not FREE, OCCUPIED or UNKNOWN is bad data, in any
+    chunk of the batch, for either loss."""
+
+    @pytest.mark.parametrize("bad", [3, 255, -1])
+    @pytest.mark.parametrize("at", [0, 70000, 70001])
+    def test_both_losses_raise(self, bad, at):
+        rng = np.random.default_rng(at)
+        states, conf, probs = random_batch(rng, 70002)
+        states[at] = bad
+        if bad == 255:
+            states = states.astype(np.uint8)
+        with pytest.raises(BadState, match=f"state {bad} "):
+            overlap_loss(states, conf, probs)
+        with pytest.raises(BadState, match=f"state {bad} "):
+            recon_loss(states, probs, n_beams=70002, per_beam=1)
+        assert issubclass(BadState, DataError)
 
 
 def test_total_loss_is_plain_sum():

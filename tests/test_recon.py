@@ -181,7 +181,7 @@ def reference_recon_records(scan, occupied, free, seed):
     return rec
 
 
-@pytest.mark.parametrize("occupied,free", [(1, 0), (2, 1), (1, 3), (5, 25), (3, 30)])
+@pytest.mark.parametrize("occupied,free", [(1, 0), (0, 4), (2, 1), (1, 3), (5, 25), (3, 30)])
 def test_beam_blocks_match_per_beam_generators(occupied, free):
     # more beams than one block, ending partway through the next, with
     # origin points that form no beam on both sides of the block boundary

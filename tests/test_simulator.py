@@ -5,11 +5,13 @@ import pytest
 
 from tovp import OccupancyState, RigidTransform, Scan, SensorConfig
 from tovp.extraction import RECORD_DTYPE, OverlapSet
+from tovp._boxes import points_in_box, yaw_matrix
 from tovp.errors import SceneMismatch
 from tovp.simulator import (
     SceneBox,
     SceneSpec,
     SpinningLidarSpec,
+    _nearest_hits,
     ground_truth_state,
     ground_truth_states,
     oracle_compare,
@@ -193,6 +195,78 @@ class TestGroundTruthStates:
                 probe = pose.translation + frac * r * d
                 state = ground_truth_state(probe, 0.0, pose.translation, scene, SENSOR)
                 assert state == int(OccupancyState.FREE)
+
+
+def broadcast_ground_truth_states(points_world, time, sensor_origin_world, scene, sensor):
+    """Reference: the oracle with one origin row per point, and the
+    differences, ranges and directions formed on whole rows."""
+    pts = np.atleast_2d(np.asarray(points_world, dtype=float))
+    origin = np.asarray(sensor_origin_world, dtype=float).reshape(3)
+    delta = pts - origin
+    dist = np.linalg.norm(delta, axis=1)
+    dirs = delta / np.maximum(dist, 1e-12)[:, None]
+    nearest, _ = _nearest_hits(np.broadcast_to(origin, pts.shape), dirs, scene, time)
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    for box in scene.all_boxes():
+        inside |= points_in_box(pts, box.center_at(time), box.size, box.yaw)
+    band = sensor.occupied_band_m
+    states = np.full(pts.shape[0], 2, dtype=np.uint8)
+    states[inside | ((dist >= nearest) & (dist <= nearest + band))] = 1
+    states[(~inside) & (dist < nearest)] = 0
+    with np.errstate(invalid="ignore"):
+        margin = np.minimum(np.abs(dist - nearest), np.abs(dist - nearest - band))
+    return states, np.where(np.isfinite(nearest), margin, np.inf)
+
+
+class TestOneOriginOracle:
+    """ground_truth_states casts every ray from one origin row; states and
+    margins equal the per-point-origin form bit for bit."""
+
+    def assert_matches(self, pts, origin, scene, time=0.0):
+        got = ground_truth_states(pts, time, origin, scene, SENSOR)
+        want = broadcast_ground_truth_states(pts, time, origin, scene, SENSOR)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        return want[0]
+
+    def scene(self):
+        return SceneSpec(static_boxes=[
+            SceneBox(center=(12.5, 3.0, 0.0), size=(4.0, 2.0, 3.0), yaw=0.4),
+            SceneBox(center=(-8.0, -6.0, 0.5), size=(3.0, 3.0, 2.0), yaw=-0.9),
+            # distant and yawed
+            SceneBox(center=(2400.0, -1800.0, 3.0), size=(40.0, 6.0, 9.0), yaw=2.3),
+        ], moving_boxes=[
+            SceneBox(center=(4.0, -2.0, 0.8), size=(4.5, 1.9, 1.6), velocity=(3.0, 0.5, 0.0)),
+        ], ground_plane=True)
+
+    def test_random_points(self):
+        rng = np.random.default_rng(51)
+        pts = rng.uniform(-30.0, 30.0, (20000, 3))
+        states = self.assert_matches(pts, np.array([0.5, -0.3, 1.7]), self.scene(), 0.4)
+        assert len(np.unique(states)) == 3
+
+    def test_points_inside_boxes(self):
+        rng = np.random.default_rng(52)
+        scene = self.scene()
+        pts = [np.asarray(b.center_at(0.7)) + (rng.uniform(-0.6, 0.6, (3000, 3)) * b.size) @ yaw_matrix(b.yaw).T
+               for b in scene.all_boxes()]
+        states = self.assert_matches(np.concatenate(pts), np.array([1.0, 2.0, 1.5]), scene, 0.7)
+        assert np.sum(states == 1) > 0
+
+    def test_distant_yawed_box(self):
+        rng = np.random.default_rng(53)
+        box = self.scene().static_boxes[2]
+        origin = np.array([-3.0, 4.0, 1.7])
+        targets = np.asarray(box.center) + (rng.uniform(-0.8, 0.8, (20000, 3)) * box.size) @ yaw_matrix(box.yaw).T
+        # points on the rays to the box: short of it, at it and past it
+        pts = origin + (targets - origin) * rng.uniform(0.5, 1.02, (20000, 1))
+        states = self.assert_matches(pts, origin, self.scene())
+        assert len(np.unique(states)) == 3
+
+    def test_point_on_the_origin_and_one_point(self):
+        origin = np.array([0.0, 0.0, 1.5])
+        self.assert_matches(np.array([origin, origin + 1e-13, [5.0, 0.0, 1.5]]), origin, self.scene())
+        self.assert_matches(np.array([12.0, 2.5, 0.5]), origin, self.scene())
 
 
 class TestOracleCompare:
