@@ -17,10 +17,11 @@ import numpy as np
 import yaml
 
 from . import formats
-from .errors import CountMismatch, DataError, MissingPose, SchemaViolation, TovpError
+from ._boxes import points_in_box
+from .errors import CountMismatch, DataError, EmptyBatch, MissingPose, SchemaViolation, TovpError
 from .evaluation import EvalBox, ScanEvalInput, evaluate, object_size_cdf
 from .extraction import DEFAULT_BOUNDS, ExtractionConfig, extract_sequence
-from .labeling import MotionClass, ThresholdTable, box_motion_class, label_points
+from .labeling import MotionClass, ThresholdTable, TrackedBox, box_motion_class, label_points
 from .objectives import ClassWeights, overlap_loss, recon_loss, total_loss
 from .recon import SEED_LIMIT, sample_recon_points
 from .sensor_model import Scan, SensorConfig
@@ -46,17 +47,6 @@ DEFAULTS = {
     "time_tol": 1e-3,
 }
 
-# flags override these config keys when given on the command line
-_FLAG_TO_KEY = {
-    "n": "n_adjacent",
-    "period": "scan_period_s",
-    "bounds": "bounds",
-    "divergence": "divergence_angle_rad",
-    "lambda_occ": "lambda_occ",
-    "seed": "seed",
-    "threads": "threads",
-}
-
 
 def _parse_bounds(text: str):
     parts = text.split(",")
@@ -67,6 +57,39 @@ def _parse_bounds(text: str):
         return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bounds not numeric: {text!r}") from None
+
+
+# the config flags: the key each one overrides (None for --config, the file)
+# and its argparse keywords; each command takes only the flags it reads
+_FLAGS = {
+    "--config": (None, dict(help="YAML config file")),
+    "--seed": ("seed", dict(type=int, help="base random seed")),
+    "--threads": ("threads", dict(type=int, help="worker threads")),
+    "--n": ("n_adjacent", dict(type=int, help="adjacent scans per side")),
+    "--period": ("scan_period_s", dict(type=float, help="scan period in seconds")),
+    "--bounds": ("bounds", dict(type=_parse_bounds, help="crop box x0,x1,y0,y1,z0,z1")),
+    "--divergence": ("divergence_angle_rad", dict(type=float, help="beam divergence angle in radians")),
+    "--lambda-occ": ("lambda_occ", dict(type=float, help="occupied-band confidence threshold")),
+}
+
+_INT, _NUM, _MAP = "an integer", "a number", "a mapping of category to 2 numbers"
+# the kind of value each config key takes; null also where the default is
+_KINDS = {
+    "n_adjacent": _INT, "scan_period_s": _NUM, "bounds": "6 numbers", "divergence_angle_rad": _NUM,
+    "lambda_occ": _NUM, "decay_rate_per_meter": _NUM, "seed": _INT, "threads": _INT,
+    "occupied_per_beam": _INT, "free_per_beam": _INT, "max_tail_beyond_hit_m": _NUM,
+    "cell_size_rad": _NUM, "class_weights": "3 numbers", "thresholds": _MAP, "time_tol": _NUM,
+}
+
+
+def _has_kind(value, kind: str) -> bool:
+    """``value`` is of ``kind``: _INT, _NUM, _MAP or "<n> numbers"."""
+    if kind == _MAP:
+        return isinstance(value, dict) and all(_has_kind(v, "2 numbers") for v in value.values())
+    if kind.endswith(" numbers"):
+        return (isinstance(value, (list, tuple)) and len(value) == int(kind.split()[0])
+                and all(_has_kind(v, _NUM) for v in value))
+    return not isinstance(value, bool) and isinstance(value, int if kind == _INT else (int, float))
 
 
 def resolve_config(args) -> dict:
@@ -84,10 +107,14 @@ def resolve_config(args) -> dict:
         if unknown:
             raise SchemaViolation(f"{path}: unknown config keys {sorted(unknown)}")
         merged.update(loaded)
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    for flag, (key, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if key and value is not None:
             merged[key] = value
+    for key, kind in _KINDS.items():
+        value = merged[key]
+        if not _has_kind(value, kind) and not (value is None and DEFAULTS[key] is None):
+            raise SchemaViolation(f"config key {key} must be {kind}, got {value!r}")
     _check_seeds(merged["seed"])
     return merged
 
@@ -100,8 +127,18 @@ def _check_seeds(seed, count: int = 1) -> None:
                         f"i < {count} must be integers in [0, 2**63)")
 
 
+def _built(cls, *args, **kwargs):
+    """``cls(*args, **kwargs)`` of config values; a value it rejects is a
+    SchemaViolation."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise SchemaViolation(f"config: {e}") from None
+
+
 def _sensor_from(cfg: dict) -> SensorConfig:
-    return SensorConfig(
+    return _built(
+        SensorConfig,
         divergence_angle_rad=cfg["divergence_angle_rad"],
         occupied_confidence_threshold=cfg["lambda_occ"],
         decay_rate_per_meter=cfg["decay_rate_per_meter"],
@@ -109,7 +146,8 @@ def _sensor_from(cfg: dict) -> SensorConfig:
 
 
 def _extraction_from(cfg: dict) -> ExtractionConfig:
-    return ExtractionConfig(
+    return _built(
+        ExtractionConfig,
         n_adjacent=cfg["n_adjacent"],
         scan_period_s=cfg["scan_period_s"],
         bounds=tuple(cfg["bounds"]),
@@ -122,9 +160,7 @@ def _extraction_from(cfg: dict) -> ExtractionConfig:
 def _thresholds_from(cfg: dict) -> ThresholdTable:
     if cfg["thresholds"] is None:
         return ThresholdTable()
-    table = {c: tuple(float(v) for v in pair)
-             for c, pair in cfg["thresholds"].items()}
-    return ThresholdTable(table)
+    return _built(ThresholdTable, {c: tuple(map(float, pair)) for c, pair in cfg["thresholds"].items()})
 
 
 def _echo(cfg: dict, keys) -> str:
@@ -160,26 +196,29 @@ def _world_points(scan_paths, poses_path):
 
 
 class _AtomicOutputs:
-    """Writes go to tmp names, renamed on success; failures leave nothing."""
+    """Writes go to tmp names, renamed on success.  Used as a context
+    manager: an exception in the ``with`` block removes every file written
+    in it, so failures leave nothing."""
 
     def __init__(self):
-        self.pending = []
-        self.committed = []
+        self.written = []  # renamed outputs, then the tmp name of a write under way
 
-    def write(self, path, writer):
-        tmp = path + ".tmp"
-        self.pending.append(tmp)
-        writer(tmp)
-        os.replace(tmp, path)
-        self.pending.remove(tmp)
-        self.committed.append(path)
+    def __enter__(self):
+        return self
 
-    def discard_all(self):
-        for path in self.pending + self.committed:
+    def __exit__(self, kind, value, traceback):
+        for path in self.written if kind is not None else ():
             try:
                 os.remove(path)
             except OSError:
                 pass
+
+    def write(self, path, writer):
+        tmp = path + ".tmp"
+        self.written.append(tmp)
+        writer(tmp)
+        os.replace(tmp, path)
+        self.written[-1] = path
 
 
 def cmd_extract(args) -> int:
@@ -209,8 +248,7 @@ def cmd_extract(args) -> int:
     # thread count steers execution only; keeping it out of the echo makes
     # every output byte independent of it
     echo = {k: v for k, v in cfg.items() if k != "threads"}
-    outputs = _AtomicOutputs()
-    try:
+    with _AtomicOutputs() as outputs:
         outputs.write(os.path.join(args.out, "config.json"),
                       lambda p: formats.write_report(p, _jsonable(echo)))
         for i in range(n, len(scan_paths) - n):
@@ -230,10 +268,7 @@ def cmd_extract(args) -> int:
             print(f"scan {base}: {len(oset)} overlap points, "
                   f"{len(rset)} recon samples")
             log.info("extracted scan %s", base)
-    except BaseException:
-        outputs.discard_all()
-        raise
-    print(f"wrote {len(outputs.committed)} files to {args.out}")
+    print(f"wrote {len(outputs.written)} files to {args.out}")
     return 0
 
 
@@ -249,8 +284,7 @@ def cmd_simulate(args) -> int:
           f"beams={len(sim.lidar.elevation_angles_rad)}x{sim.lidar.n_azimuths}")
 
     boxes = sim.scene.all_boxes()
-    outputs = _AtomicOutputs()
-    try:
+    with _AtomicOutputs() as outputs:
         for i, (pose, time) in enumerate(zip(sim.poses, sim.times)):
             scan, hit_box = simulate_scan_with_hits(
                 sim.scene, sim.lidar, pose, time, noise_seed=cfg["seed"] + i)
@@ -275,16 +309,11 @@ def cmd_simulate(args) -> int:
                           "n_scans": len(sim.times),
                           "seed": cfg["seed"],
                       }))
-    except BaseException:
-        outputs.discard_all()
-        raise
-    print(f"wrote {len(outputs.committed)} files to {args.out}")
+    print(f"wrote {len(outputs.written)} files to {args.out}")
     return 0
 
 
 def _tracks_from_scene(boxes, times):
-    from .labeling import TrackedBox
-
     tracks = []
     for b_idx, box in enumerate(boxes):
         centers = np.stack([box.center_at(t) for t in times])
@@ -309,8 +338,7 @@ def cmd_label(args) -> int:
           f"margin={args.margin} tracks={len(tracks)}")
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = _AtomicOutputs()
-    try:
+    with _AtomicOutputs() as outputs:
         for i, path, points in _world_points(scan_paths, args.poses):
             scan = Scan(points=points, time=i * period)
             labels = label_points(scan, tracks, table,
@@ -318,10 +346,7 @@ def cmd_label(args) -> int:
             base = os.path.splitext(os.path.basename(path))[0]
             outputs.write(os.path.join(args.out, base + ".label"),
                           lambda p: formats.write_labels(p, labels))
-    except BaseException:
-        outputs.discard_all()
-        raise
-    print(f"wrote {len(outputs.committed)} label files to {args.out}")
+    print(f"wrote {len(outputs.written)} label files to {args.out}")
     return 0
 
 
@@ -394,8 +419,6 @@ def cmd_stats(args) -> int:
     else:
         if not (args.scans and args.boxes):
             raise DataError("stats needs either --counts or --scans with --boxes")
-        from ._boxes import points_in_box
-
         tracks = formats.read_boxes(args.boxes)
         period = cfg["scan_period_s"]
         counts = []
@@ -429,7 +452,7 @@ def cmd_stats(args) -> int:
 
 def cmd_loss_check(args) -> int:
     cfg = resolve_config(args)
-    weights = ClassWeights(*cfg["class_weights"])
+    weights = _built(ClassWeights, *cfg["class_weights"])
     oset, info = formats.read_overlap_file(args.overlaps)
     probs = formats.read_probabilities(args.probs, expected_count=len(oset))
     print(f"config: class_weights={cfg['class_weights']} "
@@ -444,7 +467,9 @@ def cmd_loss_check(args) -> int:
         rprobs = formats.read_probabilities(args.recon_probs,
                                             expected_count=len(rset))
         beams = np.unique(rset.records["current_index"])
-        if len(rset) % max(len(beams), 1) != 0:
+        if len(beams) == 0:
+            raise EmptyBatch(f"{args.recon}: no reconstruction samples")
+        if len(rset) % len(beams) != 0:
             raise CountMismatch(f"{len(rset)} samples do not divide evenly "
                                 f"over {len(beams)} beams")
         per_beam = len(rset) // len(beams)
@@ -463,49 +488,37 @@ def _jsonable(cfg: dict) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML config file")
-    common.add_argument("--seed", type=int, help="base random seed")
-    common.add_argument("--threads", type=int, help="worker threads")
-    common.add_argument("--n", type=int, help="adjacent scans per side")
-    common.add_argument("--period", type=float, help="scan period in seconds")
-    common.add_argument("--bounds", type=_parse_bounds,
-                        help="crop box x0,x1,y0,y1,z0,z1")
-    common.add_argument("--divergence", type=float,
-                        help="beam divergence angle in radians")
-    common.add_argument("--lambda-occ", type=float, dest="lambda_occ",
-                        help="occupied-band confidence threshold")
-
     parser = argparse.ArgumentParser(
         prog="tovp",
         description="Temporal overlap extraction and occupancy supervision.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[common],
-                       help="extract overlap and recon sets from a scan dir")
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag][1])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("extract", cmd_extract, "extract overlap and recon sets from a scan dir", *_FLAGS)
     p.add_argument("--scans", required=True)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="render a scene file into scans, poses, labels")
+    p = command("simulate", cmd_simulate, "render a scene file into scans, poses, labels",
+                "--config", "--seed")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("label", parents=[common],
-                       help="label scan points from tracked boxes")
+    p = command("label", cmd_label, "label scan points from tracked boxes", "--config", "--period")
     p.add_argument("--scans", required=True)
     p.add_argument("--boxes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--poses", help="map sensor-frame scans into the box frame")
     p.add_argument("--margin", type=float, default=0.0,
                    help="grow boxes by this much on every face [m]")
-    p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score moving-object predictions")
+    p = command("eval", cmd_eval, "score moving-object predictions", "--config", "--period")
     p.add_argument("--scans", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--predictions", required=True)
@@ -513,25 +526,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poses", help="map sensor-frame scans into the box frame")
     p.add_argument("--ego-masks", dest="ego_masks")
     p.add_argument("--out", help="write the full JSON report here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="object size distribution")
+    p = command("stats", cmd_stats, "object size distribution", "--config", "--period")
     p.add_argument("--counts", help="text file, one point count per line")
     p.add_argument("--scans")
     p.add_argument("--boxes")
     p.add_argument("--poses", help="map sensor-frame scans into the box frame")
     p.add_argument("--percentile", type=float, default=75.0)
     p.add_argument("--csv", help="write the full per-object curve here")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("loss-check", parents=[common],
-                       help="recompute reference losses for stored sets")
+    p = command("loss-check", cmd_loss_check, "recompute reference losses for stored sets", "--config")
     p.add_argument("--overlaps", required=True)
     p.add_argument("--probs", required=True)
     p.add_argument("--recon")
     p.add_argument("--recon-probs", dest="recon_probs")
-    p.set_defaults(func=cmd_loss_check)
     return parser
 
 

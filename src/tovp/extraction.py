@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyScan, FrameMismatch, MissingPose
 from .geometry import ORIGIN_EPS, PARALLEL_EPS
-from .sensor_model import MIN_BEAM_RANGE, Beam, OccupancyState, Scan, SensorConfig
+from .sensor_model import Beam, OccupancyState, RecordSet, Scan, SensorConfig
 
 # Fixed current-beam chunk length; must not depend on thread count or the
 # output would not be byte-stable across --threads values.  Below 2**29,
@@ -115,13 +115,15 @@ class OverlapPoint:
     sample_rank: int
 
 
-class OverlapSet:
+class OverlapSet(RecordSet):
     """Canonically ordered collection of overlap records.
 
     Stores a packed numpy record array (see RECORD_DTYPE); indexing yields
     :class:`OverlapPoint` views.  Order is (current index, scan offset,
     adjacent index, sample rank), which makes serialization deterministic.
     """
+
+    record_dtype = RECORD_DTYPE
 
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
@@ -130,13 +132,6 @@ class OverlapSet:
             if order is not None:
                 records = records.view(_RECORD_BYTES).take(order).view(RECORD_DTYPE)
         self.records = records
-
-    @classmethod
-    def empty(cls) -> "OverlapSet":
-        return cls(np.empty(0, dtype=RECORD_DTYPE), presorted=True)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def __getitem__(self, idx: int) -> OverlapPoint:
         r = self.records[idx]
@@ -150,19 +145,6 @@ class OverlapSet:
             adjacent_point_index=int(r["adjacent_index"]),
             sample_rank=int(r["sample_rank"]),
         )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    @property
-    def counts(self) -> dict:
-        c = np.bincount(self.records["state"], minlength=3)
-        return {
-            OccupancyState.FREE: int(c[0]),
-            OccupancyState.OCCUPIED: int(c[1]),
-            OccupancyState.UNKNOWN: int(c[2]),
-        }
 
 
 def _canonical_order(records: np.ndarray) -> np.ndarray | None:
@@ -227,14 +209,9 @@ class DirectionIndex:
             raise EmptyScan("cannot index an empty scan")
         self.cell_size = float(cell_size_rad)
         self.origin = adjacent.sensor_origin.copy()
-        delta = adjacent.points - self.origin
-        ranges = np.linalg.norm(delta, axis=1)
-        valid = ranges >= MIN_BEAM_RANGE
-        if not valid.any():
+        self.beam_ids, self.directions, self.ranges = adjacent.beams()
+        if len(self.beam_ids) == 0:
             raise EmptyScan("no adjacent point forms a valid beam")
-        self.beam_ids = np.nonzero(valid)[0].astype(np.int64)
-        self.directions = delta[valid] / ranges[valid, None]
-        self.ranges = ranges[valid]
 
         a = self.origin
         a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
@@ -477,14 +454,14 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     return rec
 
 
-def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, offset, time, cfg, sensor):
-    """Records of current beams [lo, hi) against one adjacent scan taken
-    ``time`` seconds after the current one, in (current, adjacent, rank)
-    order; None when there are none."""
+def _extract_chunk(lo, hi, beams, index, adj_scan, offset, time, cfg, sensor):
+    """Records of the current beams (``Scan.beams``) of points [lo, hi)
+    against one adjacent scan taken ``time`` seconds after the current one,
+    in (current, adjacent, rank) order; None when there are none."""
     theta = sensor.divergence_angle_rad
-    # beams on the sensor origin have no direction and draw no candidates
-    rows = lo + np.nonzero(cur_valid[lo:hi])[0]
-    d = cur_dirs.take(rows, axis=0)
+    ids, dirs, ranges = beams
+    first, last = np.searchsorted(ids, (lo, hi))
+    rows, d, r = ids[first:last], dirs[first:last], ranges[first:last]
     normals, degenerate = _band_planes(d, adj_scan.sensor_origin)
     # the coarse coplanarity bound of _pair_runs: every pair within it is
     # a candidate
@@ -494,8 +471,8 @@ def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, off
     runs = []
     for b in range(0, len(ii), PAIR_BLOCK):
         runs += _pair_runs(
-            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], rows, d, normals, degenerate, s_lim,
-            cur_ranges, index, adj_scan, offset, time, cfg, sensor,
+            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], rows, d, r, normals, degenerate, s_lim,
+            index, adj_scan, offset, time, cfg, sensor,
         )
     if not runs:
         return None
@@ -508,12 +485,11 @@ def _extract_chunk(lo, hi, cur_dirs, cur_ranges, cur_valid, index, adj_scan, off
     return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)
 
 
-def _pair_runs(ii, jj, rows, d, normals, degenerate, s_lim, cur_ranges, index, adj_scan, offset, time, cfg,
-               sensor):
+def _pair_runs(ii, jj, rows, d, r, normals, degenerate, s_lim, index, adj_scan, offset, time, cfg, sensor):
     """Records of candidate pairs (current beam ``rows[ii]`` with direction
-    ``d[ii]``, index-local adjacent jj), as a list of unsorted record runs
-    viewed as bytes.  ``s_lim`` bounds |n . e| in a coarse coplanarity test
-    ahead of the exact one."""
+    ``d[ii]`` and range ``r[ii]``, index-local adjacent jj), as a list of
+    unsorted record runs viewed as bytes.  ``s_lim`` bounds |n . e| in a
+    coarse coplanarity test ahead of the exact one."""
     theta = sensor.divergence_angle_rad
     a = adj_scan.sensor_origin
     if len(ii) == 0:
@@ -555,10 +531,9 @@ def _pair_runs(ii, jj, rows, d, normals, degenerate, s_lim, cur_ranges, index, a
     sel = np.nonzero(ok)[0]
     if len(sel) == 0:
         return []
-    gi = rows[ii[sel]]
-    jj, t, p_adj = jj[sel], t[sel], p_adj[sel]
+    ii, jj, t, p_adj = ii[sel], jj[sel], t[sel], p_adj[sel]
+    gi, r_i = rows[ii], r[ii]
     d_i, e_j, q = d_i.take(sel, axis=0), e_j.take(sel, axis=0), q.take(sel, axis=0)
-    r_i = cur_ranges[gi]
     s_j = index.ranges[jj]
     j_ids = index.beam_ids[jj]
 
@@ -628,15 +603,6 @@ def _five_sample_records(gi, j_ids, d_i, e_j, q, t, alpha, r_i, s_j, adj_scan, o
     )
 
 
-def _current_frame_arrays(current: Scan):
-    """Directions/ranges of current beams; points on the origin are skipped."""
-    ranges = np.linalg.norm(current.points, axis=1)
-    valid = ranges >= MIN_BEAM_RANGE
-    safe = np.where(valid, ranges, 1.0)
-    dirs = current.points / safe[:, None]
-    return dirs, ranges, valid
-
-
 def _check_frames(current: Scan, adjacent: Scan | None = None):
     """Raise FrameMismatch unless the current scan is in its own sensor
     frame and the adjacent one, when given, in the current scan's frame."""
@@ -689,7 +655,7 @@ def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
     """
     pieces = []
     if len(current):
-        dirs, ranges, valid = _current_frame_arrays(current)
+        beams = current.beams()
         spans = [(lo, min(lo + CHUNK, len(current))) for lo in range(0, len(current), CHUNK)]
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
@@ -706,7 +672,7 @@ def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
                 # stored times are relative to the current scan
                 time = adjacent.time - current.time
                 args = [
-                    (lo, hi, dirs, ranges, valid, index, adjacent, offset, time, cfg, sensor)
+                    (lo, hi, beams, index, adjacent, offset, time, cfg, sensor)
                     for lo, hi in spans
                 ]
                 pieces += (pool.map if pool is not None else map)(lambda a: _extract_chunk(*a), args)

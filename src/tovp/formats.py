@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -241,21 +241,14 @@ def write_overlap_file(path, oset: OverlapSet, sensor: SensorConfig,
     if len(config_digest) != 16:
         raise ValueError("config digest must be 16 bytes")
     _write_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, oset.records,
-               divergence_angle_rad=sensor.divergence_angle_rad,
-               occupied_confidence_threshold=sensor.occupied_confidence_threshold,
-               decay_rate_per_meter=sensor.decay_rate_per_meter,
-               config_hash=config_digest)
+               **asdict(sensor), config_hash=config_digest)
 
 
 def read_overlap_file(path):
     """Returns (OverlapSet, OverlapFileInfo)."""
     header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, RECORD_DTYPE)
     info = OverlapFileInfo(
-        sensor=SensorConfig(
-            divergence_angle_rad=float(header["divergence_angle_rad"]),
-            occupied_confidence_threshold=float(header["occupied_confidence_threshold"]),
-            decay_rate_per_meter=float(header["decay_rate_per_meter"]),
-        ),
+        sensor=SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)}),
         config_hash=bytes(header["config_hash"]),
         version=int(header["version"]),
     )
@@ -422,6 +415,22 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _scalar(kind, fields, key, where: str, default=None, least=None):
+    """``kind(fields[key])`` (int or float) of a scene field, ``default``
+    standing in for an absent one unless None; a missing value, one that
+    ``kind`` cannot take, or one below ``least`` is a SchemaViolation."""
+    value = fields.get(key, default) if isinstance(fields, dict) else fields[key]
+    if value is None:
+        raise SchemaViolation(f"{where}: missing field {key!r}")
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise SchemaViolation(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
+    if least is not None and out < least:
+        raise SchemaViolation(f"{where}.{key} must be >= {least}")
+    return out
+
+
 def _vec3(value, where: str) -> tuple:
     try:
         vec = tuple(float(v) for v in value)
@@ -460,7 +469,7 @@ def read_scene(path) -> SimScene:
             box = SceneBox(
                 center=_vec3(_require(raw, "center", where), f"{where}.center"),
                 size=_vec3(_require(raw, "size", where), f"{where}.size"),
-                yaw=float(raw.get("yaw", 0.0)),
+                yaw=_scalar(float, raw, "yaw", where, 0.0),
                 velocity=velocity,
                 category=category,
                 instance_id=str(raw.get("instance_id", f"box{i}")),
@@ -472,39 +481,36 @@ def read_scene(path) -> SimScene:
                       ground_plane=bool(doc.get("ground_plane", False)))
 
     lidar_raw = _require(doc, "lidar", path)
-    elev = _require(lidar_raw, "elevations_rad", f"{path}: lidar")
+    where = f"{path}: lidar"
+    elev = _require(lidar_raw, "elevations_rad", where)
+    where_e = f"{where}.elevations_rad"
     if isinstance(elev, dict):
-        for key in ("min", "max", "count"):
-            _require(elev, key, f"{path}: lidar.elevations_rad")
-        elevations = tuple(np.linspace(float(elev["min"]), float(elev["max"]),
-                                       int(elev["count"])))
+        elevations = tuple(np.linspace(_scalar(float, elev, "min", where_e), _scalar(float, elev, "max", where_e),
+                                       _scalar(int, elev, "count", where_e, least=1)))
+    elif isinstance(elev, list):
+        elevations = tuple(_scalar(float, elev, i, where_e) for i in range(len(elev)))
     else:
-        elevations = tuple(float(e) for e in elev)
-    azimuth_count = int(_require(lidar_raw, "azimuth_count", f"{path}: lidar"))
-    if azimuth_count < 1:
-        raise SchemaViolation(f"{path}: lidar.azimuth_count must be >= 1")
+        raise SchemaViolation(f"{where_e}: expected a list, or min, max and count")
+    azimuth_count = _scalar(int, lidar_raw, "azimuth_count", where, least=1)
     try:
         lidar = SpinningLidarSpec(
             elevation_angles_rad=elevations,
             azimuth_step_rad=2.0 * np.pi / azimuth_count,
-            max_range_m=float(lidar_raw.get("max_range_m", 120.0)),
-            range_noise_std_m=float(lidar_raw.get("range_noise_std_m", 0.0)),
+            max_range_m=_scalar(float, lidar_raw, "max_range_m", where, 120.0),
+            range_noise_std_m=_scalar(float, lidar_raw, "range_noise_std_m", where, 0.0),
         )
     except ValueError as e:
         raise SchemaViolation(f"{path}: lidar: {e}") from None
 
     traj = _require(doc, "trajectory", path)
-    count = int(_require(traj, "count", f"{path}: trajectory"))
-    if count < 1:
-        raise SchemaViolation(f"{path}: trajectory.count must be >= 1")
-    period = float(_require(traj, "period_s", f"{path}: trajectory"))
+    where = f"{path}: trajectory"
+    count = _scalar(int, traj, "count", where, least=1)
+    period = _scalar(float, traj, "period_s", where)
     if period <= 0.0:
-        raise SchemaViolation(f"{path}: trajectory.period_s must be > 0")
-    start = np.array(_vec3(_require(traj, "start", f"{path}: trajectory"),
-                           f"{path}: trajectory.start"))
-    velocity = np.array(_vec3(traj.get("velocity", (0.0, 0.0, 0.0)),
-                              f"{path}: trajectory.velocity"))
-    heading = float(traj.get("yaw_rad", 0.0))
+        raise SchemaViolation(f"{where}.period_s must be > 0")
+    start = np.array(_vec3(_require(traj, "start", where), f"{where}.start"))
+    velocity = np.array(_vec3(traj.get("velocity", (0.0, 0.0, 0.0)), f"{where}.velocity"))
+    heading = _scalar(float, traj, "yaw_rad", where, 0.0)
     c, s = np.cos(heading), np.sin(heading)
     rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 

@@ -133,6 +133,22 @@ def _true_class_nll(states, predictions) -> np.ndarray:
     return nll
 
 
+def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> float:
+    """Sum of (conf * w[state]) * nll over the batch, with conf = 1 when
+    not given.  The products are formed chunk by chunk in place in the nll
+    array, which the one closing sum reads whole."""
+    nll = _true_class_nll(states, predictions)
+    if conf is not None and conf.shape != nll.shape:
+        raise CountMismatch(f"{conf.shape} confidences for {nll.shape} points")
+    w, s = weights.as_array(), np.asarray(states)
+    for rows in _chunks(len(nll)):
+        factor = w[s[rows].astype(np.intp)]
+        if conf is not None:
+            factor *= conf[rows]
+        nll[rows] *= factor
+    return float(np.sum(nll))
+
+
 def overlap_loss(states, confidences, predictions, weights: ClassWeights = ClassWeights()) -> float:
     """Confidence-weighted cross entropy over overlap points.
 
@@ -142,15 +158,10 @@ def overlap_loss(states, confidences, predictions, weights: ClassWeights = Class
     """
     if len(predictions) == 0:
         raise EmptyBatch("overlap loss needs at least one point")
-    nll = _true_class_nll(states, predictions)
-    conf = np.asarray(confidences, dtype=float)
-    if conf.shape != nll.shape:
-        raise CountMismatch(f"{conf.shape} confidences for {nll.shape} points")
-    w = weights.as_array()[np.asarray(states).astype(np.intp)]
-    total = float(np.sum(conf * w * nll))
+    total = _weighted_nll_sum(states, predictions, weights, np.asarray(confidences, dtype=float))
     if not np.isfinite(total):
         raise NonFiniteLoss("overlap loss overflowed")
-    return total / len(nll)
+    return total / len(predictions)
 
 
 def recon_loss(
@@ -171,11 +182,7 @@ def recon_loss(
         raise CountMismatch(f"expected {expected} samples, got {len(predictions)}")
     if expected == 0:
         raise EmptyBatch("reconstruction loss needs at least one sample")
-    nll = _true_class_nll(states, predictions)
-    w, s = weights.as_array(), np.asarray(states)
-    for rows in _chunks(expected):
-        nll[rows] *= w[s[rows].astype(np.intp)]
-    total = float(np.sum(nll))
+    total = _weighted_nll_sum(states, predictions, weights)
     if not np.isfinite(total):
         raise NonFiniteLoss("reconstruction loss overflowed")
     return total / expected

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor_model import MIN_BEAM_RANGE, OccupancyState, Scan, SensorConfig
+from .sensor_model import OccupancyState, RecordSet, Scan, SensorConfig
 
 # seeds are the first key word, kept to the non-negative int64 range: there
 # every seed has its own stream, equal to numpy's Philox(key=[seed, beam]),
@@ -57,18 +57,13 @@ class ReconSample:
     current_point_index: int
 
 
-class ReconSet:
+class ReconSet(RecordSet):
     """Reconstruction samples in beam order (occupied block, then free)."""
+
+    record_dtype = RECON_DTYPE
 
     def __init__(self, records: np.ndarray):
         self.records = np.asarray(records, dtype=RECON_DTYPE)
-
-    @classmethod
-    def empty(cls) -> "ReconSet":
-        return cls(np.empty(0, dtype=RECON_DTYPE))
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def __getitem__(self, idx: int) -> ReconSample:
         r = self.records[idx]
@@ -78,19 +73,6 @@ class ReconSet:
             state=OccupancyState(int(r["state"])),
             current_point_index=int(r["current_index"]),
         )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    @property
-    def counts(self) -> dict:
-        c = np.bincount(self.records["state"], minlength=3)
-        return {
-            OccupancyState.FREE: int(c[0]),
-            OccupancyState.OCCUPIED: int(c[1]),
-            OccupancyState.UNKNOWN: int(c[2]),
-        }
 
 
 def _mulhilo(m: int, x: np.ndarray):
@@ -139,7 +121,8 @@ def sample_recon_points(
 
     Per beam with reported range r: ``occupied_per_beam`` ranges uniform in
     [r, r + band) and ``free_per_beam`` ranges uniform in [0, r), both on
-    the beam's centerline.  States are FREE and OCCUPIED by construction.
+    the beam's centerline from the sensor origin (see ``Scan.beams``).
+    States are FREE and OCCUPIED by construction.
     Points sitting on the sensor origin form no beam and contribute
     nothing, so a scan with such points yields fewer than N * (occupied +
     free) samples.  ``seed`` must lie in [0, 2**63).
@@ -150,16 +133,10 @@ def sample_recon_points(
     if occupied_per_beam < 0 or free_per_beam < 0:
         raise ValueError("per-beam sample counts must be >= 0")
     per_beam = occupied_per_beam + free_per_beam
-    if len(current) == 0 or per_beam == 0:
+    valid, dirs, ranges = current.beams()
+    if len(valid) == 0 or per_beam == 0:
         return ReconSet.empty()
-
-    # the columns of the points; the sum runs in np.linalg.norm's order
-    cols = [current.points[:, j] for j in range(3)]
-    ranges = np.sqrt(cols[0] * cols[0] + cols[1] * cols[1] + cols[2] * cols[2])
-    valid = np.nonzero(ranges >= MIN_BEAM_RANGE)[0]
-    if len(valid) == 0:
-        return ReconSet.empty()
-    dirs = [c[valid] / ranges[valid] for c in cols]
+    origin = current.sensor_origin
 
     # time and state are the same for every beam: one record template per
     # beam, broadcast over the record bytes, then the beam indices
@@ -175,10 +152,12 @@ def sample_recon_points(
         rows = slice(start, start + _BEAM_BLOCK)
         # unit draws become ranges in place: r + u * band, then u * r
         sample_r = _philox_uniform(seed, valid[rows], per_beam)
-        r = ranges[valid[rows], None]
+        r = ranges[rows, None]
         sample_r[:, :occupied_per_beam] *= sensor.occupied_band_m
         sample_r[:, :occupied_per_beam] += r
         sample_r[:, occupied_per_beam:] *= r
         for j in range(3):
-            np.multiply(sample_r, dirs[j][rows, None], out=pos[rows, :, j])
+            np.multiply(sample_r, dirs[rows, j, None], out=pos[rows, :, j])
+            if origin[j]:  # skipped at zero, which would turn -0.0 into 0.0
+                pos[rows, :, j] += origin[j]
     return ReconSet(rec.reshape(-1))

@@ -41,6 +41,27 @@ class OccupancyState(IntEnum):
         return v
 
 
+class RecordSet:
+    """A structured array ``records`` of the subclass's ``record_dtype``,
+    with a ``state`` field; indexing yields one view object per record,
+    defined by the subclass."""
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def empty(cls):
+        return cls(np.empty(0, dtype=cls.record_dtype))
+
+    @property
+    def counts(self) -> dict:
+        c = np.bincount(self.records["state"], minlength=3)
+        return {state: int(c[state]) for state in OccupancyState}
+
+
 @dataclass(frozen=True)
 class SensorConfig:
     """Per-sensor constants of the occupancy model."""
@@ -153,8 +174,20 @@ class Scan:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def ranges(self) -> np.ndarray:
-        return np.linalg.norm(self.points - self.sensor_origin, axis=1)
+    def beams(self):
+        """(ids, unit directions (n, 3), ranges) of the points at least
+        MIN_BEAM_RANGE from the sensor origin, in point order; nearer points
+        form no beam and are left out.  Built one coordinate column at a
+        time, bit for bit the row form: ``np.linalg.norm(points - origin,
+        axis=1)``, the mask, then the division."""
+        delta = [self.points[:, j] - self.sensor_origin[j] for j in range(3)]
+        ranges = np.sqrt(delta[0] * delta[0] + delta[1] * delta[1] + delta[2] * delta[2])
+        ids = np.nonzero(ranges >= MIN_BEAM_RANGE)[0]
+        ranges = ranges[ids]
+        dirs = np.empty((len(ids), 3))
+        for j in range(3):
+            np.divide(delta[j][ids], ranges, out=dirs[:, j])
+        return ids, dirs, ranges
 
     def in_frame_of(self, other: "Scan") -> "Scan":
         """Return this scan re-expressed in ``other``'s working frame."""

@@ -52,7 +52,6 @@ class SceneSpec:
     static_boxes: list = field(default_factory=list)
     moving_boxes: list = field(default_factory=list)
     ground_plane: bool = False
-    world_bounds: tuple = (-200.0, 200.0, -200.0, 200.0, -50.0, 50.0)
 
     def all_boxes(self) -> list:
         return list(self.static_boxes) + list(self.moving_boxes)
@@ -65,7 +64,6 @@ class SpinningLidarSpec:
     elevation_angles_rad: tuple
     azimuth_step_rad: float
     max_range_m: float = 120.0
-    divergence_angle_rad: float = 0.003
     range_noise_std_m: float = 0.0
 
     def __post_init__(self):

@@ -8,7 +8,6 @@ import importlib
 from pathlib import Path
 
 from tovp import formats
-from tovp.extraction import ExtractionConfig
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -49,13 +48,23 @@ def test_formats_attributes_exist():
     assert sorted(name for name in used if not hasattr(formats, name)) == []
 
 
-def test_extraction_config_keywords_are_fields():
-    passed = {
-        kw.arg
+def test_dataclass_keywords_are_fields():
+    """Every keyword the worker passes to a ``tovp`` dataclass is a field of
+    it, so removing a field cannot break the benchmark unseen."""
+    imported = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
         for node in ast.walk(_tree())
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ExtractionConfig"
-        for kw in node.keywords
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tovp"
+        for alias in node.names
     }
-    fields = {f.name for f in dataclasses.fields(ExtractionConfig)}
-    assert passed
-    assert passed - fields == set()
+    passed = {}
+    for node in ast.walk(_tree()):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            cls = imported.get(node.func.id)
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+                passed.setdefault(cls, set()).update(kw.arg for kw in node.keywords)
+    constructed = {cls.__name__ for cls in passed}
+    assert {"ExtractionConfig", "SceneBox", "SceneSpec", "SpinningLidarSpec", "SensorConfig"} <= constructed
+    unknown = {f"{cls.__name__}.{name}" for cls, names in passed.items()
+               for name in names - {f.name for f in dataclasses.fields(cls)}}
+    assert unknown == set()

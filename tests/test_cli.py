@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tovp.cli import main
+from tovp.cli import DEFAULTS, build_parser, main, resolve_config
 from tovp.extraction import RECORD_DTYPE, OverlapSet
 from tovp.formats import (
     read_boxes,
@@ -62,6 +62,39 @@ def run_extract(sim_dir, out_dir, *extra):
                  "--out", str(out_dir), *extra])
 
 
+# the arguments each command requires, and the config flags it takes
+REQUIRED = {
+    "extract": ["--scans", "s", "--poses", "p", "--out", "o"],
+    "simulate": ["--scene", "s", "--out", "o"],
+    "label": ["--scans", "s", "--boxes", "b", "--out", "o"],
+    "eval": ["--scans", "s", "--labels", "l", "--predictions", "p", "--boxes", "b"],
+    "stats": [],
+    "loss-check": ["--overlaps", "o", "--probs", "p"],
+}
+# flag -> (text on the command line, config key it sets, value it sets)
+FLAG_VALUES = {
+    "--config": ("c.yaml", None, None),
+    "--seed": ("7", "seed", 7),
+    "--threads": ("3", "threads", 3),
+    "--n": ("2", "n_adjacent", 2),
+    "--period": ("0.25", "scan_period_s", 0.25),
+    "--bounds": ("0,1,0,2,0,3", "bounds", (0.0, 1.0, 0.0, 2.0, 0.0, 3.0)),
+    "--divergence": ("0.004", "divergence_angle_rad", 0.004),
+    "--lambda-occ": ("0.8", "lambda_occ", 0.8),
+}
+KEPT = {
+    "extract": set(FLAG_VALUES),
+    "simulate": {"--config", "--seed"},
+    "label": {"--config", "--period"},
+    "eval": {"--config", "--period"},
+    "stats": {"--config", "--period"},
+    "loss-check": {"--config"},
+}
+KEPT_FLAGS = sorted((c, f) for c in KEPT for f in KEPT[c])
+REMOVED_FLAGS = sorted((c, f) for c in KEPT for f in set(FLAG_VALUES) - KEPT[c])
+assert len(KEPT_FLAGS) == 17 and len(REMOVED_FLAGS) == 31
+
+
 class TestUsageAndExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -80,6 +113,20 @@ class TestUsageAndExitCodes:
         assert main(["--help"]) == 0
         assert main(["extract", "--help"]) == 0
 
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_flags_a_command_does_not_read_are_usage_errors(self, command, flag, capsys):
+        assert main([command, *REQUIRED[command], flag, FLAG_VALUES[flag][0]]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", KEPT_FLAGS)
+    def test_kept_flags_parse_and_set_their_key(self, command, flag):
+        text, key, value = FLAG_VALUES[flag]
+        args = build_parser().parse_args([command, *REQUIRED[command], flag, text])
+        assert args.command == command
+        if key is not None:
+            assert value != DEFAULTS[key]
+            assert resolve_config(args)[key] == value
+
     def test_data_error_is_2(self, tmp_path, capsys):
         (tmp_path / "scans").mkdir()
         code = main(["extract", "--scans", str(tmp_path / "scans"),
@@ -87,6 +134,69 @@ class TestUsageAndExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadValuesAreSchemaViolations:
+    """A config or scene value of the wrong kind or out of range exits 2
+    with an error that names its key, before any output is written."""
+
+    @pytest.mark.parametrize("config,flags,key", [
+        ("divergence_angle_rad: 0.5\n", [], "divergence_angle_rad"),
+        ("", ["--divergence", "0.5"], "divergence_angle_rad"),
+        ("n_adjacent: six\n", [], "n_adjacent"),
+        ("n_adjacent: 0\n", [], "n_adjacent"),
+        ("threads: two\n", [], "threads"),
+        ("bounds: [1, 2, 3]\n", [], "bounds"),
+        ("max_tail_beyond_hit_m: far\n", [], "max_tail_beyond_hit_m"),
+        ("occupied_per_beam: true\n", [], "occupied_per_beam"),
+    ])
+    def test_extract_config(self, tmp_path, capsys, config, flags, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main(["extract", "--scans", str(tmp_path / "s"), "--poses", str(tmp_path / "p"),
+                     "--out", str(out), "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key} must be" in err or f"config: {key} " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("label", "time_tol: 1e-3\n", "time_tol"),  # YAML reads 1e-3 as a string
+        ("label", "thresholds: {VEHICLE: [1.0]}\n", "thresholds"),
+        ("label", "thresholds: {VEHICLE: [2.0, 1.0]}\n", "VEHICLE"),
+        ("loss-check", "class_weights: [1.0, 5.0]\n", "class_weights"),
+    ])
+    def test_other_commands(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        sim = simulate(tmp_path, count=1)
+        argv = {"label": ["--scans", str(sim / "scans"), "--boxes", str(sim / "boxes.jsonl"),
+                          "--out", str(tmp_path / "out")],
+                "loss-check": ["--overlaps", str(tmp_path / "x.tovp"), "--probs", str(tmp_path / "x.prob")]}
+        assert main([command, *argv[command], "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key} must be" in err or f"config: {key}: " in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("azimuth_count: 32", "azimuth_count: lots", "lidar.azimuth_count: expected int"),
+        ("count: 4}", "count: many}", "lidar.elevations_rad.count: expected int"),
+        ("count: 4}", "count: -2}", "lidar.elevations_rad.count must be >= 1"),
+        ("{min: -0.35, max: 0.03, count: 4}", "0.1", "lidar.elevations_rad: expected a list"),
+        ("max_range_m: 120.0", "max_range_m: [1]", "lidar.max_range_m: expected float"),
+        ("period_s: 0.5", "period_s: half", "trajectory.period_s: expected float"),
+        ("instance_id: parked", "instance_id: parked\n    yaw: left", "boxes[0].yaw: expected float"),
+    ])
+    def test_scene(self, tmp_path, capsys, old, new, key):
+        scene = tmp_path / "scene.yaml"
+        write_scene(scene)
+        text = scene.read_text()
+        assert old in text
+        scene.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -257,6 +367,17 @@ class TestLabel:
             truth = read_labels(sim / "labels" / f"{i:06d}.label")
             np.testing.assert_array_equal(mine, truth)
 
+    def test_failure_removes_written_labels(self, tmp_path, capsys):
+        sim = simulate(tmp_path, count=3)
+        scan1 = sim / "scans" / "000001.bin"
+        scan1.write_bytes(scan1.read_bytes()[:17])
+        out = tmp_path / "labels"
+        assert main(["label", "--scans", str(sim / "scans"),
+                     "--boxes", str(sim / "boxes.jsonl"),
+                     "--poses", str(sim / "poses.txt"), "--out", str(out)]) == 2
+        assert "000001.bin" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestEval:
     def hand_case(self, tmp_path):
@@ -421,6 +542,17 @@ class TestLossCheck:
                      "--probs", str(probs), "--recon", str(recon_path),
                      "--recon-probs", str(rprobs_path)]) == 2
         assert "state 3" in capsys.readouterr().err
+
+    def test_empty_recon_set_is_data_error(self, tmp_path, capsys):
+        path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+        recon_path = tmp_path / "x.trcn"
+        write_recon_file(recon_path, ReconSet.empty())
+        rprobs_path = tmp_path / "r.prob"
+        write_probabilities(rprobs_path, np.zeros((0, 3)))
+        assert main(["loss-check", "--overlaps", str(path),
+                     "--probs", str(probs), "--recon", str(recon_path),
+                     "--recon-probs", str(rprobs_path)]) == 2
+        assert "no reconstruction samples" in capsys.readouterr().err
 
     def test_recon_without_probs(self, tmp_path, capsys):
         path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])

@@ -1,6 +1,7 @@
 """Reference losses and encoding against hand values and an fsum oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,41 @@ class TestStatesOutsideTheThree:
         with pytest.raises(BadState, match=f"state {bad} "):
             recon_loss(states, probs, n_beams=70002, per_beam=1)
         assert issubclass(BadState, DataError)
+
+
+class TestChunkedWeightedNll:
+    """Both losses weight the per-row log-loss chunk by chunk, in place, and
+    sum the whole array once: the same bits as the whole-batch product, in
+    bounded extra memory."""
+
+    ROWS = 2_000_000
+
+    def batch(self):
+        rng = np.random.default_rng(8)
+        states, conf, probs = random_batch(rng, self.ROWS)
+        return states.astype(np.uint8), conf, probs
+
+    def test_bit_for_bit_with_the_whole_batch_product(self):
+        states, conf, probs = self.batch()
+        w = ClassWeights().as_array()[states.astype(np.intp)]
+        nll = -np.log(probs[np.arange(self.ROWS), states])
+        assert overlap_loss(states, conf, probs) == float(np.sum(conf * w * nll)) / self.ROWS
+        assert recon_loss(states, probs, n_beams=self.ROWS, per_beam=1) == float(np.sum(w * nll)) / self.ROWS
+
+    def test_peak_memory_per_row(self):
+        states, conf, probs = self.batch()
+        for loss in (lambda: overlap_loss(states, conf, probs),
+                     lambda: recon_loss(states, probs, n_beams=self.ROWS, per_beam=1)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loss()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # the nll array is 8 B per row; whole-batch weights and products
+            # took 24 B per row
+            assert peak <= 10 * self.ROWS, peak
 
 
 def test_total_loss_is_plain_sum():

@@ -64,7 +64,7 @@ def test_free_samples_before_hit():
 def test_states_reverify_against_beam_model():
     scan = ball_scan(64, seed=11)
     out = sample_recon_points(scan, 5, 25, SENSOR, seed=2)
-    ranges = scan.ranges()
+    ranges = np.linalg.norm(scan.points, axis=1)
     for rec in out.records:
         i = rec["current_index"]
         r_at = np.linalg.norm(rec["position"])
@@ -74,7 +74,7 @@ def test_states_reverify_against_beam_model():
 def test_samples_sit_on_beam_centerline():
     scan = ball_scan(32, seed=5)
     out = sample_recon_points(scan, 2, 2, SENSOR, seed=9)
-    dirs = scan.points / scan.ranges()[:, None]
+    dirs = scan.points / np.linalg.norm(scan.points, axis=1)[:, None]
     for rec in out.records:
         d = dirs[rec["current_index"]]
         p = rec["position"]
@@ -120,6 +120,18 @@ def test_origin_point_contributes_nothing():
     out = sample_recon_points(Scan(points=pts), 1, 1, SENSOR, seed=0)
     assert len(out) == 4
     assert set(np.unique(out.records["current_index"])) == {0, 2}
+
+
+def test_beams_start_at_the_sensor_origin():
+    # the same beams, seen from a sensor away from the frame origin
+    scan = ball_scan(300, seed=12)
+    origin = np.array([4.0, -2.5, 1.5])
+    moved = Scan(points=scan.points + origin, sensor_origin=origin)
+    got = sample_recon_points(moved, 5, 25, SENSOR, seed=4).records
+    want = sample_recon_points(scan, 5, 25, SENSOR, seed=4).records
+    assert np.array_equal(got["current_index"], want["current_index"])
+    assert np.array_equal(got["state"], want["state"])
+    np.testing.assert_allclose(got["position"] - origin, want["position"], rtol=0, atol=1e-11)
 
 
 def test_empty_scan_and_zero_budget():
@@ -194,6 +206,14 @@ def test_beam_blocks_match_per_beam_generators(occupied, free):
             want = reference_recon_records(scan, occupied, free, seed)
             assert len(got) == (len(scan) - 5) * (occupied + free)
             assert got.records.tobytes() == want.tobytes()
+
+
+def test_negative_zero_coordinates_keep_their_sign():
+    scan = ball_scan(64, seed=13)
+    scan.points[::3, 2] = -0.0
+    got = sample_recon_points(scan, 2, 3, SENSOR, seed=5).records
+    assert np.signbit(got["position"][:, 2]).any()
+    assert got.tobytes() == reference_recon_records(scan, 2, 3, 5).tobytes()
 
 
 def test_golden_bytes():

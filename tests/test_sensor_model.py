@@ -7,6 +7,7 @@ import pytest
 
 from tovp.errors import NonPositiveReportedRange, ZeroRange
 from tovp.sensor_model import (
+    MIN_BEAM_RANGE,
     Beam,
     OccupancyState,
     RigidTransform,
@@ -60,6 +61,40 @@ class TestBeamFromPoint:
     def test_beam_carries_scan_time(self):
         scan = make_scan([[1.0, 0.0, 0.0]], time=2.5)
         assert beam_from_point(scan, 0).time == 2.5
+
+
+class TestScanBeams:
+    """Scan.beams builds its table one coordinate column at a time, bit for
+    bit the row form: the norm over rows, the mask, then the division."""
+
+    @staticmethod
+    def row_form(scan):
+        delta = scan.points - scan.sensor_origin
+        ranges = np.linalg.norm(delta, axis=1)
+        valid = ranges >= MIN_BEAM_RANGE
+        return np.nonzero(valid)[0], delta[valid] / ranges[valid, None], ranges[valid]
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.3, -1e-7, 12.5), (-40.0, 25.0, 1.7)])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 60.0, 1e5])
+    def test_equals_the_row_form(self, origin, scale):
+        rng = np.random.default_rng(int(scale) + 3)
+        origin = np.array(origin)
+        pts = origin + rng.normal(scale=scale, size=(5000, 3))
+        pts[::97] = origin  # on the origin
+        # at the MIN_BEAM_RANGE cut, and one ulp inside it
+        pts[1::89] = origin + [MIN_BEAM_RANGE, 0.0, 0.0]
+        pts[2::83] = origin + [0.0, np.nextafter(MIN_BEAM_RANGE, 0.0), 0.0]
+        pts[3::79, 2] = -0.0
+        scan = make_scan(pts, origin=origin)
+        got, want = scan.beams(), self.row_form(scan)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert got[1].flags.c_contiguous
+
+    def test_no_beams(self):
+        ids, dirs, ranges = make_scan(np.zeros((3, 3))).beams()
+        assert (ids.shape, dirs.shape, ranges.shape) == ((0,), (0, 3), (0,))
+        assert len(make_scan(np.empty((0, 3))).beams()[0]) == 0
 
 
 class TestBeamRadius:
