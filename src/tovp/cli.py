@@ -6,6 +6,10 @@ and sanity-check loss values.  Exit codes: 0 success, 1 usage, 2 bad data
 (any package error), 3 internal failure.  Configuration resolves as
 flags > config file > defaults, and every command echoes the values it ran
 with.  Set TOP_LOG=debug for progress logging.
+
+Each command imports the modules it runs at the top of its ``cmd_*``
+function, and PyYAML only where a ``--config`` file is read, so a process
+loads and compiles only what its command executes.
 """
 
 import argparse
@@ -14,18 +18,11 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from . import formats
-from ._boxes import points_in_box
 from .errors import CountMismatch, DataError, EmptyBatch, MissingPose, SchemaViolation, TovpError
-from .evaluation import EvalBox, ScanEvalInput, evaluate, object_size_cdf
-from .extraction import DEFAULT_BOUNDS, ExtractionConfig, extract_sequence
 from .labeling import MotionClass, ThresholdTable, TrackedBox, box_motion_class, label_points
-from .objectives import ClassWeights, overlap_loss, recon_loss, total_loss
-from .recon import SEED_LIMIT, sample_recon_points
-from .sensor_model import Scan, SensorConfig
-from .simulator import simulate_scan_with_hits
+from .sensor_model import DEFAULT_BOUNDS, SEED_LIMIT, Scan, SensorConfig
 
 log = logging.getLogger("tovp")
 
@@ -72,18 +69,21 @@ _FLAGS = {
     "--lambda-occ": ("lambda_occ", dict(type=float, help="occupied-band confidence threshold")),
 }
 
-_INT, _NUM, _MAP = "an integer", "a number", "a mapping of category to 2 numbers"
+_INT, _COUNT, _NUM = "an integer", "an integer >= 0", "a number"
+_MAP = "a mapping of category to 2 numbers"
 # the kind of value each config key takes; null also where the default is
 _KINDS = {
     "n_adjacent": _INT, "scan_period_s": _NUM, "bounds": "6 numbers", "divergence_angle_rad": _NUM,
     "lambda_occ": _NUM, "decay_rate_per_meter": _NUM, "seed": _INT, "threads": _INT,
-    "occupied_per_beam": _INT, "free_per_beam": _INT, "max_tail_beyond_hit_m": _NUM,
+    "occupied_per_beam": _COUNT, "free_per_beam": _COUNT, "max_tail_beyond_hit_m": _NUM,
     "cell_size_rad": _NUM, "class_weights": "3 numbers", "thresholds": _MAP, "time_tol": _NUM,
 }
 
 
 def _has_kind(value, kind: str) -> bool:
-    """``value`` is of ``kind``: _INT, _NUM, _MAP or "<n> numbers"."""
+    """``value`` is of ``kind``: _INT, _COUNT, _NUM, _MAP or "<n> numbers"."""
+    if kind == _COUNT:
+        return _has_kind(value, _INT) and value >= 0
     if kind == _MAP:
         return isinstance(value, dict) and all(_has_kind(v, "2 numbers") for v in value.values())
     if kind.endswith(" numbers"):
@@ -97,6 +97,8 @@ def resolve_config(args) -> dict:
     merged = dict(DEFAULTS)
     path = getattr(args, "config", None)
     if path:
+        import yaml
+
         if not os.path.exists(path):
             raise DataError(f"config file not found: {path}")
         with open(path) as fh:
@@ -142,18 +144,6 @@ def _sensor_from(cfg: dict) -> SensorConfig:
         divergence_angle_rad=cfg["divergence_angle_rad"],
         occupied_confidence_threshold=cfg["lambda_occ"],
         decay_rate_per_meter=cfg["decay_rate_per_meter"],
-    )
-
-
-def _extraction_from(cfg: dict) -> ExtractionConfig:
-    return _built(
-        ExtractionConfig,
-        n_adjacent=cfg["n_adjacent"],
-        scan_period_s=cfg["scan_period_s"],
-        bounds=tuple(cfg["bounds"]),
-        max_tail_beyond_hit_m=cfg["max_tail_beyond_hit_m"],
-        cell_size_rad=cfg["cell_size_rad"],
-        rng_seed=cfg["seed"],
     )
 
 
@@ -222,9 +212,20 @@ class _AtomicOutputs:
 
 
 def cmd_extract(args) -> int:
+    from .extraction import ExtractionConfig, extract_sequence
+    from .recon import sample_recon_points
+
     cfg = resolve_config(args)
     sensor = _sensor_from(cfg)
-    extraction = _extraction_from(cfg)
+    extraction = _built(
+        ExtractionConfig,
+        n_adjacent=cfg["n_adjacent"],
+        scan_period_s=cfg["scan_period_s"],
+        bounds=tuple(cfg["bounds"]),
+        max_tail_beyond_hit_m=cfg["max_tail_beyond_hit_m"],
+        cell_size_rad=cfg["cell_size_rad"],
+        rng_seed=cfg["seed"],
+    )
     n = extraction.n_adjacent
     digest = formats.config_hash(extraction, sensor)
 
@@ -273,6 +274,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import simulate_scan_with_hits
+
     cfg = resolve_config(args)
     sim = formats.read_scene(args.scene)
     _check_seeds(cfg["seed"], len(sim.times))
@@ -350,20 +353,17 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _moving_boxes_at(tracks, time, table, tol):
-    out = []
+def _moving_keyframes(tracks, time, table, tol):
+    """(track, keyframe index) of each track keyed at ``time`` and MOVING there."""
     for track in tracks:
         k = track.keyframe_at(time, tol)
-        if k is None:
-            continue
-        if box_motion_class(track, k, table) == MotionClass.MOVING:
-            out.append(EvalBox(instance_id=track.instance_id,
-                               center=track.centers[k], size=track.sizes[k],
-                               yaw=float(track.yaws[k])))
-    return out
+        if k is not None and box_motion_class(track, k, table) == MotionClass.MOVING:
+            yield track, k
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import EvalBox, ScanEvalInput, evaluate
+
     cfg = resolve_config(args)
     table = _thresholds_from(cfg)
     tracks = formats.read_boxes(args.boxes)
@@ -389,8 +389,11 @@ def cmd_eval(args) -> int:
         inputs.append(ScanEvalInput(
             points=points, predicted_moving=pred.astype(bool), gt_labels=gt,
             ego_mask=None if ego is None else ego.astype(bool),
-            moving_boxes=tuple(_moving_boxes_at(tracks, i * period, table,
-                                                cfg["time_tol"]))))
+            moving_boxes=tuple(
+                EvalBox(instance_id=track.instance_id, center=track.centers[k],
+                        size=track.sizes[k], yaw=float(track.yaws[k]))
+                for track, k in _moving_keyframes(tracks, i * period, table,
+                                                  cfg["time_tol"]))))
 
     report = evaluate(inputs)
     print(f"config: {_echo(cfg, ('scan_period_s', 'time_tol'))} "
@@ -409,6 +412,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from ._boxes import points_in_box
+    from .evaluation import object_size_cdf
+
     cfg = resolve_config(args)
     if args.counts:
         with open(args.counts) as fh:
@@ -451,6 +457,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
+    from .objectives import ClassWeights, overlap_loss, recon_loss, total_loss
+
     cfg = resolve_config(args)
     weights = _built(ClassWeights, *cfg["class_weights"])
     oset, info = formats.read_overlap_file(args.overlaps)

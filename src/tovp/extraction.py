@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyScan, FrameMismatch, MissingPose
 from .geometry import ORIGIN_EPS, PARALLEL_EPS
-from .sensor_model import Beam, OccupancyState, RecordSet, Scan, SensorConfig
+from .sensor_model import DEFAULT_BOUNDS, Beam, OccupancyState, RecordSet, Scan, SensorConfig
 
 # Fixed current-beam chunk length; must not depend on thread count or the
 # output would not be byte-stable across --threads values.  Below 2**29,
@@ -53,8 +53,6 @@ RECORD_DTYPE = np.dtype(
 # records as opaque bytes: numpy moves these several times faster than the
 # structured dtype when gathering, scattering or concatenating records
 _RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
-
-DEFAULT_BOUNDS = (-70.0, 70.0, -70.0, 70.0, -4.5, 4.5)
 
 
 @dataclass(frozen=True)

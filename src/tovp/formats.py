@@ -8,16 +8,20 @@ is byte-identical.  Record sets are cast between their in-memory and
 on-disk dtypes through views that split each (3,) field into three scalar
 fields at the same offsets: numpy casts a subarray field one record row at
 a time, and a scalar field as one column, for the same bytes.
+
+The modules that only one format needs (PyYAML and ``simulator`` for
+scenes, ``extraction`` and ``recon`` for record sets, ``hashlib`` for the
+config digest) are imported inside the functions that use them, so a
+command loads only what its own formats need.
 """
 
 import functools
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
-import yaml
 
 from .errors import (
     BadLength,
@@ -30,11 +34,13 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .extraction import RECORD_DTYPE, ExtractionConfig, OverlapSet
 from .labeling import CATEGORIES, TrackedBox
-from .recon import RECON_DTYPE, ReconSet
 from .sensor_model import RigidTransform, SensorConfig
-from .simulator import SceneBox, SceneSpec, SpinningLidarSpec
+
+if TYPE_CHECKING:
+    from .extraction import ExtractionConfig, OverlapSet
+    from .recon import ReconSet
+    from .simulator import SceneSpec, SpinningLidarSpec
 
 FORMAT_VERSION = 1
 
@@ -77,8 +83,10 @@ _RECON_RECORD = np.dtype([
 ])
 
 
-def config_hash(cfg: ExtractionConfig, sensor: SensorConfig) -> bytes:
+def config_hash(cfg: "ExtractionConfig", sensor: SensorConfig) -> bytes:
     """16-byte digest of every knob that shapes an overlap file's content."""
+    import hashlib
+
     payload = {"extraction": asdict(cfg), "sensor": asdict(sensor)}
     text = json.dumps(payload, sort_keys=True, default=float)
     return hashlib.md5(text.encode()).digest()
@@ -236,7 +244,7 @@ class OverlapFileInfo:
     version: int
 
 
-def write_overlap_file(path, oset: OverlapSet, sensor: SensorConfig,
+def write_overlap_file(path, oset: "OverlapSet", sensor: SensorConfig,
                        config_digest: bytes = b"\x00" * 16):
     if len(config_digest) != 16:
         raise ValueError("config digest must be 16 bytes")
@@ -246,20 +254,25 @@ def write_overlap_file(path, oset: OverlapSet, sensor: SensorConfig,
 
 def read_overlap_file(path):
     """Returns (OverlapSet, OverlapFileInfo)."""
+    from .extraction import RECORD_DTYPE, OverlapSet
+
     header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, RECORD_DTYPE)
-    info = OverlapFileInfo(
-        sensor=SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)}),
-        config_hash=bytes(header["config_hash"]),
-        version=int(header["version"]),
-    )
+    try:
+        sensor = SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)})
+    except ValueError as e:
+        raise SchemaViolation(f"{path}: header: {e}") from None
+    info = OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]),
+                           version=int(header["version"]))
     return OverlapSet(rec), info
 
 
-def write_recon_file(path, rset: ReconSet):
+def write_recon_file(path, rset: "ReconSet"):
     _write_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, rset.records)
 
 
-def read_recon_file(path) -> ReconSet:
+def read_recon_file(path) -> "ReconSet":
+    from .recon import RECON_DTYPE, ReconSet
+
     _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, RECON_DTYPE)
     return ReconSet(rec)
 
@@ -402,8 +415,8 @@ def read_report(path) -> dict:
 class SimScene:
     """A self-contained simulation setup: world, scan pattern, trajectory."""
 
-    scene: SceneSpec
-    lidar: SpinningLidarSpec
+    scene: "SceneSpec"
+    lidar: "SpinningLidarSpec"
     poses: list
     times: list
     period_s: float
@@ -413,6 +426,12 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise SchemaViolation(f"{where}: missing field {key!r}")
     return mapping[key]
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{where}: expected a mapping")
+    return value
 
 
 def _scalar(kind, fields, key, where: str, default=None, least=None):
@@ -448,6 +467,10 @@ def read_scene(path) -> SimScene:
     (scan pattern), ``trajectory`` (linear sensor motion).  See
     docs/formats.md for a worked example.
     """
+    import yaml
+
+    from .simulator import SceneBox, SceneSpec, SpinningLidarSpec
+
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -459,8 +482,7 @@ def read_scene(path) -> SimScene:
     static, moving = [], []
     for i, raw in enumerate(doc.get("boxes") or []):
         where = f"{path}: boxes[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaViolation(f"{where}: expected a mapping")
+        _mapping(raw, where)
         velocity = _vec3(raw.get("velocity", (0.0, 0.0, 0.0)), f"{where}.velocity")
         category = str(raw.get("category", "VEHICLE"))
         if category not in CATEGORIES:
@@ -480,8 +502,8 @@ def read_scene(path) -> SimScene:
     scene = SceneSpec(static_boxes=static, moving_boxes=moving,
                       ground_plane=bool(doc.get("ground_plane", False)))
 
-    lidar_raw = _require(doc, "lidar", path)
     where = f"{path}: lidar"
+    lidar_raw = _mapping(_require(doc, "lidar", path), where)
     elev = _require(lidar_raw, "elevations_rad", where)
     where_e = f"{where}.elevations_rad"
     if isinstance(elev, dict):
@@ -502,8 +524,8 @@ def read_scene(path) -> SimScene:
     except ValueError as e:
         raise SchemaViolation(f"{path}: lidar: {e}") from None
 
-    traj = _require(doc, "trajectory", path)
     where = f"{path}: trajectory"
+    traj = _mapping(_require(doc, "trajectory", path), where)
     count = _scalar(int, traj, "count", where, least=1)
     period = _scalar(float, traj, "period_s", where)
     if period <= 0.0:

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor_model import OccupancyState, RecordSet, Scan, SensorConfig
-
-# seeds are the first key word, kept to the non-negative int64 range: there
-# every seed has its own stream, equal to numpy's Philox(key=[seed, beam]),
-# which sends larger seeds through float64 and makes them collide
-SEED_LIMIT = 2**63
+from .sensor_model import SEED_LIMIT, OccupancyState, RecordSet, Scan, SensorConfig
 
 # beams per pass of the generator; bounds the temporaries, not the output
 _BEAM_BLOCK = 2048

@@ -23,6 +23,15 @@ from .errors import NonPositiveReportedRange, ZeroRange
 # Points closer to an origin than this form no usable beam. [m]
 MIN_BEAM_RANGE = 1e-6
 
+# The default crop box (x0, x1, y0, y1, z0, z1) of overlap positions in the
+# current scan's frame. [m]
+DEFAULT_BOUNDS = (-70.0, 70.0, -70.0, 70.0, -4.5, 4.5)
+
+# Recon seeds are the first key word, kept to the non-negative int64 range:
+# there every seed has its own stream, equal to numpy's Philox(key=[seed,
+# beam]), which sends larger seeds through float64 and makes them collide.
+SEED_LIMIT = 2**63
+
 
 class OccupancyState(IntEnum):
     """Measurement outcome for a point along a beam.

@@ -9,6 +9,7 @@ import pytest
 from tovp.cli import DEFAULTS, build_parser, main, resolve_config
 from tovp.extraction import RECORD_DTYPE, OverlapSet
 from tovp.formats import (
+    _OVERLAP_HEADER,
     read_boxes,
     read_labels,
     read_overlap_file,
@@ -149,6 +150,8 @@ class TestBadValuesAreSchemaViolations:
         ("bounds: [1, 2, 3]\n", [], "bounds"),
         ("max_tail_beyond_hit_m: far\n", [], "max_tail_beyond_hit_m"),
         ("occupied_per_beam: true\n", [], "occupied_per_beam"),
+        ("occupied_per_beam: -1\n", [], "occupied_per_beam"),
+        ("free_per_beam: -25\n", [], "free_per_beam"),
     ])
     def test_extract_config(self, tmp_path, capsys, config, flags, key):
         cfg = tmp_path / "cfg.yaml"
@@ -186,6 +189,8 @@ class TestBadValuesAreSchemaViolations:
         ("max_range_m: 120.0", "max_range_m: [1]", "lidar.max_range_m: expected float"),
         ("period_s: 0.5", "period_s: half", "trajectory.period_s: expected float"),
         ("instance_id: parked", "instance_id: parked\n    yaw: left", "boxes[0].yaw: expected float"),
+        ("lidar:\n", "lidar: 5\nunread:\n", "lidar: expected a mapping"),
+        ("trajectory:\n", "trajectory: [1]\nunread:\n", "trajectory: expected a mapping"),
     ])
     def test_scene(self, tmp_path, capsys, old, new, key):
         scene = tmp_path / "scene.yaml"
@@ -351,6 +356,18 @@ class TestExtract:
         cfg.write_text("n_adjacnt: 2\n")
         assert run_extract(sim, tmp_path / "out", "--config", str(cfg)) == 2
         assert "n_adjacnt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["occupied_per_beam", "free_per_beam"])
+    def test_negative_per_beam_count_fails_before_extraction(self, tmp_path, capsys, key):
+        sim = simulate(tmp_path, count=7)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: -1\n")
+        assert run_extract(sim, tmp_path / "out", "--config", str(cfg), "--n", "2") == 2
+        captured = capsys.readouterr()
+        assert f"config key {key} must be an integer >= 0" in captured.err
+        assert captured.out == ""  # nothing ran, not even the config echo
+        assert not (tmp_path / "out").exists()
 
 
 class TestLabel:
@@ -558,6 +575,16 @@ class TestLossCheck:
         path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
         assert main(["loss-check", "--overlaps", str(path),
                      "--probs", str(probs), "--recon", str(path)]) == 2
+
+    def test_out_of_range_header_sensor_value_is_format_error(self, tmp_path, capsys):
+        path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+        data = bytearray(path.read_bytes())
+        offset = _OVERLAP_HEADER.fields["divergence_angle_rad"][1]
+        data[offset:offset + 8] = np.float64(0.5).astype("<f8").tobytes()
+        path.write_bytes(bytes(data))
+        assert main(["loss-check", "--overlaps", str(path), "--probs", str(probs)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "divergence_angle_rad" in err, err
 
     def test_garbage_overlap_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.tovp"
