@@ -26,23 +26,26 @@ from .sensor_model import DEFAULT_BOUNDS, SEED_LIMIT, Scan, SensorConfig
 
 log = logging.getLogger("tovp")
 
-DEFAULTS = {
-    "n_adjacent": 6,
-    "scan_period_s": 0.5,
-    "bounds": DEFAULT_BOUNDS,
-    "divergence_angle_rad": 0.003,
-    "lambda_occ": 0.9,
-    "decay_rate_per_meter": 1.0,
-    "seed": 0,
-    "threads": 1,
-    "occupied_per_beam": 5,
-    "free_per_beam": 25,
-    "max_tail_beyond_hit_m": None,
-    "cell_size_rad": None,
-    "class_weights": (1.0, 5.0, 1.0),
-    "thresholds": None,
-    "time_tol": 1e-3,
+_MAP = "a mapping of category to 2 numbers"
+# every config key: its default and the kind of value it takes, with the
+# key's lower bound where it has one; null is taken where the default is null
+_CONFIG = {
+    "n_adjacent": (6, "an integer"),
+    "scan_period_s": (0.5, "a number > 0"),
+    "bounds": (DEFAULT_BOUNDS, "6 numbers"),
+    "divergence_angle_rad": (0.003, "a number"),
+    "lambda_occ": (0.9, "a number"),
+    "decay_rate_per_meter": (1.0, "a number"),
+    "seed": (0, "an integer"),
+    "threads": (1, "an integer >= 1"),
+    "occupied_per_beam": (5, "an integer >= 0"),
+    "free_per_beam": (25, "an integer >= 0"),
+    "max_tail_beyond_hit_m": (None, "a number"),
+    "class_weights": ((1.0, 5.0, 1.0), "3 numbers"),
+    "thresholds": (None, _MAP),
+    "time_tol": (1e-3, "a number >= 0"),
 }
+DEFAULTS = {key: default for key, (default, _) in _CONFIG.items()}
 
 
 def _parse_bounds(text: str):
@@ -69,27 +72,22 @@ _FLAGS = {
     "--lambda-occ": ("lambda_occ", dict(type=float, help="occupied-band confidence threshold")),
 }
 
-_INT, _COUNT, _NUM = "an integer", "an integer >= 0", "a number"
-_MAP = "a mapping of category to 2 numbers"
-# the kind of value each config key takes; null also where the default is
-_KINDS = {
-    "n_adjacent": _INT, "scan_period_s": _NUM, "bounds": "6 numbers", "divergence_angle_rad": _NUM,
-    "lambda_occ": _NUM, "decay_rate_per_meter": _NUM, "seed": _INT, "threads": _INT,
-    "occupied_per_beam": _COUNT, "free_per_beam": _COUNT, "max_tail_beyond_hit_m": _NUM,
-    "cell_size_rad": _NUM, "class_weights": "3 numbers", "thresholds": _MAP, "time_tol": _NUM,
-}
-
 
 def _has_kind(value, kind: str) -> bool:
-    """``value`` is of ``kind``: _INT, _COUNT, _NUM, _MAP or "<n> numbers"."""
-    if kind == _COUNT:
-        return _has_kind(value, _INT) and value >= 0
+    """``value`` is of ``kind``: _MAP, "<n> numbers", or "an integer" or
+    "a number", each optionally bounded below as in "a number > 0"."""
     if kind == _MAP:
         return isinstance(value, dict) and all(_has_kind(v, "2 numbers") for v in value.values())
     if kind.endswith(" numbers"):
         return (isinstance(value, (list, tuple)) and len(value) == int(kind.split()[0])
-                and all(_has_kind(v, _NUM) for v in value))
-    return not isinstance(value, bool) and isinstance(value, int if kind == _INT else (int, float))
+                and all(_has_kind(v, "a number") for v in value))
+    _, name, *bound = kind.split()
+    if isinstance(value, bool) or not isinstance(value, int if name == "integer" else (int, float)):
+        return False
+    if not bound:
+        return True
+    op, least = bound
+    return value >= float(least) if op == ">=" else value > float(least)
 
 
 def resolve_config(args) -> dict:
@@ -113,9 +111,9 @@ def resolve_config(args) -> dict:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if key and value is not None:
             merged[key] = value
-    for key, kind in _KINDS.items():
+    for key, (default, kind) in _CONFIG.items():
         value = merged[key]
-        if not _has_kind(value, kind) and not (value is None and DEFAULTS[key] is None):
+        if not _has_kind(value, kind) and not (value is None and default is None):
             raise SchemaViolation(f"config key {key} must be {kind}, got {value!r}")
     _check_seeds(merged["seed"])
     return merged
@@ -223,8 +221,6 @@ def cmd_extract(args) -> int:
         scan_period_s=cfg["scan_period_s"],
         bounds=tuple(cfg["bounds"]),
         max_tail_beyond_hit_m=cfg["max_tail_beyond_hit_m"],
-        cell_size_rad=cfg["cell_size_rad"],
-        rng_seed=cfg["seed"],
     )
     n = extraction.n_adjacent
     digest = formats.config_hash(extraction, sensor)

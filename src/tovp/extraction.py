@@ -57,14 +57,14 @@ _RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Knobs of the extraction pipeline.
+    """Knobs that shape an overlap file, and so enter ``config_hash``.
 
-    ``max_tail_beyond_hit_m`` limits how far past the current beam's own hit
-    overlap points are kept; None means one occupied-band length.
-    ``cell_size_rad`` (default: an eighth of the divergence angle) only sets
-    the half-width of :func:`candidate_pairs`; extraction does not read
-    it.  It stays because it is part of ``config_hash``, and so of the
-    ``.tovp`` header and ``config.json``.
+    ``scan_period_s`` turns a scan's time difference to the current scan
+    into its offset.  ``max_tail_beyond_hit_m`` limits how far past the
+    current beam's own hit overlap points are kept; None means one
+    occupied-band length.  ``max_overlaps_per_beam`` keeps at most that
+    many records per current beam.  ``rng_seed`` is read by no extraction
+    step; leave it at 0, so that the digest does not move with it.
     """
 
     n_adjacent: int = 6
@@ -73,20 +73,19 @@ class ExtractionConfig:
     max_tail_beyond_hit_m: float | None = None
     max_overlaps_per_beam: int | None = None
     rng_seed: int = 0
-    cell_size_rad: float | None = None
 
     def __post_init__(self):
         # scan_offset is stored as a signed byte
         if not 1 <= self.n_adjacent <= 127:
             raise ValueError(f"n_adjacent must be in 1..127: {self.n_adjacent}")
+        if not self.scan_period_s > 0:
+            raise ValueError(f"scan_period_s must be > 0: {self.scan_period_s}")
         b = tuple(float(v) for v in self.bounds)
         if len(b) != 6 or b[0] >= b[1] or b[2] >= b[3] or b[4] >= b[5]:
             raise ValueError(f"bounds must be (x0,x1,y0,y1,z0,z1) with lo < hi: {self.bounds}")
         object.__setattr__(self, "bounds", b)
         if self.max_tail_beyond_hit_m is not None and self.max_tail_beyond_hit_m < 0:
             raise ValueError("max_tail_beyond_hit_m must be >= 0")
-        if self.cell_size_rad is not None and self.cell_size_rad <= 0:
-            raise ValueError("cell_size_rad must be positive")
 
     def tail_m(self, sensor: SensorConfig) -> float:
         if self.max_tail_beyond_hit_m is not None:
@@ -94,9 +93,9 @@ class ExtractionConfig:
         return sensor.occupied_band_m
 
     def cell_size(self, sensor: SensorConfig) -> float:
-        if self.cell_size_rad is None:
-            return sensor.divergence_angle_rad / 8.0
-        return self.cell_size_rad
+        """The direction-index cell: an eighth of the divergence angle.  It
+        sets only the half-width of :func:`candidate_pairs`."""
+        return sensor.divergence_angle_rad / 8.0
 
 
 @dataclass(frozen=True)
@@ -615,10 +614,7 @@ def _derive_offset(current: Scan, adjacent: Scan, cfg: ExtractionConfig) -> int:
     dt = adjacent.time - current.time
     if dt == 0.0:
         raise ValueError("adjacent scan time equals current scan time")
-    if cfg.scan_period_s > 0:
-        k = max(1, int(round(abs(dt) / cfg.scan_period_s)))
-    else:
-        k = 1
+    k = max(1, int(round(abs(dt) / cfg.scan_period_s)))
     if k > 127:  # the record field is a signed byte
         raise ValueError(f"adjacent scan is {k} periods away; scan offsets stop at 127")
     return k if dt > 0 else -k

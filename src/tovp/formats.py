@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._boxes import yaw_matrix
 from .errors import (
     BadLength,
     CountMismatch,
@@ -35,7 +36,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .labeling import CATEGORIES, TrackedBox
-from .sensor_model import RigidTransform, SensorConfig
+from .sensor_model import ORTHONORMAL_TOL, RigidTransform, SensorConfig
 
 if TYPE_CHECKING:
     from .extraction import ExtractionConfig, OverlapSet
@@ -124,7 +125,7 @@ def _parse_pose_row(values: np.ndarray, where: str) -> RigidTransform:
     deviation = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
     if deviation > 1e-2:
         raise NonRigid(f"{where}: rotation deviates from orthonormal by {deviation:.3g}")
-    if deviation > 1e-6:
+    if deviation > ORTHONORMAL_TOL:
         # polar decomposition: nearest rotation in the Frobenius sense
         u, _, vt = np.linalg.svd(rot)
         rot = u @ vt
@@ -309,28 +310,53 @@ def write_probabilities(path, probs):
     np.asarray(probs, dtype="<f4").reshape(-1, 3).tofile(path)
 
 
+# -- fields of JSON and YAML inputs ---------------------------------------------
+
+def _require(mapping: dict, key: str, where: str):
+    if key not in mapping:
+        raise SchemaViolation(f"{where}: missing field {key!r}")
+    return mapping[key]
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{where}: expected a mapping")
+    return value
+
+
+def _scalar(kind, fields, key, where: str, default=None, least=None):
+    """``kind(fields[key])`` (str, int or float) of a field, ``default``
+    standing in for an absent one unless None; a missing value, one that
+    ``kind`` cannot take, or one below ``least`` is a SchemaViolation."""
+    value = fields.get(key, default) if isinstance(fields, dict) else fields[key]
+    if value is None:
+        raise SchemaViolation(f"{where}: missing field {key!r}")
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise SchemaViolation(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
+    if least is not None and out < least:
+        raise SchemaViolation(f"{where}.{key} must be >= {least}")
+    return out
+
+
+def _vec3(value, where: str) -> tuple:
+    try:
+        vec = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise SchemaViolation(f"{where}: expected 3 numbers") from None
+    if len(vec) != 3:
+        raise SchemaViolation(f"{where}: expected 3 numbers, got {len(vec)}")
+    return vec
+
+
 # -- tracked boxes (JSON lines, one keyframe per line) --------------------------
 
 def _keyframe_from_json(obj: dict, where: str) -> dict:
-    out = {}
-    for key, kind in (("instance_id", str), ("category", str),
-                      ("yaw", float), ("time", float)):
-        if key not in obj:
-            raise SchemaViolation(f"{where}: missing field {key!r}")
-        try:
-            out[key] = kind(obj[key])
-        except (TypeError, ValueError):
-            raise SchemaViolation(f"{where}: field {key!r} has wrong type") from None
+    out = {key: _scalar(kind, obj, key, where) for key, kind in
+           (("instance_id", str), ("category", str), ("yaw", float), ("time", float))}
     for key in ("center", "size"):
-        if key not in obj:
-            raise SchemaViolation(f"{where}: missing field {key!r}")
-        try:
-            vec = np.array([float(v) for v in obj[key]], dtype=float)
-        except (TypeError, ValueError):
-            raise SchemaViolation(f"{where}: field {key!r} has wrong type") from None
-        if vec.shape != (3,):
-            raise SchemaViolation(f"{where}: field {key!r} needs 3 numbers")
-        out[key] = vec
+        out[key] = np.array(_vec3(_require(obj, key, where), f"{where}.{key}"))
     if np.any(out["size"] <= 0.0):
         raise SchemaViolation(f"{where}: field 'size' must be positive")
     if out["category"] not in CATEGORIES:
@@ -422,44 +448,6 @@ class SimScene:
     period_s: float
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    return mapping[key]
-
-
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaViolation(f"{where}: expected a mapping")
-    return value
-
-
-def _scalar(kind, fields, key, where: str, default=None, least=None):
-    """``kind(fields[key])`` (int or float) of a scene field, ``default``
-    standing in for an absent one unless None; a missing value, one that
-    ``kind`` cannot take, or one below ``least`` is a SchemaViolation."""
-    value = fields.get(key, default) if isinstance(fields, dict) else fields[key]
-    if value is None:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
-    if least is not None and out < least:
-        raise SchemaViolation(f"{where}.{key} must be >= {least}")
-    return out
-
-
-def _vec3(value, where: str) -> tuple:
-    try:
-        vec = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"{where}: expected 3 numbers") from None
-    if len(vec) != 3:
-        raise SchemaViolation(f"{where}: expected 3 numbers, got {len(vec)}")
-    return vec
-
-
 def read_scene(path) -> SimScene:
     """Parse a YAML scene description.
 
@@ -532,9 +520,7 @@ def read_scene(path) -> SimScene:
         raise SchemaViolation(f"{where}.period_s must be > 0")
     start = np.array(_vec3(_require(traj, "start", where), f"{where}.start"))
     velocity = np.array(_vec3(traj.get("velocity", (0.0, 0.0, 0.0)), f"{where}.velocity"))
-    heading = _scalar(float, traj, "yaw_rad", where, 0.0)
-    c, s = np.cos(heading), np.sin(heading)
-    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rotation = yaw_matrix(_scalar(float, traj, "yaw_rad", where, 0.0))
 
     times = [k * period for k in range(count)]
     poses = [RigidTransform(rotation=rotation, translation=start + velocity * t)

@@ -23,6 +23,10 @@ from .errors import NonPositiveReportedRange, ZeroRange
 # Points closer to an origin than this form no usable beam. [m]
 MIN_BEAM_RANGE = 1e-6
 
+# Largest deviation |R^T R - I| of a rotation matrix accepted as orthonormal;
+# pose readers repair rotations off by more than this so that it holds.
+ORTHONORMAL_TOL = 1e-6
+
 # The default crop box (x0, x1, y0, y1, z0, z1) of overlap positions in the
 # current scan's frame. [m]
 DEFAULT_BOUNDS = (-70.0, 70.0, -70.0, 70.0, -4.5, 4.5)
@@ -108,7 +112,7 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
         dev = np.abs(r.T @ r - np.eye(3)).max()
-        if dev > 1e-6:
+        if dev > ORTHONORMAL_TOL:
             raise ValueError(f"rotation not orthonormal (max deviation {dev:.3e})")
 
     @classmethod

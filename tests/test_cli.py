@@ -152,6 +152,10 @@ class TestBadValuesAreSchemaViolations:
         ("occupied_per_beam: true\n", [], "occupied_per_beam"),
         ("occupied_per_beam: -1\n", [], "occupied_per_beam"),
         ("free_per_beam: -25\n", [], "free_per_beam"),
+        ("threads: 0\n", [], "threads"),
+        ("", ["--threads", "-1"], "threads"),
+        ("scan_period_s: 0\n", [], "scan_period_s"),
+        ("", ["--period", "-0.5"], "scan_period_s"),
     ])
     def test_extract_config(self, tmp_path, capsys, config, flags, key):
         cfg = tmp_path / "cfg.yaml"
@@ -168,6 +172,8 @@ class TestBadValuesAreSchemaViolations:
         ("label", "thresholds: {VEHICLE: [1.0]}\n", "thresholds"),
         ("label", "thresholds: {VEHICLE: [2.0, 1.0]}\n", "VEHICLE"),
         ("loss-check", "class_weights: [1.0, 5.0]\n", "class_weights"),
+        ("label", "scan_period_s: 0\n", "scan_period_s"),
+        ("label", "time_tol: -1\n", "time_tol"),
     ])
     def test_other_commands(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.yaml"
@@ -353,9 +359,22 @@ class TestExtract:
     def test_unknown_config_key(self, tmp_path, capsys):
         sim = simulate(tmp_path, count=7)
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("n_adjacnt: 2\n")
-        assert run_extract(sim, tmp_path / "out", "--config", str(cfg)) == 2
-        assert "n_adjacnt" in capsys.readouterr().err
+        # a typo, and a key that no longer exists
+        for key in ("n_adjacnt", "cell_size_rad"):
+            cfg.write_text(f"{key}: 2\n")
+            assert run_extract(sim, tmp_path / "out", "--config", str(cfg)) == 2
+            assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+
+    def test_overlap_bytes_do_not_depend_on_the_seed(self, tmp_path):
+        # the seed drives recon sampling only, so neither the records nor
+        # the header digest of a .tovp may move with it
+        sim = simulate(tmp_path, count=5)
+        for seed in ("0", "1"):
+            assert run_extract(sim, tmp_path / seed, "--n", "2", "--seed", seed) == 0
+        assert (tmp_path / "0" / "000002.tovp").read_bytes() == \
+            (tmp_path / "1" / "000002.tovp").read_bytes()
+        assert (tmp_path / "0" / "000002.trcn").read_bytes() != \
+            (tmp_path / "1" / "000002.trcn").read_bytes()
 
     @pytest.mark.parametrize("key", ["occupied_per_beam", "free_per_beam"])
     def test_negative_per_beam_count_fails_before_extraction(self, tmp_path, capsys, key):

@@ -427,14 +427,15 @@ class TestBoxes:
     @pytest.mark.parametrize("missing", ["instance_id", "category", "center",
                                          "size", "yaw", "time"])
     def test_missing_field_named(self, tmp_path, missing):
+        # absent, or null (which must not become the text "None")
         obj = {"instance_id": "a", "category": "HUMAN", "center": [0, 0, 0],
                "size": [1, 1, 1], "yaw": 0.0, "time": 0.0}
-        del obj[missing]
         path = tmp_path / "boxes.jsonl"
         import json
-        path.write_text(json.dumps(obj) + "\n")
-        with pytest.raises(SchemaViolation, match=missing):
-            read_boxes(path)
+        for bad in ({k: v for k, v in obj.items() if k != missing}, {**obj, missing: None}):
+            path.write_text(json.dumps(bad) + "\n")
+            with pytest.raises(SchemaViolation, match=missing):
+                read_boxes(path)
 
     def test_negative_size_named(self, tmp_path):
         path = tmp_path / "boxes.jsonl"
