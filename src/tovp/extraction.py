@@ -4,7 +4,12 @@ For every pair (current beam, adjacent beam) that is coplanar within the
 divergence tolerance, the beams' centerline crossing is found and one or
 five overlap points are emitted depending on the crossing angle, each
 labeled FREE / OCCUPIED / UNKNOWN by projecting onto the adjacent beam and
-applying the occupancy rule against that beam's reported range.
+applying the occupancy rule against that beam's reported range.  That
+per-pair formula lives in one column kernel, :func:`_pair_records`, which
+the all-pairs test reference runs too.  A beam that spans no plane with
+the baseline (see :func:`_band_planes`) gives no record; with a baseline
+of ORIGIN_EPS or less, as from a stationary sensor, no beam does, and the
+scan pair gives nothing.
 
 The all-pairs search is pruned by an index of the adjacent beam directions
 in the frame of the baseline between the two sensors.  Every coplanarity
@@ -81,7 +86,7 @@ class ExtractionConfig:
         if not self.scan_period_s > 0:
             raise ValueError(f"scan_period_s must be > 0: {self.scan_period_s}")
         b = tuple(float(v) for v in self.bounds)
-        if len(b) != 6 or b[0] >= b[1] or b[2] >= b[3] or b[4] >= b[5]:
+        if len(b) != 6 or not (b[0] < b[1] and b[2] < b[3] and b[4] < b[5]):
             raise ValueError(f"bounds must be (x0,x1,y0,y1,z0,z1) with lo < hi: {self.bounds}")
         object.__setattr__(self, "bounds", b)
         if self.max_tail_beyond_hit_m is not None and self.max_tail_beyond_hit_m < 0:
@@ -191,14 +196,14 @@ class DirectionIndex:
     sensors and one angle fixes it: its azimuth around a_hat.  The index
     frame ``frame`` has rows (a_hat, u, v), with any fixed axis for a_hat
     when the baseline is ORIGIN_EPS or shorter (every plane is degenerate
-    then).  A direction sits at angle beta to a_hat and azimuth psi in
-    [-pi, pi) around it.  Beams are grouped into ROWS rows of equal beta
-    width, each sorted by psi; per row the index keeps the smallest and the
-    largest beta of its beams and the smallest sin(beta), which is the
-    smaller of their sines since sine is concave on [0, pi].  Points sitting
-    on the adjacent sensor origin form no direction and are left out (their
-    indices never appear in any row).  ``cell_size`` only sets the
-    half-width of :func:`candidate_pairs`.
+    then, and extraction builds no index).  A direction sits at angle beta
+    to a_hat and azimuth psi in [-pi, pi) around it.  Beams are grouped
+    into ROWS rows of equal beta width, each sorted by psi; per row the
+    index keeps the smallest and the largest beta of its beams and the
+    smallest sin(beta), which is the smaller of their sines since sine is
+    concave on [0, pi].  Points sitting on the adjacent sensor origin form
+    no direction and are left out (their indices never appear in any row).
+    ``cell_size`` only sets the half-width of :func:`candidate_pairs`.
     """
 
     def __init__(self, adjacent: Scan, cell_size_rad: float):
@@ -257,14 +262,13 @@ def _baseline_angles(dirs: np.ndarray, frame: np.ndarray):
     return np.arctan2(sin_b, c[:, 0]), sin_b, psi
 
 
-def _band_candidates(index: DirectionIndex, d: np.ndarray, degenerate: np.ndarray, s_lim: float,
-                     theta=None):
+def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=None):
     """Candidate (chunk-local current id, index-local adjacent id) pairs.
 
-    ``d`` holds unit directions of current beams; beams flagged
-    ``degenerate`` get every adjacent beam as a candidate.  Every other beam
-    gets at least each adjacent direction e within sine distance ``s_lim``
-    of its coplanarity plane (|n . e| <= s_lim), and no pair twice.
+    ``d`` holds unit directions of current beams that span a band plane
+    (see :func:`_band_planes`).  Each beam gets at least each adjacent
+    direction e within sine distance ``s_lim`` of its coplanarity plane
+    (|n . e| <= s_lim), and no pair twice.
 
     The plane of a beam at angle gamma to a_hat has the beam's own azimuth
     psi_d, and e lies sin(beta_e) |sin(psi_e - psi_d)| from it.  In a row
@@ -279,7 +283,7 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, degenerate: np.ndarra
     times their error.
 
     ``theta``, when given, also skips pairs that cannot cross ahead of both
-    sensors (t > 0 and p_adj > 0 in :func:`_pair_runs`).  With
+    sensors (t > 0 and p_adj > 0 in :func:`_pair_records`).  With
     c = cos(psi_e - psi_d), t has the sign of
     A = cos(gamma) sin(beta) - sin(gamma) cos(beta) c and p_adj that of
     B = c cos(gamma) sin(beta) - sin(gamma) cos(beta).  As
@@ -294,17 +298,15 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, degenerate: np.ndarra
     changes.  The pruning applies when sin(gamma) >= 4 theta; beams nearer
     the baseline axis read both windows of every row.
     """
-    deg = np.nonzero(degenerate)[0].astype(np.int32)
-    live = np.nonzero(~degenerate)[0].astype(np.int32)
-    gamma, sin_g, psi = _baseline_angles(d.take(live, axis=0), index.frame)
+    gamma, sin_g, psi = _baseline_angles(d, index.frame)
     with np.errstate(divide="ignore"):
         s = s_lim + 1e-13 / sin_g
     # a beam reads a row when the row's largest beta is >= near_from; it
     # reads the far window too when that beta is >= far_from or the row
     # meets the near-antiparallel band [anti_lo, anti_hi]
-    near_from = np.full(len(live), -np.inf)
+    near_from = np.full(len(d), -np.inf)
     far_from = near_from.copy()
-    anti_lo = np.full(len(live), np.inf)
+    anti_lo = np.full(len(d), np.inf)
     anti_hi = anti_lo.copy()
     if theta is not None:
         prune = sin_g >= 4.0 * theta
@@ -328,7 +330,7 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, degenerate: np.ndarra
         pos2 = index._pos_doubled[r]
         n_row = len(pos2) >> 1
         if full.any():
-            who = live[full]
+            who = np.nonzero(full)[0].astype(np.int32)
             out_i.append(np.repeat(who, n_row))
             out_j.append(np.tile(pos2[:n_row], len(who)))
         near_win = np.nonzero(near & ~full)[0]
@@ -347,11 +349,7 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, degenerate: np.ndarra
         keep = counts > 0
         if keep.any():
             out_j.append(pos2[_ranges_to_indices(s_idx[keep], e_idx[keep])])
-            out_i.append(np.repeat(live[own[keep]], counts[keep]))
-
-    if len(deg):
-        out_i.append(np.repeat(deg, len(index)))
-        out_j.append(np.tile(np.arange(len(index), dtype=np.int32), len(deg)))
+            out_i.append(np.repeat(own[keep].astype(np.int32), counts[keep]))
 
     if not out_i:
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
@@ -374,40 +372,150 @@ def candidate_pairs(current_beam: Beam, index: DirectionIndex, adjacent_origin) 
 
     Conservative superset: every beam whose direction lies within half the
     index's cell size of the coplanarity plane is included, on both sides
-    of the baseline axis (no forward pruning).  When the plane is degenerate
-    (baseline collinear with the beam, or origins coincide) all indexed
-    beams are returned.  ``adjacent_origin`` must be the indexed scan's
-    sensor origin, the baseline the index frame is built on.
+    of the baseline axis (no forward pruning).  A beam that spans no plane
+    with the baseline (see :func:`_band_planes`) forms no record and gets
+    no candidate.  ``adjacent_origin`` must be the indexed scan's sensor
+    origin, the baseline the index frame is built on.
     """
     a = np.asarray(adjacent_origin, dtype=float)
     if not np.array_equal(a, index.origin):
         raise ValueError("adjacent_origin is not the sensor origin of the indexed scan")
     d = np.asarray(current_beam.direction, dtype=float)[None, :]
-    _, degenerate = _band_planes(d, a)
-    _, jj = _band_candidates(index, d, degenerate, math.sin(index.cell_size / 2.0))
+    live, _ = _band_planes(d, a)
+    if len(live) == 0:
+        return []
+    _, jj = _band_candidates(index, d, math.sin(index.cell_size / 2.0))
     return sorted(int(index.beam_ids[j]) for j in jj)
 
 
 def _band_planes(d, a):
     """Band planes of beams with unit directions ``d`` (n, 3) against the
-    adjacent origin ``a``: (normals, degenerate).
+    adjacent origin ``a``: (live, normals).
 
     The normals are those of the planes spanned by each beam and the
     baseline.  A baseline of ORIGIN_EPS or less, or a beam within
-    PARALLEL_EPS of its line, spans no plane; such beams are flagged
-    degenerate (their normal is meaningless).
+    PARALLEL_EPS of its line, spans no plane, and a beam without a plane
+    gives no record (as in :func:`geometry.plane_normal`).  ``live`` holds
+    the rows of ``d`` that span one, and ``normals`` their normals.
     """
     a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
     if a_norm <= ORIGIN_EPS:
-        return np.zeros_like(d), np.ones(len(d), dtype=bool)
+        return np.empty(0, dtype=np.intp), np.empty((0, 3))
     cvec = np.cross(d, a / a_norm)
     c_norm = np.linalg.norm(cvec, axis=1)
-    degenerate = c_norm < PARALLEL_EPS
-    return cvec / np.where(degenerate, 1.0, c_norm)[:, None], degenerate
+    live = np.nonzero(c_norm >= PARALLEL_EPS)[0]
+    if len(live) < len(d):
+        cvec, c_norm = cvec.take(live, axis=0), c_norm[live]
+    return live, cvec / c_norm[:, None]
 
 
 # ---------------------------------------------------------------------------
 # pair extraction
+
+
+def _coarse_bound(theta: float) -> float:
+    """The |n . e| bound of the coarse coplanarity test: sin(theta / 2),
+    padded past the rounding of the exact test, so that every pair the
+    exact test keeps lies within it.  The band query reads this band."""
+    return math.sin(theta / 2.0) + 1e-9
+
+
+def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
+    """Records of (current, adjacent) beam pairs: the one copy of the
+    per-pair formula, in column form.
+
+    ``cur`` is (ids, unit directions, ranges, band normals) of current
+    beams that span a band plane, ``adj`` is (ids, unit directions, ranges,
+    points) of adjacent beams in the current frame, with ``points`` the
+    adjacent scan's points by id, and ``a`` is the adjacent sensor origin.
+    Pair k joins row ``ii[k]`` of ``cur`` with row ``jj[k]`` of ``adj``.
+
+    A pair gives records when the adjacent direction lies within theta / 2
+    of the current beam's band plane, and the centerlines cross at
+    q = t * d ahead of both sensors (t > 0 and p_adj > 0), passing within
+    the sum of the two beam radii there, (t + p_adj) tan(theta / 2).  Beams
+    crossing at over theta give one sample at q; at or under it, five
+    samples along their shared segment, when that segment starts ahead of
+    the sensor.  Samples outside the crop box, behind either sensor, or
+    farther than the tail past the current hit are dropped, and the rest
+    are labeled against the adjacent beam's range.  Returns the records as
+    a list of unsorted runs viewed as bytes.
+    """
+    theta = sensor.divergence_angle_rad
+    tau = math.tan(theta / 2.0)
+    ids, d, r, normals = cur
+    adj_ids, e, s, points = adj
+    if len(ii) == 0:
+        return []
+
+    # coplanarity: a coarse sine bound, then the exact angle test on what
+    # passes it; (n, 3) gathers use take(axis=0), several times faster than
+    # fancy indexing
+    e_j = e.take(jj, axis=0)
+    ndote = np.einsum("ij,ij->i", normals.take(ii, axis=0), e_j)
+    sel = np.nonzero(np.abs(ndote) <= _coarse_bound(theta))[0]
+    cop = np.abs(np.arccos(np.clip(ndote[sel], -1.0, 1.0)) - np.pi / 2.0) <= theta / 2.0
+    sel = sel[cop]
+    if len(sel) == 0:
+        return []
+    ii, jj, e_j = ii[sel], jj[sel], e_j.take(sel, axis=0)
+
+    # centerline crossing q = t * d_i, kept where the lines truly cross ahead
+    # of both sensors (t > 0 and p_adj > 0; NaN from parallel lines fails
+    # both), with a centerline gap |a . m| / |m| within the beam radii
+    d_i = d.take(ii, axis=0)
+    d0, d1, d2 = d_i[:, 0], d_i[:, 1], d_i[:, 2]
+    e0, e1, e2 = e_j[:, 0], e_j[:, 1], e_j[:, 2]
+    m = np.empty_like(d_i)
+    m[:, 0] = d1 * e2 - d2 * e1
+    m[:, 1] = d2 * e0 - d0 * e2
+    m[:, 2] = d0 * e1 - d1 * e0
+    w = np.empty_like(e_j)
+    w[:, 0] = a[1] * e2 - a[2] * e1
+    w[:, 1] = a[2] * e0 - a[0] * e2
+    w[:, 2] = a[0] * e1 - a[1] * e0
+    mm = np.einsum("ij,ij->i", m, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.einsum("ij,ij->i", w, m) / mm
+        q = t[:, None] * d_i
+        p_adj = np.einsum("ij,ij->i", q - a, e_j)
+        meet = np.abs(m @ a) <= (t + p_adj) * tau * np.sqrt(mm)
+    ok = (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0) & meet
+    sel = np.nonzero(ok)[0]
+    if len(sel) == 0:
+        return []
+    ii, jj, t, p_adj = ii[sel], jj[sel], t[sel], p_adj[sel]
+    gi, r_i = ids[ii], r[ii]
+    d_i, e_j, q = d_i.take(sel, axis=0), e_j.take(sel, axis=0), q.take(sel, axis=0)
+    s_j = s[jj]
+    j_ids = adj_ids[jj]
+
+    dot_de = np.clip(np.einsum("ij,ij->i", d_i, e_j), -1.0, 1.0)
+    alpha = np.arccos(dot_de)
+    # one sample at the crossing, unless the beams cross at under theta
+    single = alpha > theta
+    runs = [_emit_records(gi, j_ids, offset, q, p_adj, s_j, time, sensor, cfg, r_i, t,
+                          np.zeros(len(gi), dtype=np.uint8), single)]
+    two = np.nonzero(~single)[0]
+    if len(two):
+        # five samples, where the overlap segment starts ahead of the sensor
+        l2 = np.linalg.norm(q.take(two, axis=0) - a, axis=1)
+        s_half = np.sin(alpha[two] / 2.0)
+        start = (t[two] * (s_half + tau) - l2 * tau) / (s_half + 2.0 * tau)
+        two = two[start > 0.0]
+    if len(two):
+        gi, j_ids, r_i, s_j, t = gi[two], j_ids[two], r_i[two], s_j[two], t[two]
+        d_i = d_i.take(two, axis=0)
+        proj = np.einsum("ij,ij->i", points.take(j_ids, axis=0), d_i)
+        ranges5 = np.stack([r_i, proj, 0.5 * (r_i + proj), 0.5 * (r_i + t), 0.5 * (proj + t)], axis=1)
+        p5 = ranges5[:, :, None] * d_i[:, None, :]
+        rho5 = np.einsum("pkj,pj->pk", p5 - a, e_j.take(two, axis=0))
+        runs.append(_emit_records(
+            np.repeat(gi, 5), np.repeat(j_ids, 5), offset, p5.reshape(-1, 3), rho5.reshape(-1),
+            np.repeat(s_j, 5), time, sensor, cfg, np.repeat(r_i, 5), ranges5.reshape(-1),
+            np.tile(np.arange(5, dtype=np.uint8), len(gi)),
+        ))
+    return [rec.view(_RECORD_BYTES) for rec in runs if rec is not None]
 
 
 def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur, rank, keep=None):
@@ -451,25 +559,22 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     return rec
 
 
-def _extract_chunk(lo, hi, beams, index, adj_scan, offset, time, cfg, sensor):
-    """Records of the current beams (``Scan.beams``) of points [lo, hi)
-    against one adjacent scan taken ``time`` seconds after the current one,
-    in (current, adjacent, rank) order; None when there are none."""
+def _extract_chunk(lo, hi, cur, index, adj_scan, offset, time, cfg, sensor):
+    """Records of the current beams ``cur`` (see :func:`_pair_records`) of
+    points [lo, hi) against one adjacent scan taken ``time`` seconds after
+    the current one, in (current, adjacent, rank) order; None when there
+    are none."""
     theta = sensor.divergence_angle_rad
-    ids, dirs, ranges = beams
-    first, last = np.searchsorted(ids, (lo, hi))
-    rows, d, r = ids[first:last], dirs[first:last], ranges[first:last]
-    normals, degenerate = _band_planes(d, adj_scan.sensor_origin)
-    # the coarse coplanarity bound of _pair_runs: every pair within it is
-    # a candidate
-    s_lim = math.sin(theta / 2.0) + 1e-9
-    ii, jj = _band_candidates(index, d, degenerate, s_lim, theta)
+    first, last = np.searchsorted(cur[0], (lo, hi))
+    cur = tuple(col[first:last] for col in cur)
+    adj = (index.beam_ids, index.directions, index.ranges, adj_scan.points)
+    ii, jj = _band_candidates(index, cur[1], _coarse_bound(theta), theta)
     # the pair stages run on cache-sized blocks of candidates
     runs = []
     for b in range(0, len(ii), PAIR_BLOCK):
-        runs += _pair_runs(
-            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], rows, d, r, normals, degenerate, s_lim,
-            index, adj_scan, offset, time, cfg, sensor,
+        runs += _pair_records(
+            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, adj_scan.sensor_origin,
+            offset, time, cfg, sensor,
         )
     if not runs:
         return None
@@ -480,124 +585,6 @@ def _extract_chunk(lo, hi, beams, index, adj_scan, offset, time, cfg, sensor):
     key |= rec["adjacent_index"].astype(np.uint64) << np.uint64(3)
     key |= rec["sample_rank"]
     return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)
-
-
-def _pair_runs(ii, jj, rows, d, r, normals, degenerate, s_lim, index, adj_scan, offset, time, cfg, sensor):
-    """Records of candidate pairs (current beam ``rows[ii]`` with direction
-    ``d[ii]`` and range ``r[ii]``, index-local adjacent jj), as a list of
-    unsorted record runs viewed as bytes.  ``s_lim`` bounds |n . e| in a
-    coarse coplanarity test ahead of the exact one."""
-    theta = sensor.divergence_angle_rad
-    a = adj_scan.sensor_origin
-    if len(ii) == 0:
-        return []
-
-    # exact coplanarity (skipped for degenerate planes, which pass by fiat);
-    # (n, 3) gathers use take(axis=0), several times faster than fancy indexing
-    pair_deg = degenerate[ii]
-    e_j = index.directions.take(jj, axis=0)
-    ndote = np.einsum("ij,ij->i", normals.take(ii, axis=0), e_j)
-    coarse = pair_deg | (np.abs(ndote) <= s_lim)
-    sel = np.nonzero(coarse)[0]
-    cop = np.abs(np.arccos(np.clip(ndote[sel], -1.0, 1.0)) - np.pi / 2.0) <= theta / 2.0
-    cop |= pair_deg[sel]
-    sel = sel[cop]
-    if len(sel) == 0:
-        return []
-    ii, jj, e_j = ii[sel], jj[sel], e_j.take(sel, axis=0)
-
-    # centerline crossing q = t * d_i, kept where the lines truly cross ahead
-    # of both sensors (t > 0 and p_adj > 0; NaN from parallel lines fails both)
-    d_i = d.take(ii, axis=0)
-    d0, d1, d2 = d_i[:, 0], d_i[:, 1], d_i[:, 2]
-    e0, e1, e2 = e_j[:, 0], e_j[:, 1], e_j[:, 2]
-    m = np.empty_like(d_i)
-    m[:, 0] = d1 * e2 - d2 * e1
-    m[:, 1] = d2 * e0 - d0 * e2
-    m[:, 2] = d0 * e1 - d1 * e0
-    w = np.empty_like(e_j)
-    w[:, 0] = a[1] * e2 - a[2] * e1
-    w[:, 1] = a[2] * e0 - a[0] * e2
-    w[:, 2] = a[0] * e1 - a[1] * e0
-    mm = np.einsum("ij,ij->i", m, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.einsum("ij,ij->i", w, m) / mm
-        q = t[:, None] * d_i
-        p_adj = np.einsum("ij,ij->i", q - a, e_j)
-    ok = (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0)
-    sel = np.nonzero(ok)[0]
-    if len(sel) == 0:
-        return []
-    ii, jj, t, p_adj = ii[sel], jj[sel], t[sel], p_adj[sel]
-    gi, r_i = rows[ii], r[ii]
-    d_i, e_j, q = d_i.take(sel, axis=0), e_j.take(sel, axis=0), q.take(sel, axis=0)
-    s_j = index.ranges[jj]
-    j_ids = index.beam_ids[jj]
-
-    dot_de = np.clip(np.einsum("ij,ij->i", d_i, e_j), -1.0, 1.0)
-    alpha = np.arccos(dot_de)
-    # one sample at the crossing, unless the beams cross at under theta
-    single = alpha > theta
-    runs = [
-        _emit_records(
-            gi, j_ids, offset, q, p_adj, s_j, time, sensor, cfg, r_i, t,
-            np.zeros(len(gi), dtype=np.uint8), single,
-        )
-    ]
-    two = np.nonzero(~single)[0]
-    if len(two):
-        runs.append(
-            _five_sample_records(
-                gi[two], j_ids[two], d_i.take(two, axis=0), e_j.take(two, axis=0),
-                q.take(two, axis=0), t[two], alpha[two], r_i[two], s_j[two],
-                adj_scan, offset, time, cfg, sensor,
-            )
-        )
-    return [rec.view(_RECORD_BYTES) for rec in runs if rec is not None]
-
-
-def _five_sample_records(gi, j_ids, d_i, e_j, q, t, alpha, r_i, s_j, adj_scan, offset, time, cfg, sensor):
-    """Records of pairs crossing at under the divergence angle: five samples
-    along the overlap segment, after its start gate."""
-    theta = sensor.divergence_angle_rad
-    a = adj_scan.sensor_origin
-    # segment start gate: reject pairs whose overlap segment degenerates
-    l2 = np.linalg.norm(q - a, axis=1)
-    s_half = np.sin(alpha / 2.0)
-    tau = math.tan(theta / 2.0)
-    start = (t * (s_half + tau) - l2 * tau) / (s_half + 2.0 * tau)
-    ok = np.nonzero(start > 0.0)[0]
-    if len(ok) == 0:
-        return None
-    gi, j_ids, r_i, s_j, t = gi[ok], j_ids[ok], r_i[ok], s_j[ok], t[ok]
-    d_i = d_i.take(ok, axis=0)
-    proj = np.einsum("ij,ij->i", adj_scan.points[j_ids], d_i)
-    ranges5 = np.stack(
-        [
-            r_i,
-            proj,
-            0.5 * (r_i + proj),
-            0.5 * (r_i + t),
-            0.5 * (proj + t),
-        ],
-        axis=1,
-    )  # (P, 5)
-    p5 = ranges5[:, :, None] * d_i[:, None, :]
-    rho5 = np.einsum("pkj,pj->pk", p5 - a, e_j.take(ok, axis=0))
-    return _emit_records(
-        np.repeat(gi, 5),
-        np.repeat(j_ids, 5),
-        offset,
-        p5.reshape(-1, 3),
-        rho5.reshape(-1),
-        np.repeat(s_j, 5),
-        time,
-        sensor,
-        cfg,
-        np.repeat(r_i, 5),
-        ranges5.reshape(-1),
-        np.tile(np.arange(5, dtype=np.uint8), len(gi)),
-    )
 
 
 def _check_frames(current: Scan, adjacent: Scan | None = None):
@@ -649,16 +636,20 @@ def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
     """
     pieces = []
     if len(current):
-        beams = current.beams()
+        ids, dirs, ranges = current.beams()
         spans = [(lo, min(lo + CHUNK, len(current))) for lo in range(0, len(current), CHUNK)]
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
             for offset, adjacent in jobs:
-                # a baseline of exactly zero (a stationary sensor) makes the
-                # crossing parameter t zero or NaN for every pair, and t > 0
-                # is a record's first gate: skip the index and band query
-                if len(adjacent) == 0 or not np.any(adjacent.sensor_origin):
+                # only beams that span a band plane give records; a baseline
+                # of ORIGIN_EPS or less (a stationary sensor) leaves none, and
+                # the job ends before the index build
+                live, normals = _band_planes(dirs, adjacent.sensor_origin)
+                if len(adjacent) == 0 or len(live) == 0:
                     continue
+                cur = (ids, dirs, ranges, normals)
+                if len(live) < len(ids):
+                    cur = (ids[live], dirs.take(live, axis=0), ranges[live], normals)
                 try:
                     index = build_direction_index(adjacent, cfg.cell_size(sensor))
                 except EmptyScan:
@@ -666,7 +657,7 @@ def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
                 # stored times are relative to the current scan
                 time = adjacent.time - current.time
                 args = [
-                    (lo, hi, beams, index, adjacent, offset, time, cfg, sensor)
+                    (lo, hi, cur, index, adjacent, offset, time, cfg, sensor)
                     for lo, hi in spans
                 ]
                 pieces += (pool.map if pool is not None else map)(lambda a: _extract_chunk(*a), args)

@@ -46,7 +46,8 @@ def _default_thresholds() -> dict:
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Per-category speed cuts in m/s: (static below, moving above).
+    """Per-category speed cuts in m/s: (static below, moving above), one
+    pair for each of CATEGORIES.
 
     Both comparisons are strict, so a speed sitting exactly on either cut
     classifies as UNKNOWN_MOTION.
@@ -56,11 +57,16 @@ class ThresholdTable:
 
     def __post_init__(self):
         for category, (static_max, moving_min) in self.speeds.items():
+            if category not in CATEGORIES:
+                raise ValueError(f"{category}: not a category; the categories are {', '.join(CATEGORIES)}")
             if not 0.0 < static_max <= moving_min:
                 raise ValueError(
                     f"{category}: need 0 < static_max <= moving_min, "
                     f"got ({static_max}, {moving_min})"
                 )
+        for category in CATEGORIES:
+            if category not in self.speeds:
+                raise ValueError(f"{category}: no thresholds given; every category needs a pair")
 
     def for_category(self, category: str) -> tuple:
         if category not in self.speeds:

@@ -58,12 +58,12 @@ def _line(num, ok, detail):
 
 
 def test_c01_indexed_extraction_matches_exhaustive_reference():
-    # the index-pruned pipeline must return the exact record set an
-    # index-free scan of every beam pair returns, at matched positions
+    # the index-pruned pipeline must return the exact records an index-free
+    # scan of every beam pair returns, byte for byte: both run one pair
+    # kernel, so any difference lies in the band query, chunks or merge
     rng = np.random.default_rng(20240811)
     t0 = time.perf_counter()
-    key_mismatches = 0
-    worst_pos = 0.0
+    mismatches = 0
     total = 0
     for seed in range(100):
         n_cur = int(rng.integers(60, 501))
@@ -71,20 +71,11 @@ def test_c01_indexed_extraction_matches_exhaustive_reference():
         cur, adj = random_scan_pair(seed, n_current=n_cur, n_adjacent=n_adj)
         got = extract_scan_pair(cur, adj, CFG, SENSOR).records
         ref = brute_force_overlaps(cur, adj, 1, CFG, SENSOR)
-        same = len(got) == len(ref) and all(
-            np.array_equal(got[f], ref[f])
-            for f in ("current_index", "scan_offset", "adjacent_index", "sample_rank", "state")
-        )
-        if not same:
-            key_mismatches += 1
-            continue
-        if len(got):
-            worst_pos = max(worst_pos, float(np.max(np.abs(got["position"] - ref["position"]))))
+        mismatches += got.tobytes() != ref.tobytes()
         total += len(got)
     elapsed = time.perf_counter() - t0
-    ok = key_mismatches == 0 and worst_pos <= 1e-9 and total > 0 and elapsed < 60.0
-    _line(1, ok, f"100 random pairs, {total} records, {key_mismatches} set mismatches, "
-                 f"max position error {worst_pos:.2e} m, {elapsed:.1f} s")
+    ok = mismatches == 0 and total > 0 and elapsed < 60.0
+    _line(1, ok, f"100 random pairs, {total} records, {mismatches} byte mismatches, {elapsed:.1f} s")
 
 
 def test_c02_segment_start_satisfies_both_defining_equations():
@@ -421,10 +412,15 @@ def test_c10_extract_cli_runtime_and_thread_determinism(tmp_path):
             elapsed = dt
         outs[threads] = _file_digests(out)
 
-    names_ok = set(outs[1]) == {"config.json", "000006.tovp", "000006.trcn"}
+    # the output bytes any change to extraction must keep
+    pinned = outs[1] == {
+        "000006.tovp": "0ef1667693455394db9a21248afbb2f4",
+        "000006.trcn": "68cd72bb2f7468ca4076a2065ac184ee",
+        "config.json": "2c88e729d1ac3dc18fbca96a46ac36c3",
+    }
     identical = outs[1] == outs[2] == outs[8]
-    ok = names_ok and identical and elapsed < 30.0
+    ok = pinned and identical and elapsed < 30.0
     for threads in (1, 2, 8):
         shutil.rmtree(tmp_path / f"out{threads}")
     _line(10, ok, f"13 scans of 32x1024, window extracted in {elapsed:.1f} s, "
-                  f"threads 1/2/8 byte-identical {identical}")
+                  f"threads 1/2/8 byte-identical {identical}, pinned digests {pinned}")

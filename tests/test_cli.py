@@ -156,6 +156,8 @@ class TestBadValuesAreSchemaViolations:
         ("", ["--threads", "-1"], "threads"),
         ("scan_period_s: 0\n", [], "scan_period_s"),
         ("", ["--period", "-0.5"], "scan_period_s"),
+        ("bounds: [0, .nan, 0, 1, 0, 1]\n", [], "bounds"),
+        ("", ["--bounds", "0,nan,0,1,0,1"], "bounds"),
     ])
     def test_extract_config(self, tmp_path, capsys, config, flags, key):
         cfg = tmp_path / "cfg.yaml"
@@ -174,6 +176,8 @@ class TestBadValuesAreSchemaViolations:
         ("loss-check", "class_weights: [1.0, 5.0]\n", "class_weights"),
         ("label", "scan_period_s: 0\n", "scan_period_s"),
         ("label", "time_tol: -1\n", "time_tol"),
+        ("label", "thresholds: {HUMAN: [0.4, 0.6], CYCLE: [0.4, 1.0], VEHICLE: [0.5, 1.0], TREE: [1, 2]}\n", "TREE"),
+        ("label", "thresholds: {HUMAN: [0.4, 0.6], CYCLE: [0.4, 1.0]}\n", "VEHICLE"),
     ])
     def test_other_commands(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.yaml"

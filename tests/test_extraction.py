@@ -1,5 +1,6 @@
 """Overlap extraction: candidate index, pair geometry, labeling, balance."""
 
+import hashlib
 import math
 import time
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from brute_force import brute_force_overlaps
-from scan_factories import random_scan_pair, scan_pair_for_directions, unit_rows
-from tovp import OccupancyState, RigidTransform, Scan, SensorConfig, beam_from_point, extraction
+from scan_factories import C10_SCENE_YAML, random_scan_pair, scan_pair_for_directions, unit_rows
+from tovp import OccupancyState, RigidTransform, Scan, SensorConfig, beam_from_point, extraction, formats
 from tovp.errors import EmptyScan, FrameMismatch, MissingPose
 from tovp.extraction import (
     RECORD_DTYPE,
@@ -20,6 +21,7 @@ from tovp.extraction import (
     extract_scan_pair,
     extract_sequence,
 )
+from tovp.geometry import centerline_intersection, coplanarity_angle, plane_normal
 
 SENSOR = SensorConfig()
 CFG = ExtractionConfig()
@@ -122,6 +124,24 @@ class TestPairGeometryAndLabels:
         relaxed = ExtractionConfig(max_tail_beyond_hit_m=2.0)
         assert len(extract_scan_pair(cur, adj, relaxed, SENSOR)) == 1
 
+    def test_near_antiparallel_lines_that_never_meet_give_nothing(self):
+        # 2 m baseline, current beam at 60 deg to it, adjacent beam along -d
+        # turned 2.9e-7 rad in their plane and tilted 0.001 rad out of it:
+        # coplanar within theta / 2, and the closest points of the two
+        # centerlines lie ahead of both sensors, but 1.7 m apart, where
+        # the two beam radii add up to 1.5 mm
+        theta = SENSOR.divergence_angle_rad
+        a = np.array([2.0, 0.0, 0.0])
+        d = np.array([0.5, math.sqrt(3.0) / 2.0, 0.0])
+        turn, tilt = -2.9e-7, 1e-3
+        e = -(math.cos(turn) * d + math.sin(turn) * np.array([-d[1], d[0], 0.0]))
+        e = math.cos(tilt) * e + math.sin(tilt) * np.array([0.0, 0.0, 1.0])
+        assert abs(coplanarity_angle(plane_normal(d, a), e)) < theta / 2
+        q, t, p_adj = centerline_intersection(d, a, e)
+        assert np.linalg.norm(q - (a + p_adj * e)) > 1.7 > 1000 * (t + p_adj) * math.tan(theta / 2)
+        cur, adj = scan_pair([d * (t + 0.01)], [a + e * (p_adj + 1.0)], a)
+        assert len(extract_scan_pair(cur, adj, CFG, SENSOR)) == 0
+
     def test_crossing_behind_either_sensor_is_rejected(self):
         # the two centerlines meet only at negative parameters
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 5.0]], np.array([-10.0, 0.0, 5.0]))
@@ -217,12 +237,13 @@ class TestDirectionIndex:
                 if ang <= theta / 2.0:
                     assert int(j) in got
 
-    def test_degenerate_plane_returns_every_beam(self):
+    def test_degenerate_plane_returns_no_beam(self):
+        # a beam collinear with the baseline spans no plane and forms no record
         _, adj = random_scan_pair(3, n_adjacent=60)
         index = build_direction_index(adj, 0.003)
         a = adj.sensor_origin
-        beam = beam_from_point(Scan(points=[a * 5.0]), 0)  # collinear with baseline
-        assert candidate_pairs(beam, index, a) == sorted(int(v) for v in index.beam_ids)
+        beam = beam_from_point(Scan(points=[a * 5.0]), 0)
+        assert candidate_pairs(beam, index, a) == []
 
 
 class TestCandidatePairs:
@@ -245,14 +266,12 @@ class TestCandidatePairs:
         assert candidate_pairs(beam, index, a) == np.nonzero(inside)[0].tolist()
 
 
-def _assert_matches_reference(cur, adj, cfg):
-    """Pipeline against the all-pairs reference; returns the record count."""
-    oset = extract_scan_pair(cur, adj, cfg, SENSOR)
+def _assert_matches_reference(cur, adj, cfg=CFG):
+    """Pipeline against the all-pairs reference, byte for byte, as both run
+    one pair kernel; returns the record count."""
+    got = extract_scan_pair(cur, adj, cfg, SENSOR).records
     ref = brute_force_overlaps(cur, adj, 1, cfg, SENSOR)
-    assert len(oset) == len(ref)
-    for name in ("current_index", "scan_offset", "adjacent_index", "sample_rank", "state"):
-        np.testing.assert_array_equal(oset.records[name], ref[name])
-    np.testing.assert_allclose(oset.records["position"], ref["position"], atol=1e-9)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     return len(ref)
 
 
@@ -318,14 +337,44 @@ def _baseline_pair(rng, a, cur_dirs, adj_dirs):
     return cur, Scan(points=adj_pts, sensor_origin=a, time=0.5)
 
 
-def _far_side_records(cur, adj, rec):
-    """How many records pair beams on opposite sides of the baseline axis."""
+def _far_side(adj, d, e):
+    """Whether directions d and e lie on opposite sides of the baseline axis."""
     a_hat = adj.sensor_origin / np.linalg.norm(adj.sensor_origin)
-    d = cur.points[rec["current_index"]]
-    e = adj.points[rec["adjacent_index"]] - adj.sensor_origin
     d = d - np.outer(d @ a_hat, a_hat)
     e = e - np.outer(e @ a_hat, a_hat)
-    return int(np.sum(np.einsum("ij,ij->i", d, e) < 0.0))
+    return np.einsum("ij,ij->i", d, e) < 0.0
+
+
+def _far_side_records(cur, adj, rec):
+    """How many records pair beams on opposite sides of the baseline axis."""
+    d = cur.points[rec["current_index"]]
+    e = adj.points[rec["adjacent_index"]] - adj.sensor_origin
+    return int(np.sum(_far_side(adj, d, e)))
+
+
+def _far_side_crossings_covered(cur, adj):
+    """Check that the band query draws every pair within theta / 2 of
+    coplanar whose centerlines cross ahead of both sensors (t > 0 and
+    p_adj > 0), the pairs its pruning promises to keep; returns how many
+    of them lie on opposite sides of the baseline axis."""
+    theta = SENSOR.divergence_angle_rad
+    a = adj.sensor_origin
+    index = build_direction_index(adj, CFG.cell_size(SENSOR))
+    _, d, _ = cur.beams()
+    e = index.directions
+    ii, jj = extraction._band_candidates(index, d, extraction._coarse_bound(theta), theta)
+    drawn = np.zeros((len(d), len(e)), dtype=bool)
+    drawn[ii, jj] = True
+
+    n = np.cross(d, a / np.linalg.norm(a))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    m = np.cross(d[:, None, :], e[None, :, :])
+    t = np.einsum("jk,ijk->ij", np.cross(a, e), m) / np.einsum("ijk,ijk->ij", m, m)
+    p_adj = np.einsum("ijk,jk->ij", t[:, :, None] * d[:, None, :] - a, e)
+    wanted = (np.abs(n @ e.T) <= math.sin(theta / 2.0)) & (t > 0.0) & (p_adj > 0.0)
+    assert np.all(drawn[wanted])
+    i, j = np.nonzero(wanted)
+    return int(np.sum(_far_side(adj, d[i], e[j])))
 
 
 class TestBaselineRows:
@@ -363,14 +412,14 @@ class TestBaselineRows:
         off = np.pi - 0.5025 * theta * rng.uniform(1.0, 1.0005, 400)
         psi_e = psi_d[k] + rng.choice((-1.0, 1.0), 400) * np.arccos(rng.uniform(-0.12, -0.105, 400))
         cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, off, psi_e))
-        oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         assert _assert_matches_reference(cur, adj, CFG) > 10
-        assert _far_side_records(cur, adj, oset.records) > 10
+        assert _far_side_crossings_covered(cur, adj) > 10
 
     def test_near_antiparallel_beams(self):
         # an adjacent beam almost opposite a current one, tilted out of
         # their plane: the closest points of the two lines lie ahead of
-        # both sensors, on the far half-plane at beta = pi - gamma
+        # both sensors, on the far half-plane at beta = pi - gamma, but the
+        # lines pass a baseline's width apart, so none gives a record
         theta = SENSOR.divergence_angle_rad
         rng = np.random.default_rng(23)
         a = np.array([-0.7, 1.3, 0.5])
@@ -380,8 +429,9 @@ class TestBaselineRows:
         tilt = np.arcsin(rng.uniform(-0.95, 0.95, 100) * math.sin(theta / 2) / np.sin(gamma))
         cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, np.pi - gamma, psi_d + np.pi + tilt))
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
-        assert _assert_matches_reference(cur, adj, CFG) > 10
-        assert _far_side_records(cur, adj, oset.records) > 10
+        _assert_matches_reference(cur, adj, CFG)
+        assert _far_side_crossings_covered(cur, adj) > 10
+        assert _far_side_records(cur, adj, oset.records) == 0
 
     @pytest.mark.parametrize("ratio", [0.999 - 1e-6, 0.999 + 1e-6])
     def test_windows_that_just_turn_full(self, ratio):
@@ -429,12 +479,24 @@ class TestOriginBeams:
         assert totals[0] == totals[1] > 0
 
 
+def _short_baseline_pair(length):
+    """300 random beams per side, the adjacent origin ``length`` from the
+    current one."""
+    rng = np.random.default_rng(8)
+    a = np.array([0.0, length, 0.0])
+    cur = Scan(points=unit_rows(rng, 300) * rng.uniform(2.0, 60.0, (300, 1)), time=0.0)
+    adj_pts = a + unit_rows(rng, 300) * rng.uniform(2.0, 60.0, (300, 1))
+    return cur, Scan(points=adj_pts, sensor_origin=a, time=0.5)
+
+
 class TestZeroBaseline:
-    """A stationary sensor: the adjacent origin is exactly zero in the
-    current frame, every crossing parameter is zero or NaN, and the pair is
-    skipped before the index build.  Without the skip every beam is
-    degenerate and pairs with every adjacent beam, which at full size would
-    take gigabytes, so the index build is made to fail loudly instead."""
+    """A stationary sensor: the adjacent origin lies ORIGIN_EPS or less from
+    the current one, so no beam spans a band plane with the baseline, and a
+    degenerate plane gives no record.  The pair is skipped before the index
+    build; counted as coplanar, the pairs of skew lines that start within a
+    millimetre give records for about a quarter of all beam pairs, all
+    within centimetres of the sensor, so the index build is made to fail
+    loudly instead."""
 
     @pytest.fixture
     def no_index(self, monkeypatch):
@@ -447,14 +509,28 @@ class TestZeroBaseline:
         cur, adj = random_scan_pair(5, n_current=150, n_adjacent=150)
         for origin in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
             adj0 = Scan(points=adj.points - adj.sensor_origin, sensor_origin=np.array(origin), time=0.5)
-            want = brute_force_overlaps(cur, adj0, 1, CFG, SENSOR)
-            got = extract_scan_pair(cur, adj0, CFG, SENSOR).records
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            _assert_matches_reference(cur, adj0)
 
     def test_skipped_before_the_index(self, no_index):
         cur, adj = random_scan_pair(6, n_current=50, n_adjacent=50)
         adj0 = Scan(points=adj.points, sensor_origin=np.zeros(3), time=0.5)
         assert len(extract_scan_pair(cur, adj0, CFG, SENSOR)) == 0
+
+    @pytest.mark.parametrize("length", [1e-9, 5e-4, 1e-3])
+    def test_baselines_up_to_origin_eps_give_nothing(self, no_index, length):
+        assert _assert_matches_reference(*_short_baseline_pair(length)) == 0
+
+    def test_baseline_just_over_origin_eps_matches_reference(self):
+        assert _assert_matches_reference(*_short_baseline_pair(1.001e-3)) > 0
+
+    def test_beams_on_the_baseline_line_give_nothing(self):
+        # current beams through the adjacent origin span no plane with the
+        # baseline; counted as coplanar they gave hundreds of records here
+        a = np.array([1.3, -0.7, 0.4])
+        cur = Scan(points=a * np.array([[3.3], [5.0], [7.1], [12.0], [25.0], [40.0]]), time=0.0)
+        _, adj = _short_baseline_pair(1.0)
+        adj = Scan(points=adj.points - adj.sensor_origin + a, sensor_origin=a, time=0.5)
+        assert _assert_matches_reference(cur, adj) == 0
 
     def test_full_size_pair_under_a_second(self, no_index):
         rng = np.random.default_rng(7)
@@ -471,13 +547,7 @@ class TestBruteForceEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_pipeline_matches_all_pairs_reference(self, seed):
         cur, adj = random_scan_pair(seed, n_current=200, n_adjacent=200)
-        oset = extract_scan_pair(cur, adj, CFG, SENSOR)
-        ref = brute_force_overlaps(cur, adj, 1, CFG, SENSOR)
-        assert len(oset) == len(ref)
-        for name in ("current_index", "scan_offset", "adjacent_index", "sample_rank", "state"):
-            np.testing.assert_array_equal(oset.records[name], ref[name])
-        np.testing.assert_allclose(oset.records["position"], ref["position"], atol=1e-9)
-        np.testing.assert_allclose(oset.records["confidence"], ref["confidence"], atol=1e-12)
+        _assert_matches_reference(cur, adj)
 
     def test_pipeline_finds_pairs(self):
         # guard against vacuous equivalence: the generator must produce overlaps
@@ -487,13 +557,7 @@ class TestBruteForceEquivalence:
     def test_spinning_scan_pair_matches_reference(self):
         # ring-structured scans put thousands of beams inside each band and
         # are the stress case for the candidate query's windows
-        cur, adj = _spinning_pair(channels=8, azimuths=64)
-        oset = extract_scan_pair(cur, adj, CFG, SENSOR)
-        ref = brute_force_overlaps(cur, adj, 1, CFG, SENSOR)
-        assert len(oset) == len(ref) > 0
-        for name in ("current_index", "scan_offset", "adjacent_index", "sample_rank", "state"):
-            np.testing.assert_array_equal(oset.records[name], ref[name])
-        np.testing.assert_allclose(oset.records["position"], ref["position"], atol=1e-9)
+        assert _assert_matches_reference(*_spinning_pair(channels=8, azimuths=64)) > 0
 
     def test_no_duplicate_records_on_ring_geometry(self):
         cur, adj = _spinning_pair(channels=16, azimuths=256)
@@ -590,6 +654,26 @@ class TestSequence:
         rec = extract_sequence(current, adjacents, cfg, SENSOR).records
         _, counts = np.unique(rec["current_index"], return_counts=True)
         assert counts.max() <= 1
+
+
+class TestPinnedBytes:
+    def test_reduced_criterion10_window(self, tmp_path):
+        # the criterion-10 scene at 16x512 beams and n = 2: a change to
+        # extraction must keep these bytes, as criterion 10 pins the files
+        # of the full window
+        from tovp.simulator import simulate_scan
+
+        path = tmp_path / "scene.yaml"
+        path.write_text(C10_SCENE_YAML.replace("count: 32}", "count: 16}").replace("count: 13", "count: 5")
+                        .replace("azimuth_count: 1024", "azimuth_count: 512"))
+        sim = formats.read_scene(str(path))
+        scans = [simulate_scan(sim.scene, sim.lidar, pose, t) for pose, t in zip(sim.poses, sim.times)]
+        for threads in (1, 2):
+            rec = extract_sequence(scans[2], scans[:2] + scans[3:], ExtractionConfig(n_adjacent=2), SENSOR,
+                                   threads=threads).records
+            assert len(rec) == 333571
+            assert hashlib.sha256(rec.tobytes()).hexdigest() == (
+                "5c7d4a36b6fc4eec49b9bb7966b189e4388874d9289bb36ac982b0ba6e4c4e3a")
 
 
 class TestBalanceClasses:

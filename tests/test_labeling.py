@@ -96,12 +96,13 @@ class TestClassifyMotion:
             classify_motion(-0.1, "HUMAN")
 
     def test_custom_table(self):
-        table = ThresholdTable({"VEHICLE": (2.0, 3.0)})
+        speeds = {"HUMAN": (0.375, 0.6), "CYCLE": (0.375, 1.0), "VEHICLE": (2.0, 3.0)}
+        table = ThresholdTable(speeds)
         assert classify_motion(1.0, "VEHICLE", table) == MotionClass.STATIC
         with pytest.raises(ValueError):
-            ThresholdTable({"VEHICLE": (0.0, 1.0)})
+            ThresholdTable({**speeds, "VEHICLE": (0.0, 1.0)})
         with pytest.raises(ValueError):
-            ThresholdTable({"VEHICLE": (2.0, 1.0)})
+            ThresholdTable({**speeds, "VEHICLE": (2.0, 1.0)})
 
 
 class TestTrackedBoxValidation:
