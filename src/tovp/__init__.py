@@ -29,7 +29,7 @@ _MODULES = {
     ),
     "extraction": (
         "ExtractionConfig", "OverlapPoint", "OverlapSet", "balance_classes",
-        "extract_scan_pair", "extract_sequence",
+        "extract_scan_pair", "extract_sequence", "extract_sequence_blocks",
     ),
     "recon": ("ReconSample", "ReconSet", "sample_recon_points"),
     "objectives": (

@@ -202,15 +202,17 @@ class _AtomicOutputs:
                 pass
 
     def write(self, path, writer):
+        """``writer(tmp)``, then the rename; returns what the writer does."""
         tmp = path + ".tmp"
         self.written.append(tmp)
-        writer(tmp)
+        out = writer(tmp)
         os.replace(tmp, path)
         self.written[-1] = path
+        return out
 
 
 def cmd_extract(args) -> int:
-    from .extraction import ExtractionConfig, extract_sequence
+    from .extraction import ExtractionConfig, extract_sequence_blocks
     from .recon import sample_recon_points
 
     cfg = resolve_config(args)
@@ -252,17 +254,18 @@ def cmd_extract(args) -> int:
             current = _load_scan(scan_paths[i], times[i], poses[i])
             adjacents = [_load_scan(scan_paths[j], times[j], poses[j])
                          for j in range(i - n, i + n + 1) if j != i]
-            oset = extract_sequence(current, adjacents, extraction, sensor,
-                                    threads=cfg["threads"])
+            # the records go to disk block by block as they are extracted
+            blocks = extract_sequence_blocks(current, adjacents, extraction, sensor,
+                                             threads=cfg["threads"])
+            base = os.path.splitext(os.path.basename(scan_paths[i]))[0]
+            count = outputs.write(os.path.join(args.out, base + ".tovp"),
+                                  lambda p: formats.write_overlap_file(p, blocks, sensor, digest))
             rset = sample_recon_points(current, cfg["occupied_per_beam"],
                                        cfg["free_per_beam"], sensor,
                                        seed=cfg["seed"] + i)
-            base = os.path.splitext(os.path.basename(scan_paths[i]))[0]
-            outputs.write(os.path.join(args.out, base + ".tovp"),
-                          lambda p: formats.write_overlap_file(p, oset, sensor, digest))
             outputs.write(os.path.join(args.out, base + ".trcn"),
                           lambda p: formats.write_recon_file(p, rset))
-            print(f"scan {base}: {len(oset)} overlap points, "
+            print(f"scan {base}: {count} overlap points, "
                   f"{len(rset)} recon samples")
             log.info("extracted scan %s", base)
     print(f"wrote {len(outputs.written)} files to {args.out}")

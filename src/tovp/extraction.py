@@ -19,13 +19,17 @@ then is a window test on the azimuth, read from rows of adjacent
 directions with similar angles to the axis, and the candidates are
 re-tested exactly.  Crossings ahead of both sensors need an adjacent beam
 farther from the baseline axis than the current one, on the current beam's
-side of that axis except in two thin bands, so the query skips the other
-rows and windows (see :func:`_band_candidates`).  Everything downstream of
-the candidate query is vectorized; worker threads split the current scan
-into fixed-size beam chunks, each sorted on its own and merged by current
-index, so results are independent of thread count.
+side of that axis except in a thin band by the far end of the axis, so the
+query skips the other rows and windows (see :func:`_band_candidates`).
+Everything downstream of the candidate query is vectorized.  The current
+scan is extracted in fixed blocks of CHUNK beams, each against every
+adjacent scan and sorted once into canonical order; the blocks cover
+increasing current indices, so joined end to end they are the canonical
+set, whatever the block size or the thread count.  Blocks bound the
+memory: a window is streamed one block per thread, never held whole.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
@@ -36,10 +40,10 @@ from .errors import EmptyScan, FrameMismatch, MissingPose
 from .geometry import ORIGIN_EPS, PARALLEL_EPS
 from .sensor_model import DEFAULT_BOUNDS, Beam, OccupancyState, RecordSet, Scan, SensorConfig
 
-# Fixed current-beam chunk length; must not depend on thread count or the
-# output would not be byte-stable across --threads values.  Below 2**29,
-# so a chunk's (current, adjacent, rank) sort key fits 64 bits.
-CHUNK = 16384
+# Current beams per block: a constant, so that what a block costs and holds
+# depends on no option.  Peak memory grows with it (one block per thread in
+# flight); the output bytes do not depend on it.
+CHUNK = 2048
 PAIR_BLOCK = 1 << 14
 
 RECORD_DTYPE = np.dtype(
@@ -129,11 +133,7 @@ class OverlapSet(RecordSet):
 
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
-        if not presorted and len(records) > 1:
-            order = _canonical_order(records)
-            if order is not None:
-                records = records.view(_RECORD_BYTES).take(order).view(RECORD_DTYPE)
-        self.records = records
+        self.records = records if presorted else _canonical_order(records)
 
     def __getitem__(self, idx: int) -> OverlapPoint:
         r = self.records[idx]
@@ -149,16 +149,18 @@ class OverlapSet(RecordSet):
         )
 
 
-def _canonical_order(records: np.ndarray) -> np.ndarray | None:
-    """Sort permutation by (current, offset, adjacent, rank), or None when
-    the records already are in that order.
+def _canonical_order(records: np.ndarray) -> np.ndarray:
+    """The records in (current, offset, adjacent, rank) order: the one code
+    that orders records.  Returns ``records`` itself when they already are.
 
     The four keys fit one u64 when indices stay below 2^24 (16.7M beams),
     which is the fast common case; otherwise fall back to lexsort.
     """
+    if len(records) < 2:
+        return records
     i = records["current_index"]
     j = records["adjacent_index"]
-    if len(i) and max(int(i.max()), int(j.max())) < (1 << 24):
+    if max(int(i.max()), int(j.max())) < (1 << 24):
         # built in place through one scratch array; offset + 128 is the
         # offset byte with its top bit flipped
         key = i.astype(np.uint64)
@@ -173,11 +175,14 @@ def _canonical_order(records: np.ndarray) -> np.ndarray | None:
         np.copyto(part, records["sample_rank"])
         key |= part
         if np.all(key[1:] >= key[:-1]):
-            return None
-        return np.argsort(key)
-    return np.lexsort(
-        (records["sample_rank"], records["adjacent_index"], records["scan_offset"], records["current_index"])
-    )
+            return records
+        order = np.argsort(key)
+        del key, part  # freed before the gather
+    else:
+        order = np.lexsort(
+            (records["sample_rank"], records["adjacent_index"], records["scan_offset"], records["current_index"])
+        )
+    return records.view(_RECORD_BYTES).take(order).view(RECORD_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +231,23 @@ class DirectionIndex:
         row = np.minimum((beta * (ROWS / np.pi)).astype(np.int64), ROWS - 1)
         order = np.lexsort((psi, row))
         _, starts = np.unique(row[order], return_index=True)
-        ptr = np.append(starts, len(order))
         self.row_beta_lo = np.minimum.reduceat(beta[order], starts)
         self.row_beta_hi = np.maximum.reduceat(beta[order], starts)
         self.row_sin_lo = np.minimum(np.sin(self.row_beta_lo), np.sin(self.row_beta_hi))
-        # per-row azimuths duplicated one turn up, so windows that wrap the
-        # -pi seam need a single searchsorted; built once, queried for every
-        # chunk of every current scan that hits this index
-        psi_sorted = psi[order]
-        self._psi_doubled = [
-            np.concatenate([psi_sorted[lo:hi], psi_sorted[lo:hi] + 2.0 * np.pi])
-            for lo, hi in zip(ptr[:-1], ptr[1:])
-        ]
-        self._pos_doubled = [
-            np.concatenate([order[lo:hi], order[lo:hi]]).astype(np.int32)
-            for lo, hi in zip(ptr[:-1], ptr[1:])
-        ]
+        # each row's azimuths, then the same one turn up so that a window
+        # across the -pi seam is one range, all rows in one array with row r
+        # shifted by 16 r: one searchsorted, its queries shifted alike,
+        # serves every row (see _band_candidates)
+        n_row = np.diff(np.append(starts, len(order)))
+        self._row_start, self._row_len = 2 * starts, n_row
+        self._row_shift = 16.0 * np.arange(len(starts))
+        first = np.arange(len(order)) + np.repeat(starts, n_row)
+        second = first + np.repeat(n_row, n_row)
+        psi_sorted, shift = psi[order], np.repeat(self._row_shift, n_row)
+        self._psi = np.empty(2 * len(order))
+        self._psi[first], self._psi[second] = psi_sorted + shift, (psi_sorted + 2.0 * np.pi) + shift
+        self._pos = np.empty(2 * len(order), dtype=np.int32)
+        self._pos[first], self._pos[second] = order, order
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -263,12 +269,12 @@ def _baseline_angles(dirs: np.ndarray, frame: np.ndarray):
 
 
 def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=None):
-    """Candidate (chunk-local current id, index-local adjacent id) pairs.
+    """Candidate (block-local current id, index-local adjacent id) pairs.
 
     ``d`` holds unit directions of current beams that span a band plane
     (see :func:`_band_planes`).  Each beam gets at least each adjacent
     direction e within sine distance ``s_lim`` of its coplanarity plane
-    (|n . e| <= s_lim), and no pair twice.
+    (|n . e| <= s_lim), and no pair twice, in no set order.
 
     The plane of a beam at angle gamma to a_hat has the beam's own azimuth
     psi_d, and e lies sin(beta_e) |sin(psi_e - psi_d)| from it.  In a row
@@ -280,80 +286,74 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=N
     1e-13 / sin(gamma).  That is at least 1e-13, far above the rounding of
     the frame and of psi_e; near the baseline axis, where psi_d and the
     caller's normal are off by a few ulps over sin(gamma), it is a thousand
-    times their error.
+    times their error.  One searchsorted reads every window, shifted as its
+    row is; rounding is monotone, so no azimuth in a window is lost.
 
-    ``theta``, when given, also skips pairs that cannot cross ahead of both
-    sensors (t > 0 and p_adj > 0 in :func:`_pair_records`).  With
-    c = cos(psi_e - psi_d), t has the sign of
+    ``theta``, when given, also skips pairs that cannot give a record in
+    :func:`_pair_records`.  With c = cos(psi_e - psi_d), t has the sign of
     A = cos(gamma) sin(beta) - sin(gamma) cos(beta) c and p_adj that of
     B = c cos(gamma) sin(beta) - sin(gamma) cos(beta).  As
     A + B = (1 + c) sin(beta - gamma), a record needs beta > gamma, so rows
     whose largest beta is below gamma - theta are skipped.  On the far
     half-plane (c < 0) A and B are both positive only for gamma < pi/2, and
     for in-band e only within theta of beta = pi (by -a_hat, where the
-    half-planes meet) or of beta = pi - gamma (near-antiparallel beams whose
-    closest points fall ahead of both sensors).  So the far window is read
-    only in rows that reach pi - theta or meet pi - gamma +- theta.  The
-    theta margins dwarf the rounding of t and p_adj near their sign
-    changes.  The pruning applies when sin(gamma) >= 4 theta; beams nearer
-    the baseline axis read both windows of every row.
+    half-planes meet) or of beta = pi - gamma.  The theta margins dwarf the
+    rounding of t and p_adj near their sign changes.  The far window is read
+    only in rows that reach pi - theta, as the kernel's gap gate drops every
+    pair at pi - gamma when sin(gamma) >= 4 theta.  There e lies within
+    alpha <= theta + 2 asin(s_lim / sqrt(2)) < 1.75 theta of -d; write
+    e = -cos(alpha) d + sin(alpha) (cos(phi) k + sin(phi) n), with k the
+    unit normal to d in the band plane (k . a_hat = sin(gamma)).  Then
+    t = |a| (cos(gamma) + cot(alpha) cos(phi) sin(gamma)),
+    p_adj = -|a| cos(phi) sin(gamma) / sin(alpha), and the centerlines pass
+    |a| sin(gamma) |sin(phi)| apart.  p_adj > 0 alone bounds t + p_adj by
+    -a . e / cos(alpha) <= |a| (1 + theta), whatever the rounding of t, so
+    the gate allows a gap of at most 0.56 |a| theta; as |d x e| >=
+    PARALLEL_EPS, the computed gap is within 4e-7 |a| of the true one (for
+    theta >= 1e-5).  A kept pair so has |sin(phi)| < 0.15: then t < 0 if
+    cos(phi) < 0, and p_adj < 0 if cos(phi) > 0, each by over twenty times
+    its rounding.  Beams nearer the baseline axis than 4 theta read both
+    windows of every row.
     """
     gamma, sin_g, psi = _baseline_angles(d, index.frame)
     with np.errstate(divide="ignore"):
         s = s_lim + 1e-13 / sin_g
-    # a beam reads a row when the row's largest beta is >= near_from; it
-    # reads the far window too when that beta is >= far_from or the row
-    # meets the near-antiparallel band [anti_lo, anti_hi]
+    # a beam reads a row when the row's largest beta is >= near_from, and
+    # its far window too when that beta is >= far_from
     near_from = np.full(len(d), -np.inf)
     far_from = near_from.copy()
-    anti_lo = np.full(len(d), np.inf)
-    anti_hi = anti_lo.copy()
     if theta is not None:
         prune = sin_g >= 4.0 * theta
         near_from[prune] = gamma[prune] - theta
         far_from[prune] = np.pi - theta
-        on = prune & (gamma < np.pi / 2)
-        anti_lo[on] = np.pi - gamma[on] - theta
-        anti_hi[on] = np.pi - gamma[on] + theta
+    # (row, beam) matrices, so that the windows come row by row, and the
+    # pair stages gather from one row of the index at a time
+    beta_hi = index.row_beta_hi[:, None]
+    near = beta_hi >= near_from
+    with np.errstate(divide="ignore"):  # a beam on the axis: whole rows
+        x = s / index.row_sin_lo[:, None]
+    full = near & (x >= 0.999)
+    near &= ~full
+    far = near & (beta_hi >= far_from)
 
-    out_i: list = []
-    out_j: list = []
-    for r in range(len(index.row_sin_lo)):
-        beta_lo, beta_hi = index.row_beta_lo[r], index.row_beta_hi[r]
-        near = beta_hi >= near_from
-        if not near.any():
-            continue
-        far = near & ((beta_hi >= far_from) | ((beta_hi >= anti_lo) & (beta_lo <= anti_hi)))
-        with np.errstate(divide="ignore"):  # a beam on the axis: whole rows
-            x = s / index.row_sin_lo[r]
-        full = near & (x >= 0.999)
-        pos2 = index._pos_doubled[r]
-        n_row = len(pos2) >> 1
-        if full.any():
-            who = np.nonzero(full)[0].astype(np.int32)
-            out_i.append(np.repeat(who, n_row))
-            out_j.append(np.tile(pos2[:n_row], len(who)))
-        near_win = np.nonzero(near & ~full)[0]
-        far_win = np.nonzero(far & ~full)[0]
-        own = np.concatenate([near_win, far_win])
-        if len(own) == 0:
-            continue
-        w = np.arcsin(x[own])
-        start = psi[own] - w
-        start[len(near_win):] += np.pi
-        start = np.mod(start + np.pi, 2.0 * np.pi) - np.pi
-        doubled = index._psi_doubled[r]
-        s_idx = np.searchsorted(doubled, start, side="left")
-        e_idx = np.searchsorted(doubled, start + 2.0 * w, side="right")
-        counts = e_idx - s_idx
-        keep = counts > 0
-        if keep.any():
-            out_j.append(pos2[_ranges_to_indices(s_idx[keep], e_idx[keep])])
-            out_i.append(np.repeat(own[keep].astype(np.int32), counts[keep]))
-
-    if not out_i:
+    # (row, beam) of every window, near ones first, and of every whole row
+    flat = np.concatenate([np.flatnonzero(near), np.flatnonzero(far)])
+    wr, wi = np.divmod(flat, len(d))
+    row_r, row_i = np.divmod(np.flatnonzero(full), len(d))
+    w = np.arcsin(x.ravel()[flat])
+    start = psi[wi] - w
+    start[np.count_nonzero(near):] += np.pi
+    start = np.mod(start + np.pi, 2.0 * np.pi) - np.pi
+    shift = index._row_shift[wr]
+    lo = np.concatenate([np.searchsorted(index._psi, start + shift, side="left"), index._row_start[row_r]])
+    hi = np.concatenate([np.searchsorted(index._psi, (start + 2.0 * w) + shift, side="right"),
+                         index._row_start[row_r] + index._row_len[row_r]])
+    who = np.concatenate([wi, row_i]).astype(np.int32)
+    keep = hi > lo
+    if not keep.any():
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-    return np.concatenate(out_i), np.concatenate(out_j)
+    lo, hi = lo[keep], hi[keep]
+    return np.repeat(who[keep], hi - lo), index._pos[_ranges_to_indices(lo, hi)]
 
 
 def _ranges_to_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -559,11 +559,10 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     return rec
 
 
-def _extract_chunk(lo, hi, cur, index, adj_scan, offset, time, cfg, sensor):
+def _extract_chunk(lo, hi, cur, index, adj_scan, offset, time, cfg, sensor) -> list:
     """Records of the current beams ``cur`` (see :func:`_pair_records`) of
     points [lo, hi) against one adjacent scan taken ``time`` seconds after
-    the current one, in (current, adjacent, rank) order; None when there
-    are none."""
+    the current one, as unsorted runs viewed as bytes."""
     theta = sensor.divergence_angle_rad
     first, last = np.searchsorted(cur[0], (lo, hi))
     cur = tuple(col[first:last] for col in cur)
@@ -576,15 +575,7 @@ def _extract_chunk(lo, hi, cur, index, adj_scan, offset, time, cfg, sensor):
             ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, adj_scan.sensor_origin,
             offset, time, cfg, sensor,
         )
-    if not runs:
-        return None
-    rec = (np.concatenate(runs) if len(runs) > 1 else runs[0]).view(RECORD_DTYPE)
-    # (current, adjacent, rank) order; with the chunk-local current index
-    # (below CHUNK) the key fits 64 bits for any u4 adjacent index
-    key = (rec["current_index"] - lo).astype(np.uint64) << np.uint64(35)
-    key |= rec["adjacent_index"].astype(np.uint64) << np.uint64(3)
-    key |= rec["sample_rank"]
-    return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)
+    return runs
 
 
 def _check_frames(current: Scan, adjacent: Scan | None = None):
@@ -622,88 +613,86 @@ def extract_scan_pair(
     """
     _check_frames(current, adjacent)
     offset = _derive_offset(current, adjacent, cfg)
-    return _extract_jobs(current, [(offset, adjacent)], cfg, sensor, threads)
+    return _joined(_extract_blocks(current, [(offset, adjacent)], cfg, sensor, threads))
 
 
-def _extract_jobs(current, jobs, cfg, sensor, threads) -> OverlapSet:
-    """Canonical overlap set of ``current`` against (offset, adjacent) jobs.
-
-    Jobs come by ascending offset with the adjacent scans in the current
-    sensor frame.  Each (job, current chunk) piece is extracted on its own,
-    already in (current, adjacent, rank) order, so merging the pieces by
-    current index gives the canonical order without a global sort; the
-    pieces do not depend on the thread count, so neither does the output.
-    """
-    pieces = []
-    if len(current):
-        ids, dirs, ranges = current.beams()
-        spans = [(lo, min(lo + CHUNK, len(current))) for lo in range(0, len(current), CHUNK)]
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+def _extract_blocks(current, jobs, cfg, sensor, threads):
+    """Record blocks of ``current`` against (offset, adjacent) jobs, the
+    adjacent scans in the current sensor frame.  Each job is prepared once;
+    each block of CHUNK current points is extracted against every job and
+    put in canonical order."""
+    ids, dirs, ranges = current.beams()
+    prepared = []
+    for offset, adjacent in jobs:
+        # only beams that span a band plane give records; a baseline of
+        # ORIGIN_EPS or less (a stationary sensor) leaves none, and the job
+        # ends before the index build
+        live, normals = _band_planes(dirs, adjacent.sensor_origin)
+        if len(adjacent) == 0 or len(live) == 0:
+            continue
+        cur = (ids, dirs, ranges, normals)
+        if len(live) < len(ids):
+            cur = (ids[live], dirs.take(live, axis=0), ranges[live], normals)
         try:
-            for offset, adjacent in jobs:
-                # only beams that span a band plane give records; a baseline
-                # of ORIGIN_EPS or less (a stationary sensor) leaves none, and
-                # the job ends before the index build
-                live, normals = _band_planes(dirs, adjacent.sensor_origin)
-                if len(adjacent) == 0 or len(live) == 0:
-                    continue
-                cur = (ids, dirs, ranges, normals)
-                if len(live) < len(ids):
-                    cur = (ids[live], dirs.take(live, axis=0), ranges[live], normals)
-                try:
-                    index = build_direction_index(adjacent, cfg.cell_size(sensor))
-                except EmptyScan:
-                    continue
-                # stored times are relative to the current scan
-                time = adjacent.time - current.time
-                args = [
-                    (lo, hi, cur, index, adjacent, offset, time, cfg, sensor)
-                    for lo, hi in spans
-                ]
-                pieces += (pool.map if pool is not None else map)(lambda a: _extract_chunk(*a), args)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-    return OverlapSet(_merge_by_current(pieces, len(current)), presorted=True)
+            index = build_direction_index(adjacent, cfg.cell_size(sensor))
+        except EmptyScan:
+            continue
+        # stored times are relative to the current scan
+        prepared.append((cur, index, adjacent, offset, adjacent.time - current.time))
+
+    def block(lo):
+        hi = min(lo + CHUNK, len(current))
+        # the runs are freed once joined, before the sort
+        rec = np.concatenate([np.empty(0, dtype=_RECORD_BYTES)] + [
+            run for job in prepared for run in _extract_chunk(lo, hi, *job, cfg, sensor)])
+        return _canonical_order(rec.view(RECORD_DTYPE))
+
+    yield from _map_in_order(block, range(0, len(current), CHUNK), threads)
 
 
-def _merge_by_current(pieces: list, n_current: int) -> np.ndarray:
-    """Interleave record runs by current index, keeping run order on ties.
-
-    Each run must be sorted by current index.  A counting pass gives every
-    beam its slot range in the output, and each run is scattered into the
-    next free slots of its beams, so runs listed by ascending offset, each in
-    (current, adjacent, rank) order, come out in canonical order.
-    """
-    pieces = [p for p in pieces if p is not None and len(p)]
-    out = np.empty(sum(len(p) for p in pieces), dtype=RECORD_DTYPE)
-    if not pieces:
-        return out
-    counts = [np.bincount(p["current_index"], minlength=n_current) for p in pieces]
-    per_beam = np.sum(counts, axis=0)
-    free = np.cumsum(per_beam) - per_beam  # next free slot of every beam
-    slots = out.view(_RECORD_BYTES)
-    for p, c in zip(pieces, counts):
-        cur = p["current_index"]
-        first = np.cumsum(c) - c  # row of every beam's first record in p
-        np.put(slots, free[cur] + (np.arange(len(p)) - first[cur]), p.view(_RECORD_BYTES))
-        free += c
-    return out
+def _map_in_order(fn, items, threads):
+    """``map(fn, items)``, on ``threads`` worker threads when that is over
+    one.  At most threads + 1 results are in flight: the one the consumer
+    holds and ``threads`` computed ahead of it."""
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    ahead = deque()
+    try:
+        for item in items:
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(fn, item))
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def extract_sequence(
-    current: Scan,
-    adjacents: list,
-    cfg: ExtractionConfig,
-    sensor: SensorConfig,
-    threads: int = 1,
-) -> OverlapSet:
+def _joined(blocks) -> OverlapSet:
+    """The overlap set of canonically ordered blocks, joined end to end."""
+    runs = [np.empty(0, dtype=_RECORD_BYTES)] + [b.view(_RECORD_BYTES) for b in blocks]
+    return OverlapSet(np.concatenate(runs).view(RECORD_DTYPE), presorted=True)
+
+
+def extract_sequence(current: Scan, adjacents: list, cfg: ExtractionConfig, sensor: SensorConfig,
+                     threads: int = 1) -> OverlapSet:
     """Overlap points of a current scan against its 2n adjacent scans.
 
     ``adjacents`` must hold n past and n future scans (by time); they may be
     in any common reference frame, and are re-expressed in the current
     scan's sensor frame here.  Offsets -n..-1 and 1..n follow time order.
     """
+    return _joined(extract_sequence_blocks(current, adjacents, cfg, sensor, threads))
+
+
+def extract_sequence_blocks(current: Scan, adjacents: list, cfg: ExtractionConfig,
+                            sensor: SensorConfig, threads: int = 1):
+    """The records of :func:`extract_sequence` as an iterator of canonically
+    ordered record arrays that joined end to end form its set.  The window
+    is checked here, before any block is extracted; a caller that writes
+    each block as it comes holds one block per thread, not the set."""
     n = cfg.n_adjacent
     for s in adjacents:
         if s.pose is None:
@@ -713,28 +702,23 @@ def extract_sequence(
     past = sorted([s for s in adjacents if s.time < current.time], key=lambda s: s.time)
     future = sorted([s for s in adjacents if s.time > current.time], key=lambda s: s.time)
     if len(past) != n or len(future) != n:
-        raise ValueError(
-            f"need {n} past and {n} future scans, got {len(past)} and {len(future)}"
-        )
+        raise ValueError(f"need {n} past and {n} future scans, got {len(past)} and {len(future)}")
 
     _check_frames(current)
     jobs = [(off, scan.in_frame_of(current)) for off, scan in zip(range(-n, 0), past)]
     jobs += [(off, scan.in_frame_of(current)) for off, scan in zip(range(1, n + 1), future)]
-    oset = _extract_jobs(current, jobs, cfg, sensor, threads)
+    blocks = _extract_blocks(current, jobs, cfg, sensor, threads)
     if cfg.max_overlaps_per_beam is not None:
-        oset = _cap_per_beam(oset, cfg.max_overlaps_per_beam)
-    return oset
+        # a beam's records all lie in one block
+        blocks = (_cap_per_beam(b, cfg.max_overlaps_per_beam) for b in blocks)
+    return blocks
 
 
-def _cap_per_beam(oset: OverlapSet, cap: int) -> OverlapSet:
-    """Keep at most ``cap`` records per current beam, in canonical order."""
-    rec = oset.records
-    if len(rec) == 0:
-        return oset
-    i = rec["current_index"].astype(np.int64)
-    _, starts, counts = np.unique(i, return_index=True, return_counts=True)
+def _cap_per_beam(rec: np.ndarray, cap: int) -> np.ndarray:
+    """At most ``cap`` records per current beam of canonically ordered records."""
+    _, starts, counts = np.unique(rec["current_index"], return_index=True, return_counts=True)
     within = np.arange(len(rec)) - np.repeat(starts, counts)
-    return OverlapSet(rec[within < cap], presorted=True)
+    return rec[within < cap]
 
 
 def balance_classes(oset: OverlapSet, seed: int) -> OverlapSet:

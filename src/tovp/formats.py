@@ -36,10 +36,10 @@ from .errors import (
     VersionUnsupported,
 )
 from .labeling import CATEGORIES, TrackedBox
-from .sensor_model import ORTHONORMAL_TOL, RigidTransform, SensorConfig
+from .sensor_model import ORTHONORMAL_TOL, RecordSet, RigidTransform, SensorConfig
 
 if TYPE_CHECKING:
-    from .extraction import ExtractionConfig, OverlapSet
+    from .extraction import ExtractionConfig
     from .recon import ReconSet
     from .simulator import SceneSpec, SpinningLidarSpec
 
@@ -163,9 +163,9 @@ def write_poses(path, poses):
 
 # -- overlap and reconstruction sets ------------------------------------------
 
-# records cast per write and decoded per read: a write holds the set and
-# one chunk cast to the on-disk dtype, a read the decoded set and one chunk
-# of stored bytes, never a second copy of the whole set
+# records cast per write and decoded per read: a write holds the block it
+# is given and one chunk cast to the on-disk dtype, a read the decoded set
+# and one chunk of stored bytes, never a second copy of the whole set
 _CHUNK = 1 << 16
 
 
@@ -189,22 +189,29 @@ def _scalar_fields(dtype: np.dtype) -> np.dtype:
                      "itemsize": dtype.itemsize})
 
 
-def _write_set(path, magic: bytes, header_dtype, record_dtype, records, **header_fields):
-    """Write a magic/version/count header (plus ``header_fields``) and then
-    every record, cast to ``record_dtype`` ``_CHUNK`` records at a time.
-    In-memory and on-disk record dtypes list the same fields in the same
-    order, and structured casts match fields by position."""
+def _write_set(path, magic: bytes, header_dtype, record_dtype, blocks, **header_fields) -> int:
+    """Write a magic/version/count header (plus ``header_fields``), then
+    the records of each array in ``blocks`` as it comes, cast to
+    ``record_dtype`` ``_CHUNK`` records at a time, and then patch ``count``;
+    returns it.  In-memory and on-disk record dtypes list the same fields
+    in the same order, and structured casts match fields by position."""
     header = np.zeros(1, dtype=header_dtype)
     header["magic"] = magic
     header["version"] = FORMAT_VERSION
-    header["count"] = len(records)
     for name, value in header_fields.items():
         header[name] = value
-    memory, stored = _scalar_fields(records.dtype), _scalar_fields(record_dtype)
+    stored = _scalar_fields(record_dtype)
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
-        for start in range(0, len(records), _CHUNK):
-            records[start:start + _CHUNK].view(memory).astype(stored).tofile(fh)
+        for records in blocks:
+            flat = records.view(_scalar_fields(records.dtype))
+            for start in range(0, len(records), _CHUNK):
+                flat[start:start + _CHUNK].astype(stored).tofile(fh)
+            header["count"] += len(records)
+            del records, flat  # freed before the next block is made
+        fh.seek(0)
+        fh.write(header.tobytes())
+    return int(header["count"][0])
 
 
 def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
@@ -245,12 +252,16 @@ class OverlapFileInfo:
     version: int
 
 
-def write_overlap_file(path, oset: "OverlapSet", sensor: SensorConfig,
-                       config_digest: bytes = b"\x00" * 16):
+def write_overlap_file(path, overlaps, sensor: SensorConfig,
+                       config_digest: bytes = b"\x00" * 16) -> int:
+    """Write ``overlaps``, an OverlapSet or an iterable of canonically
+    ordered record arrays that joined end to end form one, written as they
+    come; returns the record count."""
     if len(config_digest) != 16:
         raise ValueError("config digest must be 16 bytes")
-    _write_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, oset.records,
-               **asdict(sensor), config_hash=config_digest)
+    blocks = [overlaps.records] if isinstance(overlaps, RecordSet) else overlaps
+    return _write_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, blocks,
+                      **asdict(sensor), config_hash=config_digest)
 
 
 def read_overlap_file(path):
@@ -268,7 +279,7 @@ def read_overlap_file(path):
 
 
 def write_recon_file(path, rset: "ReconSet"):
-    _write_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, rset.records)
+    _write_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, [rset.records])
 
 
 def read_recon_file(path) -> "ReconSet":

@@ -329,6 +329,30 @@ class TestExtract:
         leftovers = [f for f in os.listdir(out)] if out.exists() else []
         assert leftovers == []
 
+    def test_failure_mid_stream_removes_partial_outputs(self, tmp_path, capsys, monkeypatch):
+        # the block stream fails on its last block, after the others went
+        # to the .tovp.tmp file: every output goes, config.json included
+        from tovp import extraction
+        from tovp.errors import DataError
+
+        sim = simulate(tmp_path, count=5)
+        out = tmp_path / "out"
+        monkeypatch.setattr(extraction, "CHUNK", 16)
+        last = (len(read_scan_bin(sim / "scans" / "000002.bin")[0]) - 1) // 16 * 16
+        extract_chunk, written = extraction._extract_chunk, []
+
+        def failing(lo, *args):
+            if lo == last:
+                written.append((out / "000002.tovp.tmp").stat().st_size)
+                raise DataError("block failed")
+            return extract_chunk(lo, *args)
+
+        monkeypatch.setattr(extraction, "_extract_chunk", failing)
+        assert run_extract(sim, out, "--n", "2") == 2
+        assert "block failed" in capsys.readouterr().err
+        assert written[0] > _OVERLAP_HEADER.itemsize
+        assert os.listdir(out) == []
+
     def test_pose_count_mismatch(self, tmp_path, capsys):
         sim = simulate(tmp_path, count=7)
         poses = (sim / "poses.txt").read_text().splitlines()

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tovp.extraction import (
     candidate_pairs,
     extract_scan_pair,
     extract_sequence,
+    extract_sequence_blocks,
 )
 from tovp.geometry import centerline_intersection, coplanarity_angle, plane_normal
 
@@ -199,8 +201,13 @@ class TestDirectionIndex:
     def test_every_beam_lands_in_exactly_one_row(self):
         _, adj = random_scan_pair(11)
         index = build_direction_index(adj, 0.003)
-        rows = [pos[: len(pos) // 2] for pos in index._pos_doubled]
+        rows = [index._pos[s:s + n] for s, n in zip(index._row_start, index._row_len)]
         assert sorted(np.concatenate(rows).tolist()) == list(range(len(index)))
+        # each row is followed by its copy one turn up, and the shifted
+        # azimuths of all rows form one sorted array
+        for s, n in zip(index._row_start, index._row_len):
+            assert np.array_equal(index._pos[s:s + n], index._pos[s + n:s + 2 * n])
+        assert len(index._psi) == 2 * len(index) and np.all(np.diff(index._psi) >= 0)
         assert len(rows) == len(index.row_beta_lo) == len(index.row_beta_hi) <= extraction.ROWS
         # each row's recorded beta range holds its beams, sorted by psi
         beta, _, psi = extraction._baseline_angles(index.directions, index.frame)
@@ -266,10 +273,18 @@ class TestCandidatePairs:
         assert candidate_pairs(beam, index, a) == np.nonzero(inside)[0].tolist()
 
 
-def _assert_matches_reference(cur, adj, cfg=CFG):
+@pytest.fixture(params=[1, 37, 2048])
+def chunk(request, monkeypatch):
+    """Blocks of one beam, of 37 beams (so blocks end mid scan, and a scan
+    of a few hundred beams spans several), and of the default 2048."""
+    monkeypatch.setattr(extraction, "CHUNK", request.param)
+    return request.param
+
+
+def _assert_matches_reference(cur, adj, cfg=CFG, threads=1):
     """Pipeline against the all-pairs reference, byte for byte, as both run
     one pair kernel; returns the record count."""
-    got = extract_scan_pair(cur, adj, cfg, SENSOR).records
+    got = extract_scan_pair(cur, adj, cfg, SENSOR, threads=threads).records
     ref = brute_force_overlaps(cur, adj, 1, cfg, SENSOR)
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     return len(ref)
@@ -309,11 +324,12 @@ class TestForwardArcPruning:
         cur, adj = scan_pair_for_directions(11, [1.2, 0.05, 0.25], dirs, n_adjacent=400)
         assert _assert_matches_reference(cur, adj, CFG) > 10
 
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("seed", range(3))
-    def test_cell_sizes(self, seed):
-        # random pairs at the one cell size there is
+    def test_block_sizes(self, seed, chunk, threads):
+        # random pairs cut into blocks that end anywhere in the scan
         cur, adj = random_scan_pair(seed, n_current=200, n_adjacent=300)
-        assert _assert_matches_reference(cur, adj, CFG) > 10
+        assert _assert_matches_reference(cur, adj, CFG, threads) > 10
 
 
 def _baseline_frame(a):
@@ -355,8 +371,10 @@ def _far_side_records(cur, adj, rec):
 def _far_side_crossings_covered(cur, adj):
     """Check that the band query draws every pair within theta / 2 of
     coplanar whose centerlines cross ahead of both sensors (t > 0 and
-    p_adj > 0), the pairs its pruning promises to keep; returns how many
-    of them lie on opposite sides of the baseline axis."""
+    p_adj > 0) and pass within the beam radii there, (t + p_adj)
+    tan(theta / 2) (padded by 1e-6 of it), the pairs its pruning promises
+    to keep.  Returns how many pairs on opposite sides of the baseline axis
+    cross ahead of both sensors, and how many of those pass that gap."""
     theta = SENSOR.divergence_angle_rad
     a = adj.sensor_origin
     index = build_direction_index(adj, CFG.cell_size(SENSOR))
@@ -369,12 +387,15 @@ def _far_side_crossings_covered(cur, adj):
     n = np.cross(d, a / np.linalg.norm(a))
     n /= np.linalg.norm(n, axis=1)[:, None]
     m = np.cross(d[:, None, :], e[None, :, :])
-    t = np.einsum("jk,ijk->ij", np.cross(a, e), m) / np.einsum("ijk,ijk->ij", m, m)
+    mm = np.einsum("ijk,ijk->ij", m, m)
+    t = np.einsum("jk,ijk->ij", np.cross(a, e), m) / mm
     p_adj = np.einsum("ijk,jk->ij", t[:, :, None] * d[:, None, :] - a, e)
-    wanted = (np.abs(n @ e.T) <= math.sin(theta / 2.0)) & (t > 0.0) & (p_adj > 0.0)
-    assert np.all(drawn[wanted])
-    i, j = np.nonzero(wanted)
-    return int(np.sum(_far_side(adj, d[i], e[j])))
+    crossing = (np.abs(n @ e.T) <= math.sin(theta / 2.0)) & (t > 0.0) & (p_adj > 0.0)
+    meet = np.abs(m @ a) / np.sqrt(mm) <= (t + p_adj) * math.tan(theta / 2.0) * (1.0 + 1e-6)
+    assert np.all(drawn[crossing & meet])
+    i, j = np.nonzero(crossing)
+    far = _far_side(adj, d[i], e[j])
+    return int(np.sum(far)), int(np.sum(far & meet[i, j]))
 
 
 class TestBaselineRows:
@@ -413,7 +434,7 @@ class TestBaselineRows:
         psi_e = psi_d[k] + rng.choice((-1.0, 1.0), 400) * np.arccos(rng.uniform(-0.12, -0.105, 400))
         cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, off, psi_e))
         assert _assert_matches_reference(cur, adj, CFG) > 10
-        assert _far_side_crossings_covered(cur, adj) > 10
+        assert _far_side_crossings_covered(cur, adj)[0] > 10
 
     def test_near_antiparallel_beams(self):
         # an adjacent beam almost opposite a current one, tilted out of
@@ -430,7 +451,8 @@ class TestBaselineRows:
         cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, np.pi - gamma, psi_d + np.pi + tilt))
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         _assert_matches_reference(cur, adj, CFG)
-        assert _far_side_crossings_covered(cur, adj) > 10
+        crossing, meeting = _far_side_crossings_covered(cur, adj)
+        assert crossing > 10 and meeting == 0
         assert _far_side_records(cur, adj, oset.records) == 0
 
     @pytest.mark.parametrize("ratio", [0.999 - 1e-6, 0.999 + 1e-6])
@@ -544,10 +566,12 @@ class TestZeroBaseline:
 
 
 class TestBruteForceEquivalence:
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("seed", range(5))
-    def test_pipeline_matches_all_pairs_reference(self, seed):
+    def test_pipeline_matches_all_pairs_reference(self, seed, chunk, threads):
+        # across block boundaries, which criterion 1's scans never reach
         cur, adj = random_scan_pair(seed, n_current=200, n_adjacent=200)
-        _assert_matches_reference(cur, adj)
+        _assert_matches_reference(cur, adj, CFG, threads)
 
     def test_pipeline_finds_pairs(self):
         # guard against vacuous equivalence: the generator must produce overlaps
@@ -648,12 +672,87 @@ class TestSequence:
             again = extract_sequence(current, adjacents, cfg, SENSOR, threads=threads)
             assert again.records.tobytes() == base.records.tobytes()
 
-    def test_per_beam_cap(self):
+    @pytest.mark.parametrize("chunk", [37, 2048], indirect=True)
+    def test_per_beam_cap(self, chunk):
+        # the cap runs block by block: it keeps each beam's first record
         cfg = ExtractionConfig(n_adjacent=2, max_overlaps_per_beam=1)
         current, adjacents = self._window(2)
         rec = extract_sequence(current, adjacents, cfg, SENSOR).records
         _, counts = np.unique(rec["current_index"], return_counts=True)
         assert counts.max() <= 1
+        whole = extract_sequence(current, adjacents, ExtractionConfig(n_adjacent=2), SENSOR).records
+        _, first = np.unique(whole["current_index"], return_index=True)
+        assert rec.tobytes() == whole[first].tobytes()
+
+    def test_blocks_join_to_the_set(self, monkeypatch):
+        monkeypatch.setattr(extraction, "CHUNK", 7)
+        cfg = ExtractionConfig(n_adjacent=2)
+        current, adjacents = self._window(2)
+        blocks = list(extract_sequence_blocks(current, adjacents, cfg, SENSOR, threads=2))
+        assert len(blocks) == math.ceil(len(current) / 7)
+        for k, block in enumerate(blocks):
+            assert np.all((block["current_index"] >= 7 * k) & (block["current_index"] < 7 * k + 7))
+        joined = np.concatenate(blocks)
+        assert joined.tobytes() == extract_sequence(current, adjacents, cfg, SENSOR).records.tobytes()
+        assert joined.tobytes() == OverlapSet(joined).records.tobytes()
+
+    def test_window_checked_before_any_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block was extracted")
+
+        monkeypatch.setattr(extraction, "_extract_chunk", refuse)
+        current, adjacents = self._window(2)
+        with pytest.raises(ValueError):
+            extract_sequence_blocks(current, adjacents, ExtractionConfig(n_adjacent=3), SENSOR)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_blocks_computed_ahead_of_a_stalled_consumer(self, monkeypatch, threads):
+        # 50 blocks of 8 beams; the consumer takes one block and stalls
+        monkeypatch.setattr(extraction, "CHUNK", 8)
+        started = []
+        extract_chunk = extraction._extract_chunk
+
+        def counting(lo, *args):
+            started.append(lo)
+            return extract_chunk(lo, *args)
+
+        monkeypatch.setattr(extraction, "_extract_chunk", counting)
+        current, adjacents = self._window(1, n_points=400)
+        blocks = extract_sequence_blocks(current, adjacents, ExtractionConfig(n_adjacent=1), SENSOR,
+                                         threads=threads)
+        next(blocks)
+        time.sleep(0.3)
+        ahead = len(set(started)) - 1
+        assert ahead <= threads + 1
+        assert ahead >= (1 if threads > 1 else 0)
+        assert len(list(blocks)) == 49
+
+    def test_streamed_write_holds_less_than_the_set(self, tmp_path, monkeypatch):
+        # 8 blocks of a 16x1024 scene at n = 1: written block by block, the
+        # window never sits in memory whole (the whole-set path held it twice)
+        scans = _reduced_c10_scans(tmp_path, channels=16, azimuths=1024, count=3)
+        monkeypatch.setattr(extraction, "CHUNK", len(scans[1]) // 8)
+        blocks = extract_sequence_blocks(scans[1], [scans[0], scans[2]], ExtractionConfig(n_adjacent=1), SENSOR)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            count = formats.write_overlap_file(tmp_path / "x.tovp", blocks, SENSOR)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert count > 100_000
+        assert peak < count * RECORD_DTYPE.itemsize, (peak, count)
+
+
+def _reduced_c10_scans(tmp_path, channels, azimuths, count):
+    """The scans of the criterion-10 scene with fewer beams and scans."""
+    from tovp.simulator import simulate_scan
+
+    path = tmp_path / "scene.yaml"
+    path.write_text(C10_SCENE_YAML.replace("count: 32}", f"count: {channels}}}")
+                    .replace("count: 13", f"count: {count}").replace("azimuth_count: 1024", f"azimuth_count: {azimuths}"))
+    sim = formats.read_scene(str(path))
+    return [simulate_scan(sim.scene, sim.lidar, pose, t) for pose, t in zip(sim.poses, sim.times)]
 
 
 class TestPinnedBytes:
@@ -661,13 +760,7 @@ class TestPinnedBytes:
         # the criterion-10 scene at 16x512 beams and n = 2: a change to
         # extraction must keep these bytes, as criterion 10 pins the files
         # of the full window
-        from tovp.simulator import simulate_scan
-
-        path = tmp_path / "scene.yaml"
-        path.write_text(C10_SCENE_YAML.replace("count: 32}", "count: 16}").replace("count: 13", "count: 5")
-                        .replace("azimuth_count: 1024", "azimuth_count: 512"))
-        sim = formats.read_scene(str(path))
-        scans = [simulate_scan(sim.scene, sim.lidar, pose, t) for pose, t in zip(sim.poses, sim.times)]
+        scans = _reduced_c10_scans(tmp_path, channels=16, azimuths=512, count=5)
         for threads in (1, 2):
             rec = extract_sequence(scans[2], scans[:2] + scans[3:], ExtractionConfig(n_adjacent=2), SENSOR,
                                    threads=threads).records

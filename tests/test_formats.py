@@ -290,6 +290,22 @@ class TestChunkedWrite:
             data = path.read_bytes()
             assert data[formats._RECON_HEADER.itemsize:] == rset.records.astype(formats._RECON_RECORD).tobytes()
 
+    @pytest.mark.parametrize("sizes", [[], [0, 5, 0, 0, 7, 0], [formats._CHUNK - 1, 2, formats._CHUNK + 3, 1]],
+                             ids=["no-blocks", "empty-between", "straddling"])
+    def test_blocks_write_the_file_of_one_array(self, tmp_path, sizes):
+        # values exact in float32, so a read gives back the written bytes
+        records = overlap_records(sum(sizes), seed=len(sizes))
+        for name in ("position", "time", "confidence"):
+            records[name] = records[name].astype(np.float32)
+        cuts = np.cumsum([0] + sizes)
+        blocks = (records[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]))
+        one, many = tmp_path / "one.tovp", tmp_path / "many.tovp"
+        assert write_overlap_file(one, OverlapSet(records, presorted=True), SENSOR) == len(records)
+        assert write_overlap_file(many, blocks, SENSOR) == len(records)
+        assert many.read_bytes() == one.read_bytes()
+        back, _ = read_overlap_file(many)
+        assert back.records.tobytes() == records.tobytes()
+
     def test_peak_memory_is_one_chunk(self, tmp_path):
         oset = OverlapSet(overlap_records(8 * formats._CHUNK, seed=6))
         chunk_bytes = formats._CHUNK * formats._OVERLAP_RECORD.itemsize
@@ -321,7 +337,7 @@ class TestScalarFieldCodec:
         rng = np.random.default_rng(n)
         records = np.frombuffer(rng.bytes(n * memory.itemsize), dtype=memory)
         path = tmp_path / "x.set"
-        formats._write_set(path, magic, header, stored, records)
+        formats._write_set(path, magic, header, stored, [records])
         data = path.read_bytes()
         assert data[header.itemsize:] == records.astype(stored).tobytes()
         raw = rng.bytes(n * stored.itemsize)
