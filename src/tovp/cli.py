@@ -3,7 +3,8 @@
 Subcommands cover the full data path: simulate a scene, extract overlap
 and reconstruction sets, label scans from tracked boxes, score predictions,
 and sanity-check loss values.  Exit codes: 0 success, 1 usage, 2 bad data
-(any package error), 3 internal failure.  Configuration resolves as
+(any package error, or a path that is missing, of the wrong kind or not
+readable), 3 internal failure.  Configuration resolves as
 flags > config file > defaults, and every command echoes the values it ran
 with.  Set TOP_LOG=debug for progress logging.
 
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import formats
-from .errors import CountMismatch, DataError, EmptyBatch, MissingPose, SchemaViolation, TovpError
+from .errors import CountMismatch, DataError, EmptyBatch, SchemaViolation, TovpError
 from .labeling import MotionClass, ThresholdTable, TrackedBox, box_motion_class, label_points
 from .sensor_model import DEFAULT_BOUNDS, SEED_LIMIT, Scan, SensorConfig
 
@@ -97,8 +98,6 @@ def resolve_config(args) -> dict:
     if path:
         import yaml
 
-        if not os.path.exists(path):
-            raise DataError(f"config file not found: {path}")
         with open(path) as fh:
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
@@ -156,8 +155,6 @@ def _echo(cfg: dict, keys) -> str:
 
 
 def _scan_files(directory: str):
-    if not os.path.isdir(directory):
-        raise DataError(f"scan directory not found: {directory}")
     names = sorted(f for f in os.listdir(directory) if f.endswith(".bin"))
     if not names:
         raise DataError(f"no .bin scans in {directory}")
@@ -227,8 +224,6 @@ def cmd_extract(args) -> int:
     n = extraction.n_adjacent
     digest = formats.config_hash(extraction, sensor)
 
-    if not os.path.exists(args.poses):
-        raise MissingPose(f"pose file not found: {args.poses}")
     poses = formats.read_poses(args.poses)
     scan_paths = _scan_files(args.scans)
     if len(poses) != len(scan_paths):
@@ -563,6 +558,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except TovpError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as e:
+        # an input path that cannot be read is bad data, not a fault
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

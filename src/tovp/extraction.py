@@ -71,16 +71,14 @@ class ExtractionConfig:
     ``scan_period_s`` turns a scan's time difference to the current scan
     into its offset.  ``max_tail_beyond_hit_m`` limits how far past the
     current beam's own hit overlap points are kept; None means one
-    occupied-band length.  ``max_overlaps_per_beam`` keeps at most that
-    many records per current beam.  ``rng_seed`` is read by no extraction
-    step; leave it at 0, so that the digest does not move with it.
+    occupied-band length.  ``rng_seed`` is read by no extraction step;
+    leave it at 0, so that the digest does not move with it.
     """
 
     n_adjacent: int = 6
     scan_period_s: float = 0.5
     bounds: tuple = DEFAULT_BOUNDS
     max_tail_beyond_hit_m: float | None = None
-    max_overlaps_per_beam: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -298,13 +296,16 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=N
     half-plane (c < 0) A and B are both positive only for gamma < pi/2, and
     for in-band e only within theta of beta = pi (by -a_hat, where the
     half-planes meet) or of beta = pi - gamma.  The theta margins dwarf the
-    rounding of t and p_adj near their sign changes.  The far window is read
-    only in rows that reach pi - theta, as the kernel's gap gate drops every
-    pair at pi - gamma when sin(gamma) >= 4 theta.  There e lies within
-    alpha <= theta + 2 asin(s_lim / sqrt(2)) < 1.75 theta of -d; write
-    e = -cos(alpha) d + sin(alpha) (cos(phi) k + sin(phi) n), with k the
-    unit normal to d in the band plane (k . a_hat = sin(gamma)).  Then
-    t = |a| (cos(gamma) + cot(alpha) cos(phi) sin(gamma)),
+    rounding of t and p_adj near their sign changes.  By -a_hat the far
+    window stays: an in-band e there tilted out of the plane by nearly
+    theta / 2 lies a little over a quarter turn from psi_d, and can still
+    cross d ahead of both sensors within the beam radii.  The far window
+    is read only in rows that reach pi - theta, as the kernel's gap gate
+    drops every pair at pi - gamma when sin(gamma) >= 4 theta.  There e
+    lies within alpha <= theta + 2 asin(s_lim / sqrt(2)) < 1.75 theta of
+    -d; write e = -cos(alpha) d + sin(alpha) (cos(phi) k + sin(phi) n),
+    with k the unit normal to d in the band plane (k . a_hat = sin(gamma)).
+    Then t = |a| (cos(gamma) + cot(alpha) cos(phi) sin(gamma)),
     p_adj = -|a| cos(phi) sin(gamma) / sin(alpha), and the centerlines pass
     |a| sin(gamma) |sin(phi)| apart.  p_adj > 0 alone bounds t + p_adj by
     -a . e / cos(alpha) <= |a| (1 + theta), whatever the rounding of t, so
@@ -707,18 +708,7 @@ def extract_sequence_blocks(current: Scan, adjacents: list, cfg: ExtractionConfi
     _check_frames(current)
     jobs = [(off, scan.in_frame_of(current)) for off, scan in zip(range(-n, 0), past)]
     jobs += [(off, scan.in_frame_of(current)) for off, scan in zip(range(1, n + 1), future)]
-    blocks = _extract_blocks(current, jobs, cfg, sensor, threads)
-    if cfg.max_overlaps_per_beam is not None:
-        # a beam's records all lie in one block
-        blocks = (_cap_per_beam(b, cfg.max_overlaps_per_beam) for b in blocks)
-    return blocks
-
-
-def _cap_per_beam(rec: np.ndarray, cap: int) -> np.ndarray:
-    """At most ``cap`` records per current beam of canonically ordered records."""
-    _, starts, counts = np.unique(rec["current_index"], return_index=True, return_counts=True)
-    within = np.arange(len(rec)) - np.repeat(starts, counts)
-    return rec[within < cap]
+    return _extract_blocks(current, jobs, cfg, sensor, threads)
 
 
 def balance_classes(oset: OverlapSet, seed: int) -> OverlapSet:

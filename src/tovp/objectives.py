@@ -107,18 +107,21 @@ def _probability_matrix(predictions) -> np.ndarray:
     return p
 
 
-def _chunks(n: int):
-    """Row slices of at most _CHUNK rows covering range(n)."""
-    return (slice(a, a + _CHUNK) for a in range(0, n, _CHUNK))
-
-
-def _true_class_nll(states, predictions) -> np.ndarray:
+def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> float:
+    """Sum of (conf * w[state]) * -log(p[state]) over the batch, with
+    conf = 1 when not given.  Chunk by chunk, the true-class probabilities
+    are gathered, checked and logged, then scaled in place in the nll
+    array, which the one closing sum reads whole."""
     probs = _probability_matrix(predictions)
     s = np.asarray(states)
     if s.shape != (len(probs),):
         raise CountMismatch(f"{len(s)} states for {len(probs)} predictions")
+    if conf is not None and conf.shape != s.shape:
+        raise CountMismatch(f"{conf.shape} confidences for {s.shape} points")
+    w = weights.as_array()
     nll = np.empty(len(probs))
-    for rows in _chunks(len(probs)):
+    for a in range(0, len(probs), _CHUNK):
+        rows = slice(a, a + _CHUNK)
         block = probs[rows]
         idx = s[rows].astype(np.intp)
         # a negative state wraps to a huge unsigned one
@@ -130,19 +133,7 @@ def _true_class_nll(states, predictions) -> np.ndarray:
         if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
             raise NonFiniteLoss("true-class probability is zero or non-finite")
         np.negative(np.log(p_true), out=nll[rows])
-    return nll
-
-
-def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> float:
-    """Sum of (conf * w[state]) * nll over the batch, with conf = 1 when
-    not given.  The products are formed chunk by chunk in place in the nll
-    array, which the one closing sum reads whole."""
-    nll = _true_class_nll(states, predictions)
-    if conf is not None and conf.shape != nll.shape:
-        raise CountMismatch(f"{conf.shape} confidences for {nll.shape} points")
-    w, s = weights.as_array(), np.asarray(states)
-    for rows in _chunks(len(nll)):
-        factor = w[s[rows].astype(np.intp)]
+        factor = w[idx]
         if conf is not None:
             factor *= conf[rows]
         nll[rows] *= factor

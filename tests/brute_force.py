@@ -2,11 +2,11 @@
 
 Used to check that the index-pruned pipeline finds exactly the pairs the
 plain formulas find.  The reference owns only the enumeration and the
-order: every beam of either scan, with no band query, no chunking and no
-merge, and one lexsort at the end.  The per-pair formula is the
-pipeline's own kernel, run on the full cross product; a check of that
-formula that shares no code with it is ``test_pair_formula.py``, which
-rebuilds records from the scalar functions of ``tovp.geometry``.
+order: every beam of either scan, with no band query and no blocks, and
+one lexsort at the end.  The per-pair formula is the pipeline's own
+kernel, run on the full cross product; a check of that formula that
+shares no code with it is ``test_pair_formula.py``, which rebuilds
+records from the scalar functions of ``tovp.geometry``.
 """
 
 import numpy as np

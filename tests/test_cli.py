@@ -94,6 +94,7 @@ KEPT = {
 KEPT_FLAGS = sorted((c, f) for c in KEPT for f in KEPT[c])
 REMOVED_FLAGS = sorted((c, f) for c in KEPT for f in set(FLAG_VALUES) - KEPT[c])
 assert len(KEPT_FLAGS) == 17 and len(REMOVED_FLAGS) == 31
+MISSING = "No such file or directory"
 
 
 class TestUsageAndExitCodes:
@@ -135,6 +136,30 @@ class TestUsageAndExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    # an input path that is missing or of the wrong kind, among readable
+    # ones: (command line, the path it fails on, the reason)
+    @pytest.mark.parametrize("argv,bad,reason", [
+        ("label --scans {sim}/scans --boxes {sim}/boxes.jsonl --out {out} --poses {nope}", "{nope}", MISSING),
+        ("label --scans {sim}/scans --boxes {nope} --out {out}", "{nope}", MISSING),
+        ("label --config {nope} --scans {sim}/scans --boxes {sim}/boxes.jsonl --out {out}", "{nope}", MISSING),
+        ("eval --scans {sim}/scans --labels {nope} --predictions {sim}/labels --boxes {sim}/boxes.jsonl",
+         "{nope}/000000.label", MISSING),
+        ("stats --counts {nope}", "{nope}", MISSING),
+        ("stats --counts {sim}", "{sim}", "Is a directory"),
+        ("loss-check --overlaps {nope} --probs {nope}", "{nope}", MISSING),
+        ("simulate --scene {nope} --out {out}", "{nope}", MISSING),
+        ("extract --scans {sim}/scans --poses {nope} --out {out}", "{nope}", MISSING),
+        ("extract --scans {nope} --poses {sim}/poses.txt --out {out}", "{nope}", MISSING),
+        ("extract --scans {sim}/poses.txt --poses {sim}/poses.txt --out {out}", "{sim}/poses.txt", "Not a directory"),
+    ], ids=["label-poses", "label-boxes", "label-config", "eval-labels", "stats-counts", "stats-counts-dir",
+            "loss-check-overlaps", "simulate-scene", "extract-poses", "extract-scans", "extract-scans-file"])
+    def test_unreadable_input_path_is_2(self, tmp_path, capsys, argv, bad, reason):
+        paths = {"sim": simulate(tmp_path, count=3), "out": tmp_path / "out", "nope": tmp_path / "nope"}
+        capsys.readouterr()
+        assert main(argv.format(**paths).split()) == 2
+        assert capsys.readouterr().err == f"error: {bad.format(**paths)}: {reason}\n"
+        assert not any(paths["out"].rglob("*"))
 
 
 class TestBadValuesAreSchemaViolations:
