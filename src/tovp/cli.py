@@ -4,7 +4,8 @@ Subcommands cover the full data path: simulate a scene, extract overlap
 and reconstruction sets, label scans from tracked boxes, score predictions,
 and sanity-check loss values.  Exit codes: 0 success, 1 usage, 2 bad data
 (any package error, or a path that is missing, of the wrong kind or not
-readable), 3 internal failure.  Configuration resolves as
+readable, an existing file named as an output directory among them), 3
+internal failure.  Configuration resolves as
 flags > config file > defaults, and every command echoes the values it ran
 with.  Set TOP_LOG=debug for progress logging.
 
@@ -559,8 +560,10 @@ def main(argv=None) -> int:
     except TovpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as e:
-        # an input path that cannot be read is bad data, not a fault
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
+            PermissionError) as e:
+        # an input path that cannot be read, or an output directory that
+        # names a file, is bad data, not a fault
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -4,10 +4,12 @@ boxes, scene descriptions, and metric reports.
 Binary formats are little-endian and carry a magic plus version so stale
 files fail loudly instead of decoding garbage.  Readers validate sizes
 before touching content; writers produce files whose read-write round trip
-is byte-identical.  Record sets are cast between their in-memory and
-on-disk dtypes through views that split each (3,) field into three scalar
-fields at the same offsets: numpy casts a subarray field one record row at
-a time, and a scalar field as one column, for the same bytes.
+is byte-identical.  A reconstruction set is held in its on-disk layout, so
+it is written and read without a cast.  Only overlap sets are cast between
+their in-memory and on-disk dtypes, through views that split each (3,)
+field into three scalar fields at the same offsets: numpy casts a subarray
+field one record row at a time, and a scalar field as one column, for the
+same bytes.
 
 The modules that only one format needs (PyYAML and ``simulator`` for
 scenes, ``extraction`` and ``recon`` for record sets, ``hashlib`` for the
@@ -74,13 +76,6 @@ _RECON_HEADER = np.dtype([
     ("magic", "S4"),
     ("version", "<u2"),
     ("count", "<u8"),
-])
-
-_RECON_RECORD = np.dtype([
-    ("current_index", "<u4"),
-    ("position", "<f4", (3,)),
-    ("time", "<f4"),
-    ("state", "u1"),
 ])
 
 
@@ -165,7 +160,8 @@ def write_poses(path, poses):
 
 # records cast per write and decoded per read: a write holds the block it
 # is given and one chunk cast to the on-disk dtype, a read the decoded set
-# and one chunk of stored bytes, never a second copy of the whole set
+# and one chunk of stored bytes, never a second copy of the whole set; a
+# set already in its on-disk dtype is neither cast nor copied
 _CHUNK = 1 << 16
 
 
@@ -206,7 +202,7 @@ def _write_set(path, magic: bytes, header_dtype, record_dtype, blocks, **header_
         for records in blocks:
             flat = records.view(_scalar_fields(records.dtype))
             for start in range(0, len(records), _CHUNK):
-                flat[start:start + _CHUNK].astype(stored).tofile(fh)
+                flat[start:start + _CHUNK].astype(stored, copy=False).tofile(fh)
             header["count"] += len(records)
             del records, flat  # freed before the next block is made
         fh.seek(0)
@@ -216,7 +212,8 @@ def _write_set(path, magic: bytes, header_dtype, record_dtype, blocks, **header_
 
 def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
     """Validate and decode a file written by :func:`_write_set`; returns
-    (header, records cast to ``memory_dtype``)."""
+    (header, records cast to ``memory_dtype``), read straight into the
+    result when ``memory_dtype`` is ``record_dtype``."""
     with open(path, "rb") as fh:
         head = fh.read(header_dtype.itemsize)
         size = os.fstat(fh.fileno()).st_size
@@ -237,6 +234,11 @@ def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
         if n_stored != int(header["count"]):
             raise CountMismatch(f"{path}: header promises {int(header['count'])} "
                                 f"records, file holds {n_stored}")
+        if memory_dtype == record_dtype:
+            records = np.fromfile(fh, dtype=record_dtype, count=n_stored)
+            if len(records) != n_stored:
+                raise TruncatedFile(f"{path}: ended after {len(records)} of {n_stored} records")
+            return header, records
         records = np.empty(n_stored, dtype=memory_dtype)
         flat, stored = records.view(_scalar_fields(memory_dtype)), _scalar_fields(record_dtype)
         for start in range(0, n_stored, _CHUNK):
@@ -279,13 +281,18 @@ def read_overlap_file(path):
 
 
 def write_recon_file(path, rset: "ReconSet"):
-    _write_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, [rset.records])
+    """Write the records of ``rset`` as they are held: ``recon.RECON_DTYPE``
+    is the on-disk record layout."""
+    from .recon import RECON_DTYPE
+
+    _write_set(path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE, [rset.records])
 
 
 def read_recon_file(path) -> "ReconSet":
+    """Returns the ReconSet of the file's records, in the stored layout."""
     from .recon import RECON_DTYPE, ReconSet
 
-    _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, _RECON_RECORD, RECON_DTYPE)
+    _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE, RECON_DTYPE)
     return ReconSet(rec)
 
 

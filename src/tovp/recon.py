@@ -9,10 +9,15 @@ subset of beams can be generated in any order, or in parallel, with
 identical results.  The generator runs in numpy uint64 arithmetic over all
 beams at once and gives, bit for bit, the stream of
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, beam])).uniform``.
-Positions are written one coordinate column at a time, and the fields that
-every beam shares are copied from one per-beam byte template: numpy runs
-its inner loop once per record row on (3,) subarrays and structured
-fields, and once per column or per beam here, for the same bytes.
+Positions are computed in float64 one coordinate column at a time and
+rounded once into the float32 column, and the fields that every beam
+shares are copied from one per-beam byte template: numpy runs its inner
+loop once per record row on (3,) subarrays and structured fields, and once
+per column or per beam here, for the same bytes.
+
+Records are held in the ``.trcn`` layout, ``RECON_DTYPE``, so a set is
+written and read without a cast; only overlap sets are cast between an
+in-memory and an on-disk layout.
 """
 
 import operator
@@ -32,11 +37,12 @@ _ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
+# the record layout in memory and in a .trcn file, 21 bytes
 RECON_DTYPE = np.dtype(
     [
         ("current_index", "<u4"),
-        ("position", "<f8", (3,)),
-        ("time", "<f8"),
+        ("position", "<f4", (3,)),
+        ("time", "<f4"),
         ("state", "u1"),
     ]
 )
@@ -44,7 +50,10 @@ RECON_DTYPE = np.dtype(
 
 @dataclass(frozen=True)
 class ReconSample:
-    """One reconstruction target on a current beam's centerline."""
+    """One reconstruction target on a current beam's centerline.
+
+    ``position`` is the record's float32 (3,) array and ``time`` its
+    float32 time, as a float."""
 
     position: np.ndarray
     time: float
@@ -143,6 +152,8 @@ def sample_recon_points(
     rec.view(np.uint8)[:] = template.view(np.uint8)
     rec["current_index"] = valid[:, None]
     pos = rec["position"]
+    # one coordinate column of a block in float64, rounded once into pos
+    coord = np.empty((min(_BEAM_BLOCK, len(valid)), per_beam))
     for start in range(0, len(valid), _BEAM_BLOCK):
         rows = slice(start, start + _BEAM_BLOCK)
         # unit draws become ranges in place: r + u * band, then u * r
@@ -151,8 +162,10 @@ def sample_recon_points(
         sample_r[:, :occupied_per_beam] *= sensor.occupied_band_m
         sample_r[:, :occupied_per_beam] += r
         sample_r[:, occupied_per_beam:] *= r
+        col = coord[:len(sample_r)]
         for j in range(3):
-            np.multiply(sample_r, dirs[rows, j, None], out=pos[rows, :, j])
+            np.multiply(sample_r, dirs[rows, j, None], out=col)
             if origin[j]:  # skipped at zero, which would turn -0.0 into 0.0
-                pos[rows, :, j] += origin[j]
+                col += origin[j]
+            pos[rows, :, j] = col
     return ReconSet(rec.reshape(-1))

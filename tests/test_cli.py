@@ -161,6 +161,19 @@ class TestUsageAndExitCodes:
         assert capsys.readouterr().err == f"error: {bad.format(**paths)}: {reason}\n"
         assert not any(paths["out"].rglob("*"))
 
+    @pytest.mark.parametrize("argv", [
+        "label --scans {sim}/scans --boxes {sim}/boxes.jsonl --poses {sim}/poses.txt --out {out}",
+        "extract --n 1 --scans {sim}/scans --poses {sim}/poses.txt --out {out}",
+    ], ids=["label", "extract"])
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys, argv):
+        sim = simulate(tmp_path, count=3)
+        out = tmp_path / "scene.yaml"  # the scene the scans were simulated from
+        scene = out.read_bytes()
+        capsys.readouterr()
+        assert main(argv.format(sim=sim, out=out).split()) == 2
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
+        assert out.read_bytes() == scene
+
 
 class TestBadValuesAreSchemaViolations:
     """A config or scene value of the wrong kind or out of range exits 2

@@ -288,7 +288,7 @@ class TestChunkedWrite:
             path = tmp_path / f"{n}.trcn"
             write_recon_file(path, rset)
             data = path.read_bytes()
-            assert data[formats._RECON_HEADER.itemsize:] == rset.records.astype(formats._RECON_RECORD).tobytes()
+            assert data[formats._RECON_HEADER.itemsize:] == rset.records.tobytes()
 
     @pytest.mark.parametrize("sizes", [[], [0, 5, 0, 0, 7, 0], [formats._CHUNK - 1, 2, formats._CHUNK + 3, 1]],
                              ids=["no-blocks", "empty-between", "straddling"])
@@ -324,10 +324,11 @@ class TestScalarFieldCodec:
     """Records are cast through views that split each (3,) field into three
     scalar fields at the same offsets.  On random bytes in every field, and
     on both sides of a chunk boundary, the file holds the bytes of a cast
-    of whole records, and a read decodes them as such a cast does."""
+    of whole records, and a read decodes them as such a cast does; recon
+    records are held in their on-disk layout, so theirs is the identity."""
 
     CASES = [(RECORD_DTYPE, formats._OVERLAP_HEADER, formats._OVERLAP_RECORD, formats.OVERLAP_MAGIC),
-             (RECON_DTYPE, formats._RECON_HEADER, formats._RECON_RECORD, formats.RECON_MAGIC)]
+             (RECON_DTYPE, formats._RECON_HEADER, RECON_DTYPE, formats.RECON_MAGIC)]
 
     # random bytes hold NaNs, and doubles beyond the float32 range
     @pytest.mark.filterwarnings("ignore:.*encountered in cast:RuntimeWarning")
@@ -346,8 +347,7 @@ class TestScalarFieldCodec:
         assert back.dtype == memory
         assert back.tobytes() == np.frombuffer(raw, dtype=stored).astype(memory).tobytes()
 
-    @pytest.mark.parametrize("dtype", [RECORD_DTYPE, RECON_DTYPE, formats._OVERLAP_RECORD,
-                                       formats._RECON_RECORD])
+    @pytest.mark.parametrize("dtype", [RECORD_DTYPE, RECON_DTYPE, formats._OVERLAP_RECORD])
     def test_view_keeps_the_layout(self, dtype):
         flat = formats._scalar_fields(dtype)
         assert flat.itemsize == dtype.itemsize
@@ -373,6 +373,34 @@ class TestReconFile:
         write_recon_file(path, recon_set(1))
         with pytest.raises(MagicMismatch):
             read_overlap_file(path)
+
+    def test_read_gives_the_stored_layout(self, tmp_path):
+        path = tmp_path / "x.trcn"
+        write_recon_file(path, recon_set(formats._CHUNK + 5))
+        records = read_recon_file(path).records
+        assert records.dtype == RECON_DTYPE
+        assert records.tobytes() == path.read_bytes()[formats._RECON_HEADER.itemsize:]
+
+    def test_write_and_read_hold_no_second_copy(self, tmp_path):
+        rset = recon_set(8 * formats._CHUNK, seed=6)
+        path = tmp_path / "x.trcn"
+        payload = rset.records.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_recon_file(path, rset)
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_recon_file(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a write casts nothing, and a read holds no chunk of stored bytes
+        # beside the result (with one, the read would peak at 1.125x)
+        assert write_peak < formats._CHUNK * RECON_DTYPE.itemsize, write_peak
+        assert read_peak < 1.1 * payload, read_peak
+        assert back.records.tobytes() == rset.records.tobytes()
 
 
 class TestLabelsAndProbabilities:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tovp.formats import write_recon_file
 from tovp.recon import (
     _BEAM_BLOCK,
     RECON_DTYPE,
@@ -72,14 +73,17 @@ def test_states_reverify_against_beam_model():
 
 
 def test_samples_sit_on_beam_centerline():
+    # the float64 positions lie on the centerline; the set holds them
+    # rounded once to float32
     scan = ball_scan(32, seed=5)
     out = sample_recon_points(scan, 2, 2, SENSOR, seed=9)
+    valid, exact = reference_positions(scan, 2, 2, seed=9)
     dirs = scan.points / np.linalg.norm(scan.points, axis=1)[:, None]
-    for rec in out.records:
-        d = dirs[rec["current_index"]]
-        p = rec["position"]
+    for i, p in zip(np.repeat(valid, 4), exact):
+        d = dirs[i]
         off_axis = np.linalg.norm(p - (p @ d) * d)
         assert off_axis < 1e-12
+    assert out.records["position"].tobytes() == exact.astype("<f4").tobytes()
 
 
 def test_deterministic_and_seed_sensitive():
@@ -131,7 +135,11 @@ def test_beams_start_at_the_sensor_origin():
     want = sample_recon_points(scan, 5, 25, SENSOR, seed=4).records
     assert np.array_equal(got["current_index"], want["current_index"])
     assert np.array_equal(got["state"], want["state"])
-    np.testing.assert_allclose(got["position"] - origin, want["position"], rtol=0, atol=1e-11)
+    _, exact_moved = reference_positions(moved, 5, 25, seed=4)
+    _, exact = reference_positions(scan, 5, 25, seed=4)
+    np.testing.assert_allclose(exact_moved - origin, exact, rtol=0, atol=1e-11)
+    assert got["position"].tobytes() == exact_moved.astype("<f4").tobytes()
+    assert want["position"].tobytes() == exact.astype("<f4").tobytes()
 
 
 def test_empty_scan_and_zero_budget():
@@ -172,19 +180,30 @@ def test_vector_philox_matches_numpy_stream(seed, k):
     assert got.tobytes() == want.tobytes()
 
 
-def reference_recon_records(scan, occupied, free, seed):
-    """The per-beam generator loop that sample_recon_points replaces."""
-    ranges = np.linalg.norm(scan.points, axis=1)
+def reference_positions(scan, occupied, free, seed):
+    """(beam ids, float64 sample positions in record order) of the per-beam
+    generator loop that sample_recon_points replaces."""
+    delta = scan.points - scan.sensor_origin
+    ranges = np.linalg.norm(delta, axis=1)
     valid = np.nonzero(ranges >= MIN_BEAM_RANGE)[0]
-    dirs = scan.points[valid] / ranges[valid, None]
+    dirs = delta[valid] / ranges[valid, None]
     draws = scalar_uniform(seed, valid, occupied + free)
     r = ranges[valid]
     sample_r = np.empty_like(draws)
     sample_r[:, :occupied] = r[:, None] + draws[:, :occupied] * BAND
     sample_r[:, occupied:] = draws[:, occupied:] * r[:, None]
+    pos = sample_r[:, :, None] * dirs[:, None, :]
+    moved = scan.sensor_origin != 0.0  # adding 0.0 would turn -0.0 into 0.0
+    pos[:, :, moved] += scan.sensor_origin[moved]
+    return valid, pos.reshape(-1, 3)
+
+
+def reference_recon_records(scan, occupied, free, seed):
+    """The records of :func:`reference_positions`, positions rounded once."""
+    valid, pos = reference_positions(scan, occupied, free, seed)
     rec = np.empty(len(valid) * (occupied + free), dtype=RECON_DTYPE)
     rec["current_index"] = np.repeat(valid, occupied + free)
-    rec["position"] = (sample_r[:, :, None] * dirs[:, None, :]).reshape(-1, 3)
+    rec["position"] = pos
     rec["time"] = scan.time
     states = np.empty((len(valid), occupied + free), dtype=np.uint8)
     states[:, :occupied] = int(OccupancyState.OCCUPIED)
@@ -216,11 +235,15 @@ def test_negative_zero_coordinates_keep_their_sign():
     assert got.tobytes() == reference_recon_records(scan, 2, 3, 5).tobytes()
 
 
-def test_golden_bytes():
-    # digest of the stream as numpy's per-beam Philox generators drew it
+def test_golden_bytes(tmp_path):
+    # digest of the .trcn file of the stream as numpy's per-beam Philox
+    # generators drew it, taken when records were held in float64 and
+    # cast at write time, so sampling must round to the same bits
     out = sample_recon_points(ball_scan(257, seed=3), 5, 25, SENSOR, seed=11)
-    assert hashlib.sha256(out.records.tobytes()).hexdigest() == \
-        "23ac950260dc75a1494de5bfb009be2ff59134fec3dab051d3362dfdbaddea79"
+    path = tmp_path / "x.trcn"
+    write_recon_file(path, out)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "5de957ad42a078e06e9b9082d3aaca133ded98ce80f66a6480d89b1b6d67dc2e"
 
 
 @pytest.mark.parametrize("seed", [-1, SEED_LIMIT, SEED_LIMIT + 5, 2**64 - 1])
