@@ -6,10 +6,11 @@ five overlap points are emitted depending on the crossing angle, each
 labeled FREE / OCCUPIED / UNKNOWN by projecting onto the adjacent beam and
 applying the occupancy rule against that beam's reported range.  That
 per-pair formula lives in one column kernel, :func:`_pair_records`, which
-the all-pairs test reference runs too.  A beam that spans no plane with
-the baseline (see :func:`_band_planes`) gives no record; with a baseline
-of ORIGIN_EPS or less, as from a stationary sensor, no beam does, and the
-scan pair gives nothing.
+the all-pairs test reference runs too; it computes in float64 and rounds
+once, as it packs records in the ``.tovp`` layout, ``RECORD_DTYPE``.  A
+beam that spans no plane with the baseline (see :func:`_band_planes`)
+gives no record; with a baseline of ORIGIN_EPS or less, as from a
+stationary sensor, no beam does, and the scan pair gives nothing.
 
 The all-pairs search is pruned by an index of the adjacent beam directions
 in the frame of the baseline between the two sensors.  Every coplanarity
@@ -46,15 +47,17 @@ from .sensor_model import DEFAULT_BOUNDS, Beam, OccupancyState, RecordSet, Scan,
 CHUNK = 2048
 PAIR_BLOCK = 1 << 14
 
+# the record layout in memory and in a .tovp file, 31 bytes: values are
+# computed in float64 and rounded once as they are packed
 RECORD_DTYPE = np.dtype(
     [
         ("current_index", "<u4"),
         ("scan_offset", "<i1"),
         ("adjacent_index", "<u4"),
-        ("position", "<f8", (3,)),
-        ("time", "<f8"),
+        ("position", "<f4", (3,)),
+        ("time", "<f4"),
         ("state", "u1"),
-        ("confidence", "<f8"),
+        ("confidence", "<f4"),
         ("sample_rank", "u1"),
     ]
 )
@@ -91,8 +94,8 @@ class ExtractionConfig:
         if len(b) != 6 or not (b[0] < b[1] and b[2] < b[3] and b[4] < b[5]):
             raise ValueError(f"bounds must be (x0,x1,y0,y1,z0,z1) with lo < hi: {self.bounds}")
         object.__setattr__(self, "bounds", b)
-        if self.max_tail_beyond_hit_m is not None and self.max_tail_beyond_hit_m < 0:
-            raise ValueError("max_tail_beyond_hit_m must be >= 0")
+        if self.max_tail_beyond_hit_m is not None and not self.max_tail_beyond_hit_m >= 0:  # NaN fails
+            raise ValueError(f"max_tail_beyond_hit_m must be >= 0: {self.max_tail_beyond_hit_m}")
 
     def tail_m(self, sensor: SensorConfig) -> float:
         if self.max_tail_beyond_hit_m is not None:
@@ -107,7 +110,8 @@ class ExtractionConfig:
 
 @dataclass(frozen=True)
 class OverlapPoint:
-    """One labeled temporal overlap point (view over a record row)."""
+    """One labeled temporal overlap point (view over a record row); its
+    position, time and confidence are the record's float32 values."""
 
     position: np.ndarray
     time: float
@@ -122,9 +126,11 @@ class OverlapPoint:
 class OverlapSet(RecordSet):
     """Canonically ordered collection of overlap records.
 
-    Stores a packed numpy record array (see RECORD_DTYPE); indexing yields
-    :class:`OverlapPoint` views.  Order is (current index, scan offset,
-    adjacent index, sample rank), which makes serialization deterministic.
+    Stores a packed numpy record array in the ``.tovp`` layout (see
+    RECORD_DTYPE), so a set is written and read without a cast; indexing
+    yields :class:`OverlapPoint` views.  Order is (current index, scan
+    offset, adjacent index, sample rank), which makes serialization
+    deterministic.
     """
 
     record_dtype = RECORD_DTYPE
@@ -180,6 +186,8 @@ def _canonical_order(records: np.ndarray) -> np.ndarray:
         order = np.lexsort(
             (records["sample_rank"], records["adjacent_index"], records["scan_offset"], records["current_index"])
         )
+        if np.all(order[1:] > order[:-1]):  # the identity: a stable sort of sorted records
+            return records
     return records.view(_RECORD_BYTES).take(order).view(RECORD_DTYPE)
 
 

@@ -4,12 +4,8 @@ boxes, scene descriptions, and metric reports.
 Binary formats are little-endian and carry a magic plus version so stale
 files fail loudly instead of decoding garbage.  Readers validate sizes
 before touching content; writers produce files whose read-write round trip
-is byte-identical.  A reconstruction set is held in its on-disk layout, so
-it is written and read without a cast.  Only overlap sets are cast between
-their in-memory and on-disk dtypes, through views that split each (3,)
-field into three scalar fields at the same offsets: numpy casts a subarray
-field one record row at a time, and a scalar field as one column, for the
-same bytes.
+is byte-identical.  Overlap and reconstruction sets are held in their
+on-disk record layouts, so they are written and read without a cast.
 
 The modules that only one format needs (PyYAML and ``simulator`` for
 scenes, ``extraction`` and ``recon`` for record sets, ``hashlib`` for the
@@ -17,7 +13,6 @@ config digest) are imported inside the functions that use them, so a
 command loads only what its own formats need.
 """
 
-import functools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
@@ -59,17 +54,6 @@ _OVERLAP_HEADER = np.dtype([
     ("occupied_confidence_threshold", "<f8"),
     ("decay_rate_per_meter", "<f8"),
     ("config_hash", "V16"),
-])
-
-_OVERLAP_RECORD = np.dtype([
-    ("current_index", "<u4"),
-    ("scan_offset", "<i1"),
-    ("adjacent_index", "<u4"),
-    ("position", "<f4", (3,)),
-    ("time", "<f4"),
-    ("state", "u1"),
-    ("confidence", "<f4"),
-    ("sample_rank", "u1"),
 ])
 
 _RECON_HEADER = np.dtype([
@@ -158,62 +142,31 @@ def write_poses(path, poses):
 
 # -- overlap and reconstruction sets ------------------------------------------
 
-# records cast per write and decoded per read: a write holds the block it
-# is given and one chunk cast to the on-disk dtype, a read the decoded set
-# and one chunk of stored bytes, never a second copy of the whole set; a
-# set already in its on-disk dtype is neither cast nor copied
-_CHUNK = 1 << 16
-
-
-@functools.lru_cache(maxsize=8)
-def _scalar_fields(dtype: np.dtype) -> np.dtype:
-    """``dtype`` with each (k,) subarray field split into k scalar fields
-    at the same offsets, to view the same bytes."""
-    names, formats, offsets = [], [], []
-    for name in dtype.names:
-        sub, offset = dtype.fields[name][:2]
-        if sub.shape == ():
-            names.append(name)
-            formats.append(sub)
-            offsets.append(offset)
-            continue
-        for i in range(sub.itemsize // sub.base.itemsize):
-            names.append(f"{name}[{i}]")
-            formats.append(sub.base)
-            offsets.append(offset + i * sub.base.itemsize)
-    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
-                     "itemsize": dtype.itemsize})
-
-
 def _write_set(path, magic: bytes, header_dtype, record_dtype, blocks, **header_fields) -> int:
     """Write a magic/version/count header (plus ``header_fields``), then
-    the records of each array in ``blocks`` as it comes, cast to
-    ``record_dtype`` ``_CHUNK`` records at a time, and then patch ``count``;
-    returns it.  In-memory and on-disk record dtypes list the same fields
-    in the same order, and structured casts match fields by position."""
+    the records of each array in ``blocks`` as it comes, and then patch
+    ``count``; returns it.  Sets are held in their on-disk ``record_dtype``,
+    so a block goes to the file as it is; one in another layout is copied
+    into it first, and its raw bytes are never written."""
     header = np.zeros(1, dtype=header_dtype)
     header["magic"] = magic
     header["version"] = FORMAT_VERSION
     for name, value in header_fields.items():
         header[name] = value
-    stored = _scalar_fields(record_dtype)
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         for records in blocks:
-            flat = records.view(_scalar_fields(records.dtype))
-            for start in range(0, len(records), _CHUNK):
-                flat[start:start + _CHUNK].astype(stored, copy=False).tofile(fh)
+            np.asarray(records, dtype=record_dtype).tofile(fh)
             header["count"] += len(records)
-            del records, flat  # freed before the next block is made
+            del records  # freed before the next block is made
         fh.seek(0)
         fh.write(header.tobytes())
     return int(header["count"][0])
 
 
-def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
+def _read_set(path, magic: bytes, header_dtype, record_dtype):
     """Validate and decode a file written by :func:`_write_set`; returns
-    (header, records cast to ``memory_dtype``), read straight into the
-    result when ``memory_dtype`` is ``record_dtype``."""
+    (header, records), read straight into an array of ``record_dtype``."""
     with open(path, "rb") as fh:
         head = fh.read(header_dtype.itemsize)
         size = os.fstat(fh.fileno()).st_size
@@ -234,16 +187,9 @@ def _read_set(path, magic: bytes, header_dtype, record_dtype, memory_dtype):
         if n_stored != int(header["count"]):
             raise CountMismatch(f"{path}: header promises {int(header['count'])} "
                                 f"records, file holds {n_stored}")
-        if memory_dtype == record_dtype:
-            records = np.fromfile(fh, dtype=record_dtype, count=n_stored)
-            if len(records) != n_stored:
-                raise TruncatedFile(f"{path}: ended after {len(records)} of {n_stored} records")
-            return header, records
-        records = np.empty(n_stored, dtype=memory_dtype)
-        flat, stored = records.view(_scalar_fields(memory_dtype)), _scalar_fields(record_dtype)
-        for start in range(0, n_stored, _CHUNK):
-            count = min(_CHUNK, n_stored - start)
-            flat[start:start + count] = np.fromfile(fh, dtype=stored, count=count)
+        records = np.fromfile(fh, dtype=record_dtype, count=n_stored)
+    if len(records) != n_stored:
+        raise TruncatedFile(f"{path}: ended after {len(records)} of {n_stored} records")
     return header, records
 
 
@@ -261,16 +207,19 @@ def write_overlap_file(path, overlaps, sensor: SensorConfig,
     come; returns the record count."""
     if len(config_digest) != 16:
         raise ValueError("config digest must be 16 bytes")
+    from .extraction import RECORD_DTYPE
+
     blocks = [overlaps.records] if isinstance(overlaps, RecordSet) else overlaps
-    return _write_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, blocks,
+    return _write_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE, blocks,
                       **asdict(sensor), config_hash=config_digest)
 
 
 def read_overlap_file(path):
-    """Returns (OverlapSet, OverlapFileInfo)."""
+    """Returns (OverlapSet, OverlapFileInfo), the set's records in the
+    stored layout, ``extraction.RECORD_DTYPE``."""
     from .extraction import RECORD_DTYPE, OverlapSet
 
-    header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, _OVERLAP_RECORD, RECORD_DTYPE)
+    header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE)
     try:
         sensor = SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)})
     except ValueError as e:
@@ -292,7 +241,7 @@ def read_recon_file(path) -> "ReconSet":
     """Returns the ReconSet of the file's records, in the stored layout."""
     from .recon import RECON_DTYPE, ReconSet
 
-    _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE, RECON_DTYPE)
+    _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE)
     return ReconSet(rec)
 
 

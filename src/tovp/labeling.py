@@ -169,7 +169,8 @@ def label_points(
     A point inside a box at the scan time inherits the box's class; where
     boxes overlap, MOVING beats UNKNOWN_MOTION beats STATIC.  Points in no
     box, and boxes with no keyframe at the scan time, default to STATIC
-    background.
+    background.  A point on a box face may test outside the box through
+    rounding (see ``points_in_box``); ``margin`` grows every face.
     """
     rank = np.zeros(len(scan), dtype=np.uint8)
     for box in boxes:

@@ -16,8 +16,7 @@ loop once per record row on (3,) subarrays and structured fields, and once
 per column or per beam here, for the same bytes.
 
 Records are held in the ``.trcn`` layout, ``RECON_DTYPE``, so a set is
-written and read without a cast; only overlap sets are cast between an
-in-memory and an on-disk layout.
+written and read without a cast.
 """
 
 import operator

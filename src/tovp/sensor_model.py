@@ -90,7 +90,7 @@ class SensorConfig:
             raise ValueError(
                 f"occupied_confidence_threshold out of (0, 1): {self.occupied_confidence_threshold}"
             )
-        if self.decay_rate_per_meter <= 0.0:
+        if not self.decay_rate_per_meter > 0.0:  # NaN fails
             raise ValueError(f"decay_rate_per_meter must be > 0: {self.decay_rate_per_meter}")
 
     @property

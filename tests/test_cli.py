@@ -196,6 +196,8 @@ class TestBadValuesAreSchemaViolations:
         ("", ["--period", "-0.5"], "scan_period_s"),
         ("bounds: [0, .nan, 0, 1, 0, 1]\n", [], "bounds"),
         ("", ["--bounds", "0,nan,0,1,0,1"], "bounds"),
+        ("max_tail_beyond_hit_m: .nan\n", [], "max_tail_beyond_hit_m"),
+        ("decay_rate_per_meter: .nan\n", [], "decay_rate_per_meter"),
     ])
     def test_extract_config(self, tmp_path, capsys, config, flags, key):
         cfg = tmp_path / "cfg.yaml"
@@ -662,14 +664,15 @@ class TestLossCheck:
                      "--probs", str(probs), "--recon", str(path)]) == 2
 
     def test_out_of_range_header_sensor_value_is_format_error(self, tmp_path, capsys):
-        path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
-        data = bytearray(path.read_bytes())
-        offset = _OVERLAP_HEADER.fields["divergence_angle_rad"][1]
-        data[offset:offset + 8] = np.float64(0.5).astype("<f8").tobytes()
-        path.write_bytes(bytes(data))
-        assert main(["loss-check", "--overlaps", str(path), "--probs", str(probs)]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and "divergence_angle_rad" in err, err
+        for key, value in (("divergence_angle_rad", 0.5), ("decay_rate_per_meter", np.nan)):
+            path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+            data = bytearray(path.read_bytes())
+            offset = _OVERLAP_HEADER.fields[key][1]
+            data[offset:offset + 8] = np.float64(value).astype("<f8").tobytes()
+            path.write_bytes(bytes(data))
+            assert main(["loss-check", "--overlaps", str(path), "--probs", str(probs)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and key in err, err
 
     def test_garbage_overlap_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.tovp"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tovp import formats
+from tovp import extraction, formats
 from tovp.errors import (
     BadLength,
     CountMismatch,
@@ -68,6 +68,21 @@ def recon_set(n, seed=0):
     rec["time"] = rng.uniform(0, 10, size=n)
     rec["state"] = rng.integers(0, 2, size=n)
     return ReconSet(rec)
+
+
+# (make a set of n records, write it, read it, header dtype, scratch bytes
+# per record of a read) per record-set format; an overlap read checks the
+# canonical order through two u64 key columns
+SET_FILES = [
+    (lambda n, seed=0: OverlapSet(overlap_records(n, seed)), lambda path, oset: write_overlap_file(path, oset, SENSOR),
+     lambda path: read_overlap_file(path)[0], formats._OVERLAP_HEADER, 16),
+    (recon_set, write_recon_file, read_recon_file, formats._RECON_HEADER, 0),
+]
+
+# the .tovp record with float64 values: the same fields in the same order
+F8_RECORD = np.dtype([("current_index", "<u4"), ("scan_offset", "<i1"), ("adjacent_index", "<u4"),
+                      ("position", "<f8", (3,)), ("time", "<f8"), ("state", "u1"), ("confidence", "<f8"),
+                      ("sample_rank", "u1")])
 
 
 class TestScanBin:
@@ -188,17 +203,14 @@ class TestOverlapFile:
         assert info.version == 1
 
     def test_values_survive_at_f32_precision(self, tmp_path):
+        # sets are held at the stored float32 precision: a round trip is
+        # bitwise
         oset = OverlapSet(overlap_records(64, seed=3))
         path = tmp_path / "x.tovp"
         write_overlap_file(path, oset, SENSOR)
         back, _ = read_overlap_file(path)
-        for name in ("current_index", "scan_offset", "adjacent_index",
-                     "state", "sample_rank"):
-            np.testing.assert_array_equal(back.records[name], oset.records[name])
-        np.testing.assert_allclose(back.records["position"],
-                                   oset.records["position"], rtol=1e-6)
-        np.testing.assert_allclose(back.records["confidence"],
-                                   oset.records["confidence"], rtol=1e-6)
+        assert back.records.dtype == RECORD_DTYPE
+        assert back.records.tobytes() == oset.records.tobytes()
 
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "x.tovp"
@@ -244,19 +256,24 @@ class TestOverlapFile:
                                b"short")
 
     def test_read_back_in_canonical_order(self, tmp_path):
-        # values exact in float32, so a read gives back the written bytes
-        rec = overlap_records(200, seed=4)
-        rec["current_index"] //= 4  # tied current indices: order by the other keys
-        for name in ("position", "time", "confidence"):
-            rec[name] = rec[name].astype(np.float32)
-        canonical = OverlapSet(rec).records
-        shuffled = canonical[np.random.default_rng(4).permutation(len(canonical))]
-        assert shuffled.tobytes() != canonical.tobytes()
-        for i, records in enumerate((shuffled, canonical)):
-            path = tmp_path / f"{i}.tovp"
-            write_overlap_file(path, OverlapSet(records, presorted=True), SENSOR)
-            back, _ = read_overlap_file(path)
-            assert back.records.tobytes() == canonical.tobytes()
+        # indices below 2^24 are ordered by one packed key; from base
+        # 2^24 - 25 on they reach 2^24 and beyond, where a lexsort orders them
+        for base in (0, (1 << 24) - 25):
+            rec = overlap_records(200, seed=4)
+            rec["current_index"] //= 4  # tied current indices: order by the other keys
+            rec["current_index"] += base
+            rec["adjacent_index"] += base
+            canonical = OverlapSet(rec).records
+            keys = [rec[name] for name in ("sample_rank", "adjacent_index", "scan_offset", "current_index")]
+            assert canonical.tobytes() == rec[np.lexsort(keys)].tobytes()
+            assert extraction._canonical_order(canonical) is canonical
+            shuffled = canonical[np.random.default_rng(4).permutation(len(canonical))]
+            assert shuffled.tobytes() != canonical.tobytes()
+            for i, records in enumerate((shuffled, canonical)):
+                path = tmp_path / f"{i}.tovp"
+                write_overlap_file(path, OverlapSet(records, presorted=True), SENSOR)
+                back, _ = read_overlap_file(path)
+                assert back.records.tobytes() == canonical.tobytes()
 
     @pytest.mark.slow
     def test_large_round_trip(self, tmp_path):
@@ -270,33 +287,35 @@ class TestOverlapFile:
 
 
 class TestChunkedWrite:
-    """Sets are cast to the on-disk dtype a chunk at a time: the same bytes
-    as one whole-set cast, without a second copy of the set."""
+    """Sets go to the file as they are held, block by block; a block in
+    another layout is cast to the stored one, one block at a time."""
 
     def test_bytes_equal_a_whole_set_cast(self, tmp_path):
-        n = 2 * formats._CHUNK + 123
-        canonical = OverlapSet(overlap_records(n, seed=5)).records
-        shuffled = canonical[np.random.default_rng(5).permutation(n)]
+        canonical = OverlapSet(overlap_records(1000, seed=5)).records
+        shuffled = canonical[np.random.default_rng(5).permutation(len(canonical))]
+        head = formats._OVERLAP_HEADER.itemsize
         for i, records in enumerate((shuffled, canonical)):
             path = tmp_path / f"{i}.tovp"
             write_overlap_file(path, OverlapSet(records, presorted=True), SENSOR)
-            head = formats._OVERLAP_HEADER.itemsize
-            data = path.read_bytes()
-            assert data[head:] == records.astype(formats._OVERLAP_RECORD).tobytes()
-        for n in (0, 1, formats._CHUNK, formats._CHUNK + 1):
+            assert path.read_bytes()[head:] == records.tobytes()
+        # float64 blocks, off the float32 grid, are rounded into the stored
+        # layout, not written raw
+        wide = overlap_records(1000, seed=5).astype(F8_RECORD)
+        wide["position"] += 1e-9
+        path = tmp_path / "wide.tovp"
+        assert write_overlap_file(path, [wide[:400], wide[400:]], SENSOR) == len(wide)
+        assert path.read_bytes()[head:] == wide.astype(RECORD_DTYPE).tobytes()
+        for n in (0, 1, 1000):
             rset = recon_set(n, seed=n)
             path = tmp_path / f"{n}.trcn"
             write_recon_file(path, rset)
             data = path.read_bytes()
             assert data[formats._RECON_HEADER.itemsize:] == rset.records.tobytes()
 
-    @pytest.mark.parametrize("sizes", [[], [0, 5, 0, 0, 7, 0], [formats._CHUNK - 1, 2, formats._CHUNK + 3, 1]],
+    @pytest.mark.parametrize("sizes", [[], [0, 5, 0, 0, 7, 0], [999, 2, 1003, 1]],
                              ids=["no-blocks", "empty-between", "straddling"])
     def test_blocks_write_the_file_of_one_array(self, tmp_path, sizes):
-        # values exact in float32, so a read gives back the written bytes
         records = overlap_records(sum(sizes), seed=len(sizes))
-        for name in ("position", "time", "confidence"):
-            records[name] = records[name].astype(np.float32)
         cuts = np.cumsum([0] + sizes)
         blocks = (records[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]))
         one, many = tmp_path / "one.tovp", tmp_path / "many.tovp"
@@ -307,56 +326,18 @@ class TestChunkedWrite:
         assert back.records.tobytes() == records.tobytes()
 
     def test_peak_memory_is_one_chunk(self, tmp_path):
-        oset = OverlapSet(overlap_records(8 * formats._CHUNK, seed=6))
-        chunk_bytes = formats._CHUNK * formats._OVERLAP_RECORD.itemsize
+        # eight float64 blocks, each cast to the stored layout as it comes
+        blocks = [overlap_records(1 << 16, seed=k).astype(F8_RECORD) for k in range(8)]
+        block_bytes = (1 << 16) * RECORD_DTYPE.itemsize
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            write_overlap_file(tmp_path / "a.tovp", oset, SENSOR)
+            write_overlap_file(tmp_path / "a.tovp", blocks, SENSOR)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # a whole-set cast would hold 8 chunks
-        assert peak < 1.5 * chunk_bytes, peak
-
-
-class TestScalarFieldCodec:
-    """Records are cast through views that split each (3,) field into three
-    scalar fields at the same offsets.  On random bytes in every field, and
-    on both sides of a chunk boundary, the file holds the bytes of a cast
-    of whole records, and a read decodes them as such a cast does; recon
-    records are held in their on-disk layout, so theirs is the identity."""
-
-    CASES = [(RECORD_DTYPE, formats._OVERLAP_HEADER, formats._OVERLAP_RECORD, formats.OVERLAP_MAGIC),
-             (RECON_DTYPE, formats._RECON_HEADER, RECON_DTYPE, formats.RECON_MAGIC)]
-
-    # random bytes hold NaNs, and doubles beyond the float32 range
-    @pytest.mark.filterwarnings("ignore:.*encountered in cast:RuntimeWarning")
-    @pytest.mark.parametrize("n", [0, 1, formats._CHUNK, formats._CHUNK + 1])
-    @pytest.mark.parametrize("memory,header,stored,magic", CASES, ids=["tovp", "trcn"])
-    def test_random_bytes_equal_whole_record_casts(self, tmp_path, n, memory, header, stored, magic):
-        rng = np.random.default_rng(n)
-        records = np.frombuffer(rng.bytes(n * memory.itemsize), dtype=memory)
-        path = tmp_path / "x.set"
-        formats._write_set(path, magic, header, stored, [records])
-        data = path.read_bytes()
-        assert data[header.itemsize:] == records.astype(stored).tobytes()
-        raw = rng.bytes(n * stored.itemsize)
-        path.write_bytes(data[:header.itemsize] + raw)
-        _, back = formats._read_set(path, magic, header, stored, memory)
-        assert back.dtype == memory
-        assert back.tobytes() == np.frombuffer(raw, dtype=stored).astype(memory).tobytes()
-
-    @pytest.mark.parametrize("dtype", [RECORD_DTYPE, RECON_DTYPE, formats._OVERLAP_RECORD])
-    def test_view_keeps_the_layout(self, dtype):
-        flat = formats._scalar_fields(dtype)
-        assert flat.itemsize == dtype.itemsize
-        assert formats._scalar_fields(dtype) is flat
-        for name in dtype.names:
-            sub, offset = dtype.fields[name][:2]
-            parts = [name] if sub.shape == () else [f"{name}[{i}]" for i in range(sub.shape[0])]
-            for i, part in enumerate(parts):
-                assert flat.fields[part][:2] == (sub.base, offset + i * sub.base.itemsize)
+        # casting every block before writing would hold 8 cast blocks
+        assert peak < 1.5 * block_bytes, peak
 
 
 class TestReconFile:
@@ -375,32 +356,38 @@ class TestReconFile:
             read_overlap_file(path)
 
     def test_read_gives_the_stored_layout(self, tmp_path):
-        path = tmp_path / "x.trcn"
-        write_recon_file(path, recon_set(formats._CHUNK + 5))
-        records = read_recon_file(path).records
-        assert records.dtype == RECON_DTYPE
-        assert records.tobytes() == path.read_bytes()[formats._RECON_HEADER.itemsize:]
+        # overlap and recon sets alike
+        assert (RECORD_DTYPE.itemsize, RECON_DTYPE.itemsize) == (31, 21)
+        for make, write, read, header, _ in SET_FILES:
+            path = tmp_path / "x.set"
+            held = make(70_000)
+            write(path, held)
+            records = read(path).records
+            assert records.dtype == held.record_dtype
+            assert records.tobytes() == path.read_bytes()[header.itemsize:]
 
     def test_write_and_read_hold_no_second_copy(self, tmp_path):
-        rset = recon_set(8 * formats._CHUNK, seed=6)
-        path = tmp_path / "x.trcn"
-        payload = rset.records.nbytes
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            write_recon_file(path, rset)
-            write_peak = tracemalloc.get_traced_memory()[1] - base
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            back = read_recon_file(path)
-            read_peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # a write casts nothing, and a read holds no chunk of stored bytes
-        # beside the result (with one, the read would peak at 1.125x)
-        assert write_peak < formats._CHUNK * RECON_DTYPE.itemsize, write_peak
-        assert read_peak < 1.1 * payload, read_peak
-        assert back.records.tobytes() == rset.records.tobytes()
+        # overlap and recon sets alike
+        for make, write, read, _, scratch in SET_FILES:
+            held = make(1 << 19, seed=6)
+            path = tmp_path / "x.set"
+            payload = held.records.nbytes
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write(path, held)
+                write_peak = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                back = read(path)
+                read_peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # a write casts nothing, and a read holds no stored bytes beside
+            # the result and its scratch (a chunked cast read peaked at 1.125x)
+            assert write_peak < payload / 8, write_peak
+            assert read_peak < 1.1 * payload + scratch * len(held), read_peak
+            assert back.records.tobytes() == held.records.tobytes()
 
 
 class TestLabelsAndProbabilities:

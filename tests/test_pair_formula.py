@@ -13,6 +13,8 @@ gates; random beams do not come within rounding of them.  Positions agree
 to ``ULPS`` units in the last place of their largest coordinate or the
 baseline's, whichever is larger, and confidences to ``ULPS`` units in
 their own last place plus the decay rate times ``ULPS`` units in rho's.
+Records hold these values rounded once to float32, and rounding is
+monotone, so each must lie between the float32 images of its bounds.
 """
 
 import math
@@ -193,10 +195,11 @@ def check_window(current, adjacents):
             assert state == w_state
             # a crossing near the sensor inherits the rounding of the baseline
             scale = max(np.max(np.abs(w_pos)), np.max(np.abs(origin[key[1]])))
-            assert np.all(np.abs(pos - w_pos) <= ULPS * np.spacing(scale))
+            tol = ULPS * np.spacing(scale)
+            assert np.all(((w_pos - tol).astype(np.float32) <= pos) & (pos <= (w_pos + tol).astype(np.float32)))
             # the confidence also inherits the rounding of rho
-            rate = SENSOR.decay_rate_per_meter
-            assert abs(conf - w_conf) <= ULPS * (np.spacing(w_conf) + rate * np.spacing(rho))
+            tol = ULPS * (np.spacing(w_conf) + SENSOR.decay_rate_per_meter * np.spacing(rho))
+            assert np.float32(w_conf - tol) <= conf <= np.float32(w_conf + tol)
     return want
 
 

@@ -239,6 +239,7 @@ class TestSensorConfig:
             {"occupied_confidence_threshold": 1.0},
             {"occupied_confidence_threshold": 0.0},
             {"decay_rate_per_meter": 0.0},
+            {"decay_rate_per_meter": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
