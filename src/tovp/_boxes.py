@@ -5,17 +5,20 @@ angle and centered at a point.  Sizes are full extents (length, width,
 height).  Used by the simulator, motion labeling, and evaluation.
 
 The exact tests (the slab method for rays, the box-frame bounds for
-points) run only on the rows that pass a cheap conservative pre-test.
+points) run only on the rows that pass cheap conservative pre-tests.
 :func:`points_in_box` keeps points whose world |dx| and |dy| from the
 center are within the box's xy half-diagonal r, grown by ``CULL_PAD * r``.
-``simulator._nearest_hits`` keeps rays whose line passes within the box's
-bounding sphere, of radius R, unless the sphere lies wholly behind the ray
-origin; R^2 grows by ``CULL_PAD * |v|^2``, v the center seen from the
-origin.  Each pad is far more than the rounding of the pre-test and of
-the exact test, so every row the exact test accepts survives.  The exact
-tests work row by row (the rotation is an (n, 3) @ (3, 3) product, which
-gives each row the same bits whichever rows share the call), so on the
-surviving rows they give the same bits as on all rows.
+``simulator._nearest_hits`` casts each box only against the rays whose
+azimuth lies in the box's :func:`footprint_azimuths` span, padded by
+``SECTOR_PAD`` radians, plus the rays with no usable azimuth.  Of those it
+keeps the rays whose line passes within the box's bounding sphere, of
+radius R, unless the sphere lies wholly behind the ray origin; R^2 grows
+by ``CULL_PAD * |v|^2``, v the center seen from the origin.  Each pad is
+far more than the rounding of the pre-test and of the exact test, so
+every row the exact test accepts survives.  The exact tests work row by
+row (the rotation is an (n, 3) @ (3, 3) product, which gives each row the
+same bits whichever rows share the call), so on the surviving rows they
+give the same bits as on all rows.
 
 Apart from the rotation, both tests run on the three coordinate columns as
 1-D arrays: numpy runs its inner loop once per row when it broadcasts a
@@ -23,12 +26,21 @@ Apart from the rotation, both tests run on the three coordinate columns as
 per column here, for the same values.
 """
 
+import math
+
 import numpy as np
 
 # Relative pad of the pre-tests.  Both the pre-tests and the exact tests
 # round at a few ulps (~1e-15) of the lengths involved; 1e-10 is 1e5 times
 # that, and still grows a 2.5 m bounding sphere by only 2 mm at 10 km.
 CULL_PAD = 1e-10
+
+# Pad of the azimuth sectors: radians added to each end of a footprint's
+# azimuth span, and the distance, relative to |v| + r, within which an
+# origin counts as on the footprint.  From an origin that far out, the
+# rounding of the corners and of the slab test (a few ulps of |v| + r)
+# turns a ray by under 1e-9 rad, a thousandth of the pad.
+SECTOR_PAD = 1e-6
 
 
 def yaw_matrix(yaw: float) -> np.ndarray:
@@ -67,6 +79,33 @@ def points_in_box(points, center, size, yaw, margin: float = 0.0) -> np.ndarray:
     inside[near] = ((np.abs(local[:, 0]) <= half[0]) & (np.abs(local[:, 1]) <= half[1])
                     & (np.abs(local[:, 2]) <= half[2]))
     return inside
+
+
+def footprint_azimuths(v, size, yaw):
+    """Azimuth span (lo, hi) of a box's xy footprint seen from an origin,
+    padded by ``SECTOR_PAD`` at each end; None when every azimuth is kept.
+
+    ``v`` is the box center seen from the origin.  Seen from outside, the
+    convex footprint spans less than pi, between two of its four corners,
+    so the span runs from the smallest to the largest corner azimuth
+    relative to the first corner's.  lo may lie below -pi or hi above pi
+    when the span crosses the seam behind the origin.  An origin within
+    ``SECTOR_PAD * (|v| + r)`` of the footprint (on or inside it, too), or
+    a non-finite one, keeps every azimuth: a ray from there may leave in
+    any direction, or its corners' azimuths may carry more than the pad.
+    """
+    vx, vy = float(v[0]), float(v[1])
+    hx, hy = size[0] / 2.0, size[1] / 2.0
+    c, s = math.cos(yaw), math.sin(yaw)
+    grow = SECTOR_PAD * (math.hypot(vx, vy) + math.hypot(hx, hy))
+    # the origin in the box frame, R^T (-v); NaN fails both tests
+    lx, ly = -(c * vx + s * vy), s * vx - c * vy
+    if not ((abs(lx) > hx + grow or abs(ly) > hy + grow) and math.isfinite(grow)):
+        return None
+    az = [math.atan2(vy + s * sx * hx + c * sy * hy, vx + c * sx * hx - s * sy * hy)
+          for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
+    rel = [(a - az[0] + math.pi) % (2.0 * math.pi) - math.pi for a in az]
+    return az[0] + min(rel) - SECTOR_PAD, az[0] + max(rel) + SECTOR_PAD
 
 
 def ray_box_crossings(origins, directions, center, size, yaw):

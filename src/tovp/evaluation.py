@@ -40,7 +40,8 @@ class ScanEvalInput:
         pred = np.asarray(self.predicted_moving).astype(bool).reshape(-1)
         gt = np.asarray(self.gt_labels, dtype=np.uint8).reshape(-1)
         ego = self.ego_mask
-        ego = np.zeros(len(pts), dtype=bool) if ego is None \
+        # no mask: a read-only all-False view, which holds no per-point bytes
+        ego = np.broadcast_to(np.False_, (len(pts),)) if ego is None \
             else np.asarray(ego).astype(bool).reshape(-1)
         if not (len(pred) == len(gt) == len(ego) == len(pts)):
             raise ValueError("per-point arrays disagree on length")

@@ -66,6 +66,9 @@ RECORD_DTYPE = np.dtype(
 # structured dtype when gathering, scattering or concatenating records
 _RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
 
+# records per chunk of the order check in _canonical_order: 256 KiB of keys
+_ORDER_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class ExtractionConfig:
@@ -153,35 +156,49 @@ class OverlapSet(RecordSet):
         )
 
 
+def _packed_keys(records: np.ndarray) -> np.ndarray:
+    """One u64 key per record, ascending in canonical order, for indices
+    below 2^24; built in place through one scratch array.  offset + 128 is
+    the offset byte with its top bit flipped."""
+    key = records["current_index"].astype(np.uint64)
+    key <<= np.uint64(40)
+    part = np.empty_like(key)
+    np.copyto(part, records["scan_offset"].view(np.uint8) ^ np.uint8(0x80))
+    part <<= np.uint64(32)
+    key |= part
+    np.copyto(part, records["adjacent_index"])
+    part <<= np.uint64(8)
+    key |= part
+    np.copyto(part, records["sample_rank"])
+    key |= part
+    return key
+
+
 def _canonical_order(records: np.ndarray) -> np.ndarray:
     """The records in (current, offset, adjacent, rank) order: the one code
     that orders records.  Returns ``records`` itself when they already are.
 
     The four keys fit one u64 when indices stay below 2^24 (16.7M beams),
-    which is the fast common case; otherwise fall back to lexsort.
+    which is the fast common case; otherwise fall back to lexsort.  Order
+    is checked ``_ORDER_CHUNK`` records at a time, carrying the last key
+    across chunks, so a canonical set (every file ``write_overlap_file``
+    writes) is confirmed with one chunk of keys in memory; keys for the
+    whole set are built only to sort one that is not.
     """
     if len(records) < 2:
         return records
-    i = records["current_index"]
-    j = records["adjacent_index"]
-    if max(int(i.max()), int(j.max())) < (1 << 24):
-        # built in place through one scratch array; offset + 128 is the
-        # offset byte with its top bit flipped
-        key = i.astype(np.uint64)
-        key <<= np.uint64(40)
-        part = np.empty_like(key)
-        np.copyto(part, records["scan_offset"].view(np.uint8) ^ np.uint8(0x80))
-        part <<= np.uint64(32)
-        key |= part
-        np.copyto(part, j)
-        part <<= np.uint64(8)
-        key |= part
-        np.copyto(part, records["sample_rank"])
-        key |= part
-        if np.all(key[1:] >= key[:-1]):
+    if max(int(records["current_index"].max()), int(records["adjacent_index"].max())) < (1 << 24):
+        last = np.uint64(0)
+        for lo in range(0, len(records), _ORDER_CHUNK):
+            key = _packed_keys(records[lo:lo + _ORDER_CHUNK])
+            if key[0] < last or np.any(key[1:] < key[:-1]):
+                break
+            last = key[-1]
+        else:
             return records
+        key = _packed_keys(records)
         order = np.argsort(key)
-        del key, part  # freed before the gather
+        del key  # freed before the gather
     else:
         order = np.lexsort(
             (records["sample_rank"], records["adjacent_index"], records["scan_offset"], records["current_index"])

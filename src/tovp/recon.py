@@ -78,13 +78,26 @@ class ReconSet(RecordSet):
         )
 
 
-def _mulhilo(m: int, x: np.ndarray):
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """High and low words of the 128-bit products m * x, from 32-bit
+    halves, into ``hi`` and ``lo``; ``t`` and ``w`` are scratch.  All four
+    have the shape of ``x`` and none is ``x``."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    t = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
-    w = (t & _LOW32) + m_lo * x_hi
-    return m_hi * x_hi + (t >> _SHIFT32) + (w >> _SHIFT32), np.uint64(m) * x
+    np.bitwise_and(x, _LOW32, out=w)  # x_lo
+    np.multiply(w, m_lo, out=t)
+    t >>= _SHIFT32
+    w *= m_hi
+    t += w  # m_hi x_lo + (m_lo x_lo >> 32)
+    np.right_shift(x, _SHIFT32, out=hi)  # x_hi
+    np.bitwise_and(t, _LOW32, out=w)
+    np.multiply(hi, m_lo, out=lo)
+    w += lo  # (t & low) + m_lo x_hi
+    hi *= m_hi
+    t >>= _SHIFT32
+    hi += t
+    w >>= _SHIFT32
+    hi += w
+    np.multiply(x, np.uint64(m), out=lo)
 
 
 def _philox_uniform(seed: int, beams: np.ndarray, k: int) -> np.ndarray:
@@ -94,21 +107,42 @@ def _philox_uniform(seed: int, beams: np.ndarray, k: int) -> np.ndarray:
     bit for bit.  numpy increments the counter before each block of four
     words, so block j runs counter (j + 1, 0, 0, 0); the words come out in
     order, and each word u gives the double (u >> 11) * 2**-53.
+
+    Counter words 1-3 are zero and key word 0 is the seed for every beam,
+    so round 0 and the _M0 product of round 1 are the same for every beam
+    and are computed in exact integers; the rest runs on (beams, blocks)
+    arrays, in buffers allocated once per call.
     """
     n_blocks = -(-k // 4)
-    # the first key word is the seed for every beam, so its schedule is
-    # built in exact integers; the beam word is bumped per round below
-    key0 = [np.uint64((seed + r * _W0) % 2**64) for r in range(_ROUNDS)]
-    bump1 = [np.uint64(r * _W1 % 2**64) for r in range(_ROUNDS)]
+    mask = 2**64 - 1
+    key0 = [np.uint64((seed + r * _W0) & mask) for r in range(_ROUNDS)]
+    bump1 = [np.uint64(r * _W1 & mask) for r in range(_ROUNDS)]
     key1 = beams.astype(np.uint64)[:, None]
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    counter = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
-    c0, c1, c2, c3 = counter, zero, zero, zero
-    for r in range(_ROUNDS):
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = (hi1 ^ c1 ^ key0[r], lo1,
-                          hi0 ^ c3 ^ (key1 + bump1[r]), lo0)
+    # round 0 on counter (j, 0, 0, 0) gives (seed, 0, hi(M0 j) ^ beam,
+    # lo(M0 j)); round 1's M0 product is then M0 * seed
+    m0j = [_M0 * j for j in range(1, n_blocks + 1)]
+    hi_j = np.array([p >> 64 for p in m0j], dtype=np.uint64)
+    lo_j = np.array([p & mask for p in m0j], dtype=np.uint64)
+    m0s = _M0 * (seed & mask)
+    shape = (len(beams), n_blocks)
+    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t, w = (np.empty(shape, dtype=np.uint64) for _ in range(10))
+    np.bitwise_xor(hi_j, key1, out=c2)
+    # round 1: c1 is zero, and c3 is the constant lo(M0 * seed) after it
+    _mulhilo(_M1, c2, hi1, lo1, t, w)
+    np.bitwise_xor(hi1, key0[1], out=c0)
+    c1, lo1 = lo1, c1
+    np.bitwise_xor(lo_j, np.uint64(m0s >> 64), out=c2)
+    c2 ^= key1 + bump1[1]
+    c3.fill(m0s & mask)
+    for r in range(2, _ROUNDS):
+        _mulhilo(_M0, c0, hi0, lo0, t, w)
+        _mulhilo(_M1, c2, hi1, lo1, t, w)
+        np.bitwise_xor(hi1, c1, out=c0)
+        c0 ^= key0[r]
+        c1, lo1 = lo1, c1
+        np.bitwise_xor(hi0, c3, out=c2)
+        c2 ^= key1 + bump1[r]
+        c3, lo0 = lo0, c3
     words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(beams), -1)
     return (words[:, :k] >> 11) * 2.0**-53
 
@@ -142,19 +176,19 @@ def sample_recon_points(
     origin = current.sensor_origin
 
     # time and state are the same for every beam: one record template per
-    # beam, broadcast over the record bytes, then the beam indices
+    # beam, broadcast over each block's record bytes, then the beam indices
     template = np.zeros(per_beam, dtype=RECON_DTYPE)
     template["time"] = current.time
     template["state"][:occupied_per_beam] = int(OccupancyState.OCCUPIED)
     template["state"][occupied_per_beam:] = int(OccupancyState.FREE)
     rec = np.empty((len(valid), per_beam), dtype=RECON_DTYPE)
-    rec.view(np.uint8)[:] = template.view(np.uint8)
-    rec["current_index"] = valid[:, None]
     pos = rec["position"]
     # one coordinate column of a block in float64, rounded once into pos
     coord = np.empty((min(_BEAM_BLOCK, len(valid)), per_beam))
     for start in range(0, len(valid), _BEAM_BLOCK):
         rows = slice(start, start + _BEAM_BLOCK)
+        rec[rows].view(np.uint8)[:] = template.view(np.uint8)
+        rec["current_index"][rows] = valid[rows, None]
         # unit draws become ranges in place: r + u * band, then u * r
         sample_r = _philox_uniform(seed, valid[rows], per_beam)
         r = ranges[rows, None]

@@ -8,11 +8,12 @@ state of this point, seen from this sensor position, at this time", which
 is what extraction labels are checked against.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._boxes import CULL_PAD, points_in_box, ray_box_crossings
+from ._boxes import CULL_PAD, SECTOR_PAD, footprint_azimuths, points_in_box, ray_box_crossings
 from .errors import SceneMismatch
 from .sensor_model import RigidTransform, Scan, SensorConfig
 
@@ -88,52 +89,117 @@ class SpinningLidarSpec:
         return d.reshape(-1, 3)
 
 
-def _nearest_hits(origins, dirs_unit, scene: SceneSpec, time: float):
-    """Nearest positive surface crossing per ray: (distance, hit).
+# azimuth bins of the ray sectors in _nearest_hits
+_SECTORS = 1024
 
-    ``origins`` holds one row per ray or a single row for all of them;
+
+def _azimuth_groups(dirs):
+    """Rays grouped by azimuth bin: (order, starts).
+
+    ``order`` sorts the rays stably by bin, and the rays of bin b sit at
+    ``order[starts[b]:starts[b + 1]]``.  Bin ``_SECTORS`` holds the rays
+    with no usable azimuth: a non-finite component, or an xy part within
+    ``SECTOR_PAD`` of zero relative to the ray's length.
+    """
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        xy = dx * dx
+        xy += dy * dy
+        lim = dz * dz
+        lim += xy
+        lim *= SECTOR_PAD ** 2
+        # False on NaN, and on an infinite or overflowing component
+        usable = xy > lim
+        az = np.arctan2(dy, dx, out=lim)
+        az += np.pi
+        az *= _SECTORS / (2.0 * np.pi)
+        np.minimum(az, _SECTORS - 1, out=az)
+        bins = az.astype(np.int16)
+    bins[~usable] = _SECTORS
+    order = np.argsort(bins, kind="stable")
+    starts = np.zeros(_SECTORS + 2, dtype=np.int64)
+    np.cumsum(np.bincount(bins, minlength=_SECTORS + 1), out=starts[1:])
+    return order, starts
+
+
+def _sector_rows(starts, span):
+    """Position ranges [a, b) of the sorted rays a box is cast against: the
+    bins its azimuth span covers, then the rays with no azimuth."""
+    n = int(starts[-1])
+    if span is None:
+        return [(0, n)]
+    scale = _SECTORS / (2.0 * np.pi)
+    b0, b1 = (math.floor((a + np.pi) * scale) for a in span)
+    if b1 - b0 + 1 >= _SECTORS:
+        return [(0, n)]
+    b0, b1 = b0 % _SECTORS, b1 % _SECTORS
+    if b0 <= b1:
+        rows = [(starts[b0], starts[b1 + 1])]
+    else:  # across the seam behind the origin
+        rows = [(0, starts[b1 + 1]), (starts[b0], starts[_SECTORS])]
+    rows.append((starts[_SECTORS], n))
+    return [(int(a), int(b)) for a, b in rows if b > a]
+
+
+def _nearest_hits(origin, dirs_unit, scene: SceneSpec, time: float):
+    """Nearest positive surface crossing per ray from one ``origin``:
+    (distance, hit).
+
     ``dirs_unit`` must be unit-norm so distances come out in meters.  The
     distance is inf for misses; ``hit`` indexes ``scene.all_boxes()``, -1
     for the ground or a miss.
 
-    Per box, only rays that pass a bounding-sphere pre-test reach the slab
-    test of :func:`ray_box_crossings`.  With v the box center seen from the
-    ray origin and R the box half-diagonal, a ray d is kept when its line
-    passes within the sphere, |v|^2 |d|^2 - (d.v)^2 <= R^2 |d|^2, and the
-    sphere is not wholly behind the origin, d.v >= -R |d|.  A ray that
-    crosses the box ahead of its origin meets both.  Rows where the bounds
-    come out NaN (NaN directions or overflow) are kept.  R^2 is padded by
-    ``CULL_PAD * |v|^2``: at a distant box the cancellation in the
-    difference, and the slab test's own rounding, are a few ulps of
-    |v|^2 |d|^2, not of R^2.  The slab test is computed row by row, so
-    its result on the kept rays is bit for bit its result on all rays.
+    Rays are grouped once by azimuth bin (:func:`_azimuth_groups`), and
+    each box is cast only against the bins its padded
+    :func:`footprint_azimuths` span covers, plus the rays with no usable
+    azimuth; an origin on or inside the footprint, or a NaN origin, keeps
+    every ray.  A ray from outside the footprint that crosses the box
+    ahead of its origin heads into the footprint, so its azimuth lies in
+    the span.  Of those rays, only the ones that pass a bounding-sphere
+    pre-test reach the slab test of :func:`ray_box_crossings`.  With v the
+    box center seen from the origin and R the box half-diagonal, a ray d
+    is kept when its line passes within the sphere, |v|^2 |d|^2 - (d.v)^2
+    <= R^2 |d|^2, and the sphere is not wholly behind the origin, d.v >=
+    -R |d|.  A ray that crosses the box ahead of its origin meets both.
+    Rows where the bounds come out NaN (NaN directions or overflow) are
+    kept.  R^2 is padded by ``CULL_PAD * |v|^2``: at a distant box the
+    cancellation in the difference, and the slab test's own rounding, are
+    a few ulps of |v|^2 |d|^2, not of R^2.  The slab test is computed row
+    by row, so its result on the kept rays is bit for bit its result on
+    all rays.
     """
+    origin = np.asarray(origin, dtype=float).reshape(3)
     n = dirs_unit.shape[0]
+    order, starts = _azimuth_groups(dirs_unit)
+    # cast in sorted order, where each bin range is a slice
+    dirs = dirs_unit.take(order, axis=0)
+    dd = np.einsum("ij,ij->i", dirs, dirs)
     nearest = np.full(n, np.inf)
     hit_box = np.full(n, -1, dtype=np.int64)
-    dd = np.einsum("ij,ij->i", dirs_unit, dirs_unit)
     for b_idx, box in enumerate(scene.all_boxes()):
         center = box.center_at(time)
         half = np.asarray(box.size, dtype=float) / 2.0
-        v = center - origins  # -(origins - center) of the slab test, bit for bit
-        with np.errstate(invalid="ignore", over="ignore"):
-            vv = np.einsum("ij,ij->i", v, v)
-            dv = np.einsum("ij,ij->i", dirs_unit, v)
-            lim = (half @ half + CULL_PAD * vv) * dd
-            dv2 = dv * dv
-            # rows the bounds cannot decide (NaN) are left to the slab test
-            out = (vv * dd - dv2 > lim) | ((dv < 0.0) & (dv2 > lim))
-        keep = np.nonzero(~out)[0]
-        o = origins if len(origins) == 1 else origins.take(keep, axis=0)
-        t, valid = ray_box_crossings(o, dirs_unit.take(keep, axis=0), center, box.size, box.yaw)
-        t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
-        closer = t < nearest[keep]
-        nearest[keep[closer]] = t[closer]
-        hit_box[keep[closer]] = b_idx
+        v = center - origin  # -(origin - center) of the slab test, bit for bit
+        for a, b in _sector_rows(starts, footprint_azimuths(v, box.size, box.yaw)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                vv = v @ v
+                dv = dirs[a:b] @ v
+                lim = (half @ half + CULL_PAD * vv) * dd[a:b]
+                dv2 = dv * dv
+                # rows the bounds cannot decide (NaN) are left to the slab test
+                out = (vv * dd[a:b] - dv2 > lim) | ((dv < 0.0) & (dv2 > lim))
+            keep = np.nonzero(~out)[0]
+            keep += a
+            t, valid = ray_box_crossings(origin[None, :], dirs.take(keep, axis=0), center, box.size, box.yaw)
+            t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
+            rays = order.take(keep)
+            closer = t < nearest[rays]
+            nearest[rays[closer]] = t[closer]
+            hit_box[rays[closer]] = b_idx
     if scene.ground_plane:
         dz = dirs_unit[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -origins[:, 2] / dz
+            t = -origin[2] / dz
         t = np.where((dz != 0.0) & (t > MIN_HIT_RANGE), t, np.inf)
         closer = t < nearest
         nearest[closer] = t[closer]
@@ -168,7 +234,7 @@ def simulate_scan_with_hits(
     origin = sensor_pose.translation
 
     n = d_world.shape[0]
-    nearest, hit_box = _nearest_hits(origin[None, :], d_world, scene, time)
+    nearest, hit_box = _nearest_hits(origin, d_world, scene, time)
 
     ranges = nearest
     if lidar.range_noise_std_m > 0.0:
@@ -220,7 +286,7 @@ def ground_truth_states(
     for j in range(3):
         np.divide(delta[j], safe, out=dirs[:, j])
 
-    nearest, _ = _nearest_hits(origin[None, :], dirs, scene, time)
+    nearest, _ = _nearest_hits(origin, dirs, scene, time)
 
     inside = np.zeros(pts.shape[0], dtype=bool)
     for box in scene.all_boxes():

@@ -6,8 +6,11 @@ goes through the slab test and every point through the box-frame test.
 The cases sit where a pre-test could go wrong: rays tangent to a box's
 bounding sphere at a corner, a few ulps either side; rays through edges
 and corners; origins inside boxes; boxes behind the origin and thousands
-of meters away; yawed boxes; per-ray origins; zero-length, tiny and NaN
-directions; and points on the corners that reach a box's xy half-diagonal.
+of meters away; yawed boxes; one origin per ray, one cast per origin;
+zero-length, tiny and NaN directions; footprints across the azimuth seam;
+rays an ulp either side of a footprint corner's azimuth; origins an ulp
+either side of a footprint's edges; and points on the corners that reach
+a box's xy half-diagonal.
 """
 
 import hashlib
@@ -20,13 +23,14 @@ from tovp import formats
 from tovp._boxes import points_in_box, ray_box_crossings, yaw_matrix
 from tovp.cli import main
 from tovp.labeling import TrackedBox, label_points
-from tovp.sensor_model import RigidTransform, Scan
+from tovp.sensor_model import RigidTransform, Scan, SensorConfig
 from tovp.simulator import (
     MIN_HIT_RANGE,
     SceneBox,
     SceneSpec,
     SpinningLidarSpec,
     _nearest_hits,
+    ground_truth_states,
     simulate_scan_with_hits,
 )
 
@@ -95,15 +99,29 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_hits_match(origins, dirs, scene, time=0.0):
-    """_nearest_hits equals the reference bit for bit; returns the
-    reference's (distance, hit) for coverage checks."""
-    want = reference_nearest_hits(origins, dirs, scene, time)
-    got = _nearest_hits(origins, dirs, scene, time)
+def assert_same_hits(got, want):
     bad = np.nonzero(~((got[0] == want[0]) | (np.isnan(got[0]) & np.isnan(want[0])))
                      | (got[1] != want[1]))[0]
-    assert len(bad) == 0, f"{len(bad)} of {len(dirs)} rays differ, first {bad[:5]}"
+    assert len(bad) == 0, f"{len(bad)} of {len(want[0])} rays differ, first {bad[:5]}"
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def assert_hits_match(origin, dirs, scene, time=0.0):
+    """_nearest_hits from one origin equals the reference bit for bit;
+    returns the reference's (distance, hit) for coverage checks."""
+    origin = np.asarray(origin, dtype=float)
+    want = reference_nearest_hits(origin[None, :], dirs, scene, time)
+    assert_same_hits(_nearest_hits(origin, dirs, scene, time), want)
+    return want
+
+
+def assert_hits_match_per_ray(origins, dirs, scene, time=0.0):
+    """Each ray cast from its own origin row, one _nearest_hits call per
+    ray, equals the reference on all rows at once bit for bit; returns the
+    reference's (distance, hit)."""
+    want = reference_nearest_hits(origins, dirs, scene, time)
+    got = [_nearest_hits(o, d[None, :], scene, time) for o, d in zip(origins, dirs)]
+    assert_same_hits(tuple(np.concatenate(g) for g in zip(*got)), want)
     return want
 
 
@@ -168,7 +186,7 @@ class TestRayCulling:
         origin = np.array([3.0, -1.0, 1.7])
         scene, dirs = tangent_scene(rng, origin, 60, *dist)
         rays = ulp_neighbours(dirs)
-        _, hit = assert_hits_match(origin[None, :], rays, scene)
+        _, hit = assert_hits_match(origin, rays, scene)
         # the cases straddle the box: some tangent rays graze it, some miss
         assert 0 < np.sum(hit >= 0) < len(rays)
 
@@ -186,7 +204,7 @@ class TestRayCulling:
             dirs.append(u)
         origins = ulp_neighbours(np.array(origins))
         dirs = np.repeat(np.array(dirs), 27, axis=0)
-        _, hit = assert_hits_match(origins, dirs, SceneSpec(static_boxes=[box]))
+        _, hit = assert_hits_match_per_ray(origins, dirs, SceneSpec(static_boxes=[box]))
         assert 0 < np.sum(hit >= 0) < len(dirs)
 
     def test_rays_through_edges_and_corners(self):
@@ -202,7 +220,7 @@ class TestRayCulling:
             signs[10:, rng.integers(0, 3)] = rng.uniform(-1.0, 1.0, 10)
             targets += [center + corner_offset(size, yaw, s) for s in signs]
         rays = ulp_neighbours(unit(np.array(targets) - origin))
-        _, hit = assert_hits_match(origin[None, :], rays, SceneSpec(static_boxes=boxes))
+        _, hit = assert_hits_match(origin, rays, SceneSpec(static_boxes=boxes))
         assert 0 < np.sum(hit >= 0) < len(rays)
 
     def test_origins_inside_boxes(self):
@@ -215,10 +233,10 @@ class TestRayCulling:
         local = rng.uniform(-0.5, 0.5, (4000, 3)) * np.asarray(box.size)
         origins = np.asarray(box.center) + local @ yaw_matrix(box.yaw).T
         dirs = unit(rng.normal(size=(4000, 3)))
-        dist, hit = assert_hits_match(origins, dirs, scene)
+        dist, hit = assert_hits_match_per_ray(origins, dirs, scene)
         assert np.all(np.isfinite(dist))
         # one origin for all rays, inside both boxes
-        assert_hits_match(np.array([[1.2, 2.0, 0.6]]), dirs, scene)
+        assert_hits_match(np.array([1.2, 2.0, 0.6]), dirs, scene)
 
     @pytest.mark.parametrize("length", [1e-12, 1e-14])
     def test_exit_through_a_corner_with_tiny_directions(self, length):
@@ -235,7 +253,7 @@ class TestRayCulling:
             scene = SceneSpec(static_boxes=[SceneBox(center=(0.0, 0.0, 0.0), size=tuple(size), yaw=yaw)])
             origins = ulp_neighbours(r * (1.0 - 2.0 ** -52))
             dirs = np.repeat(unit(r)[None, :] * length, len(origins), axis=0)
-            hits += int(np.sum(assert_hits_match(origins, dirs, scene)[1] >= 0))
+            hits += int(np.sum(assert_hits_match_per_ray(origins, dirs, scene)[1] >= 0))
         assert 0 < hits < 300 * 27
 
     def test_boxes_behind_the_origin(self):
@@ -250,9 +268,9 @@ class TestRayCulling:
         scene = SceneSpec(static_boxes=boxes)
         # rays pointing away from the boxes, and back at them
         dirs = unit(rng.normal(size=(5000, 3)) + np.array([3.0, 0.0, 0.0]))
-        dist, _ = assert_hits_match(origin[None, :], dirs, scene)
+        dist, _ = assert_hits_match(origin, dirs, scene)
         assert np.all(np.isinf(dist))
-        dist, _ = assert_hits_match(origin[None, :], -dirs, scene)
+        dist, _ = assert_hits_match(origin, -dirs, scene)
         assert np.any(np.isfinite(dist))
 
     def test_distant_yawed_boxes(self):
@@ -265,7 +283,7 @@ class TestRayCulling:
             boxes.append(SceneBox(center=tuple(center), size=tuple(size), yaw=yaw))
             targets.append(center + (rng.uniform(-0.7, 0.7, (50, 3)) * size) @ yaw_matrix(yaw).T)
         dirs = unit(np.concatenate(targets) - origin)
-        _, hit = assert_hits_match(origin[None, :], dirs, SceneSpec(static_boxes=boxes))
+        _, hit = assert_hits_match(origin, dirs, SceneSpec(static_boxes=boxes))
         assert 0 < np.sum(hit >= 0) < len(dirs)
 
     # inf * 0 in the rotation, as in the unculled tests
@@ -281,13 +299,157 @@ class TestRayCulling:
             [1.0, 0.0, 0.0],
         ])
         for origin in ([0.0, 0.0, 0.0], [0.2, 0.1, -0.3], [-3.0, 0.0, 0.5], [np.nan, 0.0, 0.0]):
-            o = np.array([origin])
+            o = np.array(origin)
             assert_hits_match(o, dirs, scene)
-            assert_hits_match(np.repeat(o, len(dirs), axis=0), dirs, scene)
+            assert_hits_match_per_ray(np.repeat(o[None, :], len(dirs), axis=0), dirs, scene)
 
     def test_empty_ray_set(self):
         scene = SceneSpec(static_boxes=[SceneBox(center=(5.0, 0.0, 0.0), size=(2.0, 2.0, 2.0))])
-        assert_hits_match(np.zeros((1, 3)), np.empty((0, 3)), scene)
+        assert_hits_match(np.zeros(3), np.empty((0, 3)), scene)
+
+
+# ---------------------------------------------------------------------------
+# azimuth sectors
+
+
+def azimuth_rays(az, el):
+    """Unit directions at azimuths ``az`` and elevations ``el``, broadcast
+    against each other."""
+    az, el = np.broadcast_arrays(np.asarray(az, dtype=float), np.asarray(el, dtype=float))
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1).reshape(-1, 3)
+
+
+def footprint_points(box):
+    """The four corners and four edge midpoints of a box's footprint, at
+    the height of its center."""
+    size = np.asarray(box.size, dtype=float)
+    return [np.asarray(box.center, dtype=float) + corner_offset(size, box.yaw, (sx, sy, 0.0))
+            for sx, sy in [(-1, -1), (-1, 1), (1, -1), (1, 1), (-1, 0), (1, 0), (0, -1), (0, 1)]]
+
+
+class TestAzimuthSectors:
+    """Each box is cast only against the rays in the azimuth bins its
+    footprint spans, plus the rays with no usable azimuth, unless the
+    origin is on or inside the footprint.  Every case is checked against
+    the unculled reference, bit for bit."""
+
+    def test_footprint_across_the_seam(self):
+        # boxes behind the origin, across azimuth +-pi: rays at pi and -pi
+        # (y of +0.0 and -0.0), an ulp inside each, and all around
+        origin = np.array([0.0, 0.0, 1.7])
+        scene = SceneSpec(static_boxes=[
+            SceneBox(center=(-12.0, 0.0, 1.0), size=(4.5, 1.9, 1.6)),
+            SceneBox(center=(-6.0, 3.5, 1.2), size=(2.0, 3.0, 2.0), yaw=0.7),
+            SceneBox(center=(-300.0, -8.0, 2.0), size=(1.0, 6.0, 20.0), yaw=-0.3),
+            SceneBox(center=(20.0, 0.0, 1.0), size=(4.0, 2.0, 2.0)),
+        ], ground_plane=True)
+        steps = np.arange(300) * 1e-3
+        az = np.concatenate([np.pi - steps, -np.pi + steps, np.linspace(-np.pi, np.pi, 1001),
+                             [np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]])
+        el = np.linspace(-0.3, 0.2, 21)[:, None]
+        seam = np.array([[-1.0, y, z] for y in (0.0, -0.0) for z in np.linspace(-0.3, 0.2, 21)])
+        _, hit = assert_hits_match(origin, np.concatenate([azimuth_rays(az[None, :], el), unit(seam)]), scene)
+        assert {0, 1, 2, 3} <= set(hit.tolist())
+        assert np.all(hit[-len(seam):] != 3)
+
+    @pytest.mark.parametrize("dist", [(2.0, 50.0), (1e3, 1e4)])
+    def test_rays_an_ulp_either_side_of_each_corner(self, dist):
+        # the vertical edge through each footprint corner, met by rays at
+        # the corner's azimuth and an ulp either side, over the box's height
+        rng = np.random.default_rng(61)
+        origin = np.array([3.0, -1.0, 1.7])
+        boxes, rays = [], []
+        for _ in range(40):
+            size, yaw = random_box_shape(rng)
+            az0 = rng.uniform(-np.pi, np.pi)
+            reach = rng.uniform(*dist) + np.hypot(size[0], size[1])
+            center = origin + np.array([reach * np.cos(az0), reach * np.sin(az0), rng.uniform(-1.0, 1.0)])
+            box = SceneBox(center=tuple(center), size=tuple(size), yaw=yaw)
+            boxes.append(box)
+            for corner in footprint_points(box)[:4]:
+                rel = corner - origin
+                a = np.arctan2(rel[1], rel[0])
+                h = np.hypot(rel[0], rel[1])
+                el = np.arctan2(rel[2] + np.linspace(-0.6, 0.6, 9) * size[2], h)
+                rays.append(azimuth_rays([[np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]], el[:, None]))
+        rays = np.concatenate(rays)
+        _, hit = assert_hits_match(origin, rays, SceneSpec(static_boxes=boxes))
+        assert 0 < np.sum(hit >= 0) < len(rays)
+
+    def test_origins_an_ulp_from_each_edge_and_corner(self):
+        # origins on the footprint's corners and edge midpoints, an ulp
+        # inside, on and outside in x and y, below, level with and above
+        # the box; boxes at the world origin keep the corners exact to the
+        # ulp when unyawed
+        rng = np.random.default_rng(62)
+        rays = np.concatenate([unit(rng.normal(size=(300, 3))), unit(rng.normal(size=(100, 3)) * [1.0, 1.0, 0.05])])
+        hits = 0
+        for size, yaw in [((4.0, 2.0, 1.5), 0.0), ((3.0, 5.0, 2.0), 0.0), ((4.5, 1.9, 1.6), 0.6)]:
+            box = SceneBox(center=(0.0, 0.0, 0.0), size=size, yaw=yaw)
+            scene = SceneSpec(static_boxes=[box, SceneBox(center=(9.0, 4.0, 0.5), size=(2.0, 2.0, 2.0))],
+                              ground_plane=True)
+            for p in footprint_points(box):
+                for z in (-2.0, 0.0, 2.0):
+                    for o in ulp_neighbours(p + [0.0, 0.0, z])[1::3]:  # x and y stepped
+                        hits += int(np.sum(assert_hits_match(o, rays, scene)[1] == 0))
+        assert hits > 0
+
+    def test_a_320_m_wall_seen_from_the_street(self):
+        walls = [SceneBox(center=(60.0, 9.5, 4.0), size=(320.0, 0.5, 8.0)),
+                 SceneBox(center=(60.0, -9.5, 4.0), size=(320.0, 0.5, 8.0), yaw=1e-3)]
+        scene = SceneSpec(static_boxes=walls + [SceneBox(center=(30.0, 7.7, 0.9), size=(4.5, 1.9, 1.6))],
+                          ground_plane=True)
+        lidar = SpinningLidarSpec(elevation_angles_rad=tuple(np.linspace(-0.42, 0.18, 8)),
+                                  azimuth_step_rad=2.0 * np.pi / 2048)
+        rays = lidar.ray_directions()
+        # mid-street, past either end of the walls, by a wall's end face and
+        # a millimeter and a nanometer from its street-side face
+        for o in ([0.0, 0.0, 1.7], [-99.9, 0.0, 1.7], [-100.001, 9.0, 1.7], [230.0, 0.0, 1.7],
+                  [60.0, 9.249, 1.7], [60.0, 9.25 - 1e-9, 1.7]):
+            _, hit = assert_hits_match(np.array(o), rays, scene)
+            assert np.any(hit == 0) or np.any(hit == 1)
+
+    def test_zero_tiny_and_nan_xy_parts(self):
+        # rays with no usable azimuth, among ordinary ones: some from beside
+        # a tall box are near vertical and still reach it
+        rng = np.random.default_rng(63)
+        scene = SceneSpec(static_boxes=[
+            SceneBox(center=(0.0, 0.0, 0.0), size=(2.0, 2.0, 2e4)),
+            SceneBox(center=(5.0, 0.0, 0.0), size=(2.0, 2.0, 2.0), yaw=0.3),
+        ])
+        special = np.array([
+            [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, 1.0], [1e-300, 0.0, 1.0], [0.0, -1e-300, -1.0],
+            [1e-160, 0.0, 0.0], [1e-155, 1e-155, 1.0], [1e-9, 0.0, 1.0], [-1e-7, 0.0, 1.0], [-5e-7, 1e-8, 1.0],
+            [-2e-6, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, np.nan, 0.0], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0],
+            [0.0, -np.inf, 1.0], [-1e-7, 0.0, -1.0],
+        ])
+        n = 600
+        at = np.sort(rng.choice(n + len(special), len(special), replace=False))
+        rays = np.empty((n + len(special), 3))
+        mask = np.zeros(len(rays), dtype=bool)
+        mask[at] = True
+        rays[mask] = special
+        rays[~mask] = unit(rng.normal(size=(n, 3)))
+        with np.errstate(invalid="ignore"):
+            for o in ([1.001, 0.0, -5e3], [1.001, 0.0, 5e3], [0.0, 0.0, 1.7], [1.0 + 2e-6, 0.5, 0.0],
+                      [5.0, 0.0, 3.0], [-4.0, 3.0, 1.0]):
+                _, hit = assert_hits_match(np.array(o), rays, scene)
+                if o[0] == 1.001:
+                    # (-1e-7, 0, +-1) and (-5e-7, 1e-8, 1) climb or drop into the tall box
+                    assert np.all(hit[at[[8, 9]] if o[2] < 0 else at[[16]]] == 0)
+
+    def test_shuffled_rays(self):
+        rng = np.random.default_rng(64)
+        scene, lidar = street_scene()
+        rays = SpinningLidarSpec(elevation_angles_rad=tuple(np.linspace(-0.42, 0.18, 8)),
+                                 azimuth_step_rad=2.0 * np.pi / 2048).ray_directions()
+        rays = np.concatenate([rays, [[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], [-1.0, -0.0, 0.0]]])
+        origin = np.array([3.0, 0.2, 1.7])
+        want = assert_hits_match(origin, rays, scene, 0.3)
+        for _ in range(3):
+            perm = rng.permutation(len(rays))
+            got = assert_hits_match(origin, rays[perm], scene, 0.3)
+            assert same_bits(got[0], want[0][perm]) and same_bits(got[1], want[1][perm])
 
 
 class TestSlabReductions:
@@ -521,6 +683,26 @@ class TestGoldenDigests:
         assert scene_digests(scene, lidar, poses, times) == (
             "2cac7159258ab3d0a7bb72fce8123c132a6ce32d38b330d4f0b8e6f4d7f015cc",
             "2d939b62fb17e97eba330351ccb904504b7514f6137f8d40428c4d60be5b44f4",
+        )
+
+    def test_street_with_a_box_across_the_seam(self):
+        # the street, plus a van behind the sensor across azimuth +-pi; the
+        # oracle states points short of, on and past each hit
+        scene, lidar = street_scene()
+        scene.static_boxes.append(SceneBox(center=(-14.0, 0.0, 1.4), size=(6.0, 2.2, 2.8), yaw=0.05))
+        rng = np.random.default_rng(71)
+        sims, states = [], []
+        for t in (0.0, 0.1):
+            pose = RigidTransform(np.eye(3), np.array([10.0 * t, 0.0, 1.7]))
+            scan, hit = simulate_scan_with_hits(scene, lidar, pose, t)
+            sims += [scan.points, hit]
+            o = pose.translation
+            pts = o + (pose.apply(scan.points[::5]) - o) * rng.choice((0.5, 0.999, 1.0, 1.02, 1.5), (len(hit[::5]), 1))
+            states += list(ground_truth_states(pts, t + 0.05, o, scene, SensorConfig()))
+        assert np.any(sims[1] == len(scene.static_boxes) - 1)
+        assert (sha256(*sims), sha256(*states)) == (
+            "953ec51f3c80d7559b79321a60133f34b8501d804bf744fd193c6c509e2b0f9d",
+            "be919578db4ee4173ae1e360d1f32e64a50278a7f30a0015ea5f2911ecf56eb3",
         )
 
     def test_simulate_and_label_cli_bytes(self, tmp_path):

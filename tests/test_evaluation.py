@@ -123,6 +123,18 @@ class TestIoU:
                              gt_labels=rng.integers(0, 3, 200).astype(np.uint8))
         assert iou_excluding_ego([scan]) == iou_conventional([scan])
 
+    def test_omitted_ego_mask_holds_no_per_point_bytes(self):
+        rng = np.random.default_rng(1)
+        pts = rng.normal(size=(200, 3))
+        pred = rng.integers(0, 2, 200).astype(bool)
+        gt = rng.integers(0, 3, 200).astype(np.uint8)
+        scan = ScanEvalInput(points=pts, predicted_moving=pred, gt_labels=gt)
+        assert scan.ego_mask.shape == (200,) and scan.ego_mask.strides == (0,)
+        assert not scan.ego_mask.any()
+        explicit = ScanEvalInput(points=pts, predicted_moving=pred, gt_labels=gt,
+                                 ego_mask=np.zeros(200, dtype=bool))
+        assert evaluate([scan]).to_dict() == evaluate([explicit]).to_dict()
+
     def test_unknown_gt_never_counts(self):
         base = scan_from_rows(self.rows_with_counts(tp=5, fp=5, fn=5))
         noisy_rows = self.rows_with_counts(tp=5, fp=5, fn=5)

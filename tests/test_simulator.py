@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from test_boxes import reference_nearest_hits
 from tovp import OccupancyState, RigidTransform, Scan, SensorConfig
 from tovp.extraction import RECORD_DTYPE, OverlapSet
 from tovp._boxes import points_in_box, yaw_matrix
@@ -11,7 +12,6 @@ from tovp.simulator import (
     SceneBox,
     SceneSpec,
     SpinningLidarSpec,
-    _nearest_hits,
     ground_truth_state,
     ground_truth_states,
     oracle_compare,
@@ -198,14 +198,15 @@ class TestGroundTruthStates:
 
 
 def broadcast_ground_truth_states(points_world, time, sensor_origin_world, scene, sensor):
-    """Reference: the oracle with one origin row per point, and the
-    differences, ranges and directions formed on whole rows."""
+    """Reference: the oracle cast by the unculled reference with one origin
+    row per point, and the differences, ranges and directions formed on
+    whole rows."""
     pts = np.atleast_2d(np.asarray(points_world, dtype=float))
     origin = np.asarray(sensor_origin_world, dtype=float).reshape(3)
     delta = pts - origin
     dist = np.linalg.norm(delta, axis=1)
     dirs = delta / np.maximum(dist, 1e-12)[:, None]
-    nearest, _ = _nearest_hits(np.broadcast_to(origin, pts.shape), dirs, scene, time)
+    nearest, _ = reference_nearest_hits(np.broadcast_to(origin, pts.shape), dirs, scene, time)
     inside = np.zeros(pts.shape[0], dtype=bool)
     for box in scene.all_boxes():
         inside |= points_in_box(pts, box.center_at(time), box.size, box.yaw)
@@ -219,8 +220,8 @@ def broadcast_ground_truth_states(points_world, time, sensor_origin_world, scene
 
 
 class TestOneOriginOracle:
-    """ground_truth_states casts every ray from one origin row; states and
-    margins equal the per-point-origin form bit for bit."""
+    """ground_truth_states casts every ray from one origin, culled; states
+    and margins equal the unculled per-point-origin form bit for bit."""
 
     def assert_matches(self, pts, origin, scene, time=0.0):
         got = ground_truth_states(pts, time, origin, scene, SENSOR)
