@@ -4,21 +4,17 @@ Boxes are axis-aligned in their own frame, rotated about world z by a yaw
 angle and centered at a point.  Sizes are full extents (length, width,
 height).  Used by the simulator, motion labeling, and evaluation.
 
-The exact tests (the slab method for rays, the box-frame bounds for
-points) run only on the rows that pass cheap conservative pre-tests.
-:func:`points_in_box` keeps points whose world |dx| and |dy| from the
-center are within the box's xy half-diagonal r, grown by ``CULL_PAD * r``.
+The exact box-frame test of :func:`points_in_box` runs only on the points
+that pass a cheap conservative pre-test: world |dx| and |dy| from the
+center within the box's xy half-diagonal r, grown by ``CULL_PAD * r``.
+The pad is far more than the rounding of the pre-test and of the exact
+test, so every point the exact test accepts survives.
 ``simulator._nearest_hits`` casts each box only against the rays whose
 azimuth lies in the box's :func:`footprint_azimuths` span, padded by
-``SECTOR_PAD`` radians, plus the rays with no usable azimuth.  Of those it
-keeps the rays whose line passes within the box's bounding sphere, of
-radius R, unless the sphere lies wholly behind the ray origin; R^2 grows
-by ``CULL_PAD * |v|^2``, v the center seen from the origin.  Each pad is
-far more than the rounding of the pre-test and of the exact test, so
-every row the exact test accepts survives.  The exact tests work row by
-row (the rotation is an (n, 3) @ (3, 3) product, which gives each row the
-same bits whichever rows share the call), so on the surviving rows they
-give the same bits as on all rows.
+``SECTOR_PAD`` radians, plus the rays with no usable azimuth.  The exact
+tests work row by row (the rotation is an (n, 3) @ (3, 3) product, which
+gives each row the same bits whichever rows share the call), so on the
+surviving rows they give the same bits as on all rows.
 
 Apart from the rotation, both tests run on the three coordinate columns as
 1-D arrays: numpy runs its inner loop once per row when it broadcasts a
@@ -30,9 +26,9 @@ import math
 
 import numpy as np
 
-# Relative pad of the pre-tests.  Both the pre-tests and the exact tests
+# Relative pad of the points_in_box pre-test.  Both it and the exact test
 # round at a few ulps (~1e-15) of the lengths involved; 1e-10 is 1e5 times
-# that, and still grows a 2.5 m bounding sphere by only 2 mm at 10 km.
+# that, and grows a 2.5 m half-diagonal by a quarter of a nanometer.
 CULL_PAD = 1e-10
 
 # Pad of the azimuth sectors: radians added to each end of a footprint's

@@ -327,6 +327,8 @@ def _tracks_from_scene(boxes, times):
 
 
 def cmd_label(args) -> int:
+    if not 0.0 <= args.margin < np.inf:  # False on NaN too
+        raise DataError(f"--margin must be a finite number >= 0, got {args.margin}")
     cfg = resolve_config(args)
     table = _thresholds_from(cfg)
     tracks = formats.read_boxes(args.boxes)
@@ -368,8 +370,11 @@ def cmd_eval(args) -> int:
     inputs = []
     for i, path, points in _world_points(scan_paths, args.poses):
         base = os.path.splitext(os.path.basename(path))[0]
-        gt = formats.read_labels(os.path.join(args.labels, base + ".label"),
-                                 expected_count=len(points))
+        gt_path = os.path.join(args.labels, base + ".label")
+        gt = formats.read_labels(gt_path, expected_count=len(points))
+        if np.any(gt > MotionClass.UNKNOWN_MOTION):
+            raise DataError(f"{gt_path}: labels must be 0 (static), 1 (moving) "
+                            f"or 2 (unknown), found {int(gt.max())}")
         pred = formats.read_labels(
             os.path.join(args.predictions, base + ".label"),
             expected_count=len(points))
@@ -434,8 +439,14 @@ def cmd_stats(args) -> int:
                     counts.append(inside)
     if not counts:
         raise DataError("no objects with points to summarize")
-    cdf = object_size_cdf(counts)
-    share = cdf.point_share(args.percentile)
+    try:
+        cdf = object_size_cdf(counts)
+    except ValueError as e:  # only --counts can hold negative or all-zero counts
+        raise DataError(f"{args.counts}: {e}") from None
+    try:
+        share = cdf.point_share(args.percentile)
+    except ValueError as e:
+        raise DataError(f"--percentile {args.percentile:g}: {e}") from None
     print(f"objects: {len(cdf.counts)}")
     print(f"points: {int(cdf.counts.sum())}")
     print("objects%  points%")
@@ -519,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--poses", help="map sensor-frame scans into the box frame")
     p.add_argument("--margin", type=float, default=0.0,
-                   help="grow boxes by this much on every face [m]")
+                   help="grow boxes by this much (>= 0) on every face [m]")
 
     p = command("eval", cmd_eval, "score moving-object predictions", "--config", "--period")
     p.add_argument("--scans", required=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._boxes import CULL_PAD, SECTOR_PAD, footprint_azimuths, points_in_box, ray_box_crossings
+from ._boxes import SECTOR_PAD, footprint_azimuths, points_in_box, ray_box_crossings
 from .errors import SceneMismatch
 from .sensor_model import RigidTransform, Scan, SensorConfig
 
@@ -155,56 +155,35 @@ def _nearest_hits(origin, dirs_unit, scene: SceneSpec, time: float):
     azimuth; an origin on or inside the footprint, or a NaN origin, keeps
     every ray.  A ray from outside the footprint that crosses the box
     ahead of its origin heads into the footprint, so its azimuth lies in
-    the span.  Of those rays, only the ones that pass a bounding-sphere
-    pre-test reach the slab test of :func:`ray_box_crossings`.  With v the
-    box center seen from the origin and R the box half-diagonal, a ray d
-    is kept when its line passes within the sphere, |v|^2 |d|^2 - (d.v)^2
-    <= R^2 |d|^2, and the sphere is not wholly behind the origin, d.v >=
-    -R |d|.  A ray that crosses the box ahead of its origin meets both.
-    Rows where the bounds come out NaN (NaN directions or overflow) are
-    kept.  R^2 is padded by ``CULL_PAD * |v|^2``: at a distant box the
-    cancellation in the difference, and the slab test's own rounding, are
-    a few ulps of |v|^2 |d|^2, not of R^2.  The slab test is computed row
-    by row, so its result on the kept rays is bit for bit its result on
-    all rays.
+    the span.  The slab test of :func:`ray_box_crossings` is computed row
+    by row, so its result on those rays is bit for bit its result on all
+    rays.
     """
     origin = np.asarray(origin, dtype=float).reshape(3)
     n = dirs_unit.shape[0]
     order, starts = _azimuth_groups(dirs_unit)
-    # cast in sorted order, where each bin range is a slice
+    # cast in sorted order, where each bin range is a slice; un-sorted once at the end
     dirs = dirs_unit.take(order, axis=0)
-    dd = np.einsum("ij,ij->i", dirs, dirs)
     nearest = np.full(n, np.inf)
     hit_box = np.full(n, -1, dtype=np.int64)
     for b_idx, box in enumerate(scene.all_boxes()):
         center = box.center_at(time)
-        half = np.asarray(box.size, dtype=float) / 2.0
-        v = center - origin  # -(origin - center) of the slab test, bit for bit
-        for a, b in _sector_rows(starts, footprint_azimuths(v, box.size, box.yaw)):
-            with np.errstate(invalid="ignore", over="ignore"):
-                vv = v @ v
-                dv = dirs[a:b] @ v
-                lim = (half @ half + CULL_PAD * vv) * dd[a:b]
-                dv2 = dv * dv
-                # rows the bounds cannot decide (NaN) are left to the slab test
-                out = (vv * dd[a:b] - dv2 > lim) | ((dv < 0.0) & (dv2 > lim))
-            keep = np.nonzero(~out)[0]
-            keep += a
-            t, valid = ray_box_crossings(origin[None, :], dirs.take(keep, axis=0), center, box.size, box.yaw)
-            t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
-            rays = order.take(keep)
-            closer = t < nearest[rays]
-            nearest[rays[closer]] = t[closer]
-            hit_box[rays[closer]] = b_idx
+        for a, b in _sector_rows(starts, footprint_azimuths(center - origin, box.size, box.yaw)):
+            t, _ = ray_box_crossings(origin[None, :], dirs[a:b], center, box.size, box.yaw)
+            closer = (t > MIN_HIT_RANGE) & (t < nearest[a:b])
+            nearest[a:b][closer] = t[closer]
+            hit_box[a:b][closer] = b_idx
     if scene.ground_plane:
-        dz = dirs_unit[:, 2]
+        dz = dirs[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -origin[2] / dz
-        t = np.where((dz != 0.0) & (t > MIN_HIT_RANGE), t, np.inf)
-        closer = t < nearest
+        closer = (dz != 0.0) & (t > MIN_HIT_RANGE) & (t < nearest)
         nearest[closer] = t[closer]
         hit_box[closer] = -1
-    return nearest, hit_box
+    out_nearest, out_hit = np.empty_like(nearest), np.empty_like(hit_box)
+    out_nearest[order] = nearest
+    out_hit[order] = hit_box
+    return out_nearest, out_hit
 
 
 def simulate_scan(

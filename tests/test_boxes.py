@@ -1,16 +1,18 @@
 """Box math: the culled ray and containment tests against their unculled
 references, bit for bit, and golden digests of what they feed.
 
-The references below are the box tests without any pre-test: every ray
+The references below are the box tests without any cull: every ray
 goes through the slab test and every point through the box-frame test.
-The cases sit where a pre-test could go wrong: rays tangent to a box's
-bounding sphere at a corner, a few ulps either side; rays through edges
-and corners; origins inside boxes; boxes behind the origin and thousands
-of meters away; yawed boxes; one origin per ray, one cast per origin;
-zero-length, tiny and NaN directions; footprints across the azimuth seam;
-rays an ulp either side of a footprint corner's azimuth; origins an ulp
-either side of a footprint's edges; and points on the corners that reach
-a box's xy half-diagonal.
+The cases sit where the azimuth-sector cull, the point pre-test or the
+slab test could go wrong: rays that graze a box at a corner alone, a few
+ulps either side; rays through edges and corners; origins inside boxes;
+boxes behind the origin and thousands of meters away; yawed boxes; one
+origin per ray, one cast per origin; zero-length, tiny and NaN
+directions; footprints across the azimuth seam; rays an ulp either side
+of a footprint corner's azimuth; origins an ulp either side of a
+footprint's edges; and points on the corners that reach a box's xy
+half-diagonal.  Since the bits cannot show whether a cull ran, one test
+also counts the rows a street scan leaves to the slab test.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from scan_factories import C10_SCENE_YAML
-from tovp import formats
+from tovp import formats, simulator
 from tovp._boxes import points_in_box, ray_box_crossings, yaw_matrix
 from tovp.cli import main
 from tovp.labeling import TrackedBox, label_points
@@ -163,8 +165,9 @@ def perpendicular(rng, r):
 
 def tangent_scene(rng, origin, n_boxes, dist_lo, dist_hi):
     """Boxes placed so that, from ``origin``, the ray to one corner of each
-    is tangent to that box's bounding sphere at the corner.  Returns the
-    scene and the unit directions of those rays."""
+    runs at right angles to that corner's offset from the box center, so
+    it grazes the box at the corner alone.  Returns the scene and the unit
+    directions of those rays."""
     boxes, dirs = [], []
     for _ in range(n_boxes):
         size, yaw = random_box_shape(rng)
@@ -241,8 +244,9 @@ class TestRayCulling:
     @pytest.mark.parametrize("length", [1e-12, 1e-14])
     def test_exit_through_a_corner_with_tiny_directions(self, length):
         # origins an ulp inside a corner, leaving along the diagonal: the
-        # sphere lies all but wholly behind the origin, and with so short a
-        # direction the exit an ulp away still lies beyond MIN_HIT_RANGE
+        # box lies all but wholly behind the origin, every ray reaches the
+        # slab test (the origin is inside the footprint), and with so short
+        # a direction the exit an ulp away still lies beyond MIN_HIT_RANGE
         # (in units of the direction length).  Boxes centered on the world
         # origin keep the corner exact to the ulp.
         rng = np.random.default_rng(15)
@@ -450,6 +454,24 @@ class TestAzimuthSectors:
             perm = rng.permutation(len(rays))
             got = assert_hits_match(origin, rays[perm], scene, 0.3)
             assert same_bits(got[0], want[0][perm]) and same_bits(got[1], want[1][perm])
+
+    @pytest.mark.parametrize("x", [0.0, 10.0, 30.0])
+    def test_a_street_scan_casts_few_pairs(self, x, monkeypatch):
+        # the output bits cannot tell a cull from none, so count the rows
+        # the slab test sees: about 0.11 of rays x boxes here, 1.0 unculled
+        rows = []
+
+        def counted(origins, directions, *args):
+            rows.append(len(directions))
+            return ray_box_crossings(origins, directions, *args)
+
+        monkeypatch.setattr(simulator, "ray_box_crossings", counted)
+        scene, lidar = street_scene()
+        pose = RigidTransform(np.eye(3), np.array([x, 0.0, 1.7]))
+        _, hit = simulate_scan_with_hits(scene, lidar, pose, 0.0)
+        n_rays, n_boxes = len(lidar.ray_directions()), len(scene.all_boxes())
+        assert np.any(hit >= 0)
+        assert sum(rows) <= 0.15 * n_rays * n_boxes
 
 
 class TestSlabReductions:

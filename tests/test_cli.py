@@ -482,6 +482,18 @@ class TestLabel:
         assert "000001.bin" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-1e-4"])
+    def test_margin_must_be_finite_and_not_negative(self, tmp_path, capsys, margin):
+        # a NaN margin once labeled every point STATIC and exited 0
+        sim = simulate(tmp_path, count=2)
+        out = tmp_path / "labels"
+        assert main(["label", "--scans", str(sim / "scans"),
+                     "--boxes", str(sim / "boxes.jsonl"),
+                     "--poses", str(sim / "poses.txt"),
+                     f"--margin={margin}", "--out", str(out)]) == 2
+        assert "--margin" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def hand_case(self, tmp_path):
@@ -532,6 +544,14 @@ class TestEval:
         np.full(8, 2, np.uint8).tofile(preds / "000000.label")
         assert main(["eval", "--scans", str(scans), "--labels", str(labels),
                      "--predictions", str(preds), "--boxes", str(boxes)]) == 2
+
+    def test_ground_truth_values_validated(self, tmp_path, capsys):
+        scans, labels, preds, boxes = self.hand_case(tmp_path)
+        np.full(8, 3, np.uint8).tofile(labels / "000000.label")
+        assert main(["eval", "--scans", str(scans), "--labels", str(labels),
+                     "--predictions", str(preds), "--boxes", str(boxes)]) == 2
+        err = capsys.readouterr().err
+        assert str(labels / "000000.label") in err and "found 3" in err
 
     def test_length_mismatch_is_data_error(self, tmp_path, capsys):
         scans, labels, preds, boxes = self.hand_case(tmp_path)
@@ -585,6 +605,22 @@ class TestStats:
         counts = tmp_path / "counts.txt"
         counts.write_text("1\ntwo\n")
         assert main(["stats", "--counts", str(counts)]) == 2
+
+    @pytest.mark.parametrize("text", ["1\n-3\n5\n", "0\n0\n"])
+    def test_negative_or_all_zero_counts(self, tmp_path, capsys, text):
+        counts = tmp_path / "counts.txt"
+        counts.write_text(text)
+        assert main(["stats", "--counts", str(counts)]) == 2
+        assert str(counts) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("percentile", ["-1", "100.5", "nan"])
+    def test_percentile_outside_0_to_100(self, tmp_path, capsys, percentile):
+        counts = tmp_path / "counts.txt"
+        counts.write_text("1\n1\n1\n97\n")
+        assert main(["stats", "--counts", str(counts),
+                     f"--percentile={percentile}"]) == 2
+        captured = capsys.readouterr()
+        assert "--percentile" in captured.err and captured.out == ""
 
 
 class TestLossCheck:
