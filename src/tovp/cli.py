@@ -383,9 +383,11 @@ def cmd_eval(args) -> int:
                             f"(moving), found {int(pred.max())}")
         ego = None
         if args.ego_masks:
-            ego = formats.read_labels(
-                os.path.join(args.ego_masks, base + ".label"),
-                expected_count=len(points))
+            ego_path = os.path.join(args.ego_masks, base + ".label")
+            ego = formats.read_labels(ego_path, expected_count=len(points))
+            if np.any(ego > 1):
+                raise DataError(f"{ego_path}: ego masks must be 0 or 1, "
+                                f"found {int(ego.max())}")
         inputs.append(ScanEvalInput(
             points=points, predicted_moving=pred.astype(bool), gt_labels=gt,
             ego_mask=None if ego is None else ego.astype(bool),

@@ -26,8 +26,10 @@ Everything downstream of the candidate query is vectorized.  The current
 scan is extracted in fixed blocks of CHUNK beams, each against every
 adjacent scan and sorted once into canonical order; the blocks cover
 increasing current indices, so joined end to end they are the canonical
-set, whatever the block size or the thread count.  Blocks bound the
-memory: a window is streamed one block per thread, never held whole.
+set, whatever the block size or the thread count.  No other code orders
+records: an :class:`OverlapSet` and the ``.tovp`` reader refuse records out
+of order.  Blocks bound the memory: a window is streamed one block per
+thread, never held whole.
 """
 
 from collections import deque
@@ -43,7 +45,8 @@ from .sensor_model import DEFAULT_BOUNDS, Beam, OccupancyState, RecordSet, Scan,
 
 # Current beams per block: a constant, so that what a block costs and holds
 # depends on no option.  Peak memory grows with it (one block per thread in
-# flight); the output bytes do not depend on it.
+# flight); the output bytes do not depend on it.  It must stay below 2^16,
+# the width of the block-local current index in the block sort key.
 CHUNK = 2048
 PAIR_BLOCK = 1 << 14
 
@@ -66,7 +69,7 @@ RECORD_DTYPE = np.dtype(
 # structured dtype when gathering, scattering or concatenating records
 _RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
 
-# records per chunk of the order check in _canonical_order: 256 KiB of keys
+# records per chunk of the order check in _is_canonical: 256 KiB of keys
 _ORDER_CHUNK = 1 << 15
 
 
@@ -133,14 +136,16 @@ class OverlapSet(RecordSet):
     RECORD_DTYPE), so a set is written and read without a cast; indexing
     yields :class:`OverlapPoint` views.  Order is (current index, scan
     offset, adjacent index, sample rank), which makes serialization
-    deterministic.
+    deterministic.  Records out of that order are a ValueError, never sorted.
     """
 
     record_dtype = RECORD_DTYPE
 
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
-        self.records = records if presorted else _canonical_order(records)
+        if not (presorted or _is_canonical(records)):
+            raise ValueError("overlap records are not in (current, offset, adjacent, rank) order")
+        self.records = records
 
     def __getitem__(self, idx: int) -> OverlapPoint:
         r = self.records[idx]
@@ -156,56 +161,33 @@ class OverlapSet(RecordSet):
         )
 
 
-def _packed_keys(records: np.ndarray) -> np.ndarray:
-    """One u64 key per record, ascending in canonical order, for indices
-    below 2^24; built in place through one scratch array.  offset + 128 is
-    the offset byte with its top bit flipped."""
-    key = records["current_index"].astype(np.uint64)
-    key <<= np.uint64(40)
-    part = np.empty_like(key)
-    np.copyto(part, records["scan_offset"].view(np.uint8) ^ np.uint8(0x80))
-    part <<= np.uint64(32)
-    key |= part
-    np.copyto(part, records["adjacent_index"])
-    part <<= np.uint64(8)
-    key |= part
-    np.copyto(part, records["sample_rank"])
-    key |= part
+def _tail_keys(records: np.ndarray) -> np.ndarray:
+    """One u64 key per record, ascending in (offset, adjacent, rank) order:
+    offset + 128 (the offset byte with its top bit flipped) in bits 40-47,
+    the adjacent index in bits 8-39 and the rank in bits 0-7."""
+    key = (records["scan_offset"].view(np.uint8) ^ np.uint8(0x80)).astype(np.uint64)
+    key <<= np.uint64(32)
+    key |= records["adjacent_index"]
+    key <<= np.uint64(8)
+    key |= records["sample_rank"]
     return key
 
 
-def _canonical_order(records: np.ndarray) -> np.ndarray:
-    """The records in (current, offset, adjacent, rank) order: the one code
-    that orders records.  Returns ``records`` itself when they already are.
-
-    The four keys fit one u64 when indices stay below 2^24 (16.7M beams),
-    which is the fast common case; otherwise fall back to lexsort.  Order
-    is checked ``_ORDER_CHUNK`` records at a time, carrying the last key
-    across chunks, so a canonical set (every file ``write_overlap_file``
-    writes) is confirmed with one chunk of keys in memory; keys for the
-    whole set are built only to sort one that is not.
-    """
-    if len(records) < 2:
-        return records
-    if max(int(records["current_index"].max()), int(records["adjacent_index"].max())) < (1 << 24):
-        last = np.uint64(0)
-        for lo in range(0, len(records), _ORDER_CHUNK):
-            key = _packed_keys(records[lo:lo + _ORDER_CHUNK])
-            if key[0] < last or np.any(key[1:] < key[:-1]):
-                break
-            last = key[-1]
-        else:
-            return records
-        key = _packed_keys(records)
-        order = np.argsort(key)
-        del key  # freed before the gather
-    else:
-        order = np.lexsort(
-            (records["sample_rank"], records["adjacent_index"], records["scan_offset"], records["current_index"])
-        )
-        if np.all(order[1:] > order[:-1]):  # the identity: a stable sort of sorted records
-            return records
-    return records.view(_RECORD_BYTES).take(order).view(RECORD_DTYPE)
+def _is_canonical(records: np.ndarray) -> bool:
+    """Whether the records are in (current, offset, adjacent, rank) order:
+    the current index never falls, and among equal current indices the
+    (offset, adjacent, rank) key never falls.  Checked ``_ORDER_CHUNK``
+    records at a time, carrying the last (current, tail key) pair across
+    chunks, so one chunk of keys is held whatever the set's size."""
+    last = (0, 0)
+    for lo in range(0, len(records), _ORDER_CHUNK):
+        chunk = records[lo:lo + _ORDER_CHUNK]
+        cur, tail = chunk["current_index"], _tail_keys(chunk)
+        falls = (cur[1:] < cur[:-1]) | ((cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1]))
+        if (int(cur[0]), int(tail[0])) < last or falls.any():
+            return False
+        last = (int(cur[-1]), int(tail[-1]))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +628,8 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
     """Record blocks of ``current`` against (offset, adjacent) jobs, the
     adjacent scans in the current sensor frame.  Each job is prepared once;
     each block of CHUNK current points is extracted against every job and
-    put in canonical order."""
+    sorted into canonical order on one u64 key: the block-local current
+    index (below CHUNK) in bits 48-63 over the :func:`_tail_keys` key."""
     ids, dirs, ranges = current.beams()
     prepared = []
     for offset, adjacent in jobs:
@@ -670,8 +653,10 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
         hi = min(lo + CHUNK, len(current))
         # the runs are freed once joined, before the sort
         rec = np.concatenate([np.empty(0, dtype=_RECORD_BYTES)] + [
-            run for job in prepared for run in _extract_chunk(lo, hi, *job, cfg, sensor)])
-        return _canonical_order(rec.view(RECORD_DTYPE))
+            run for job in prepared for run in _extract_chunk(lo, hi, *job, cfg, sensor)]).view(RECORD_DTYPE)
+        key = _tail_keys(rec)
+        key |= (rec["current_index"] - np.uint32(lo)).astype(np.uint64) << np.uint64(48)
+        return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)
 
     yield from _map_in_order(block, range(0, len(current), CHUNK), threads)
 

@@ -24,6 +24,7 @@ from ._boxes import yaw_matrix
 from .errors import (
     BadLength,
     CountMismatch,
+    FormatError,
     LengthMismatch,
     MagicMismatch,
     MalformedLine,
@@ -129,6 +130,8 @@ def read_poses(path):
                 values = np.array([float(p) for p in parts])
             except ValueError:
                 raise MalformedLine(f"{path}:{lineno}: non-numeric token") from None
+            if not np.all(np.isfinite(values)):
+                raise MalformedLine(f"{path}:{lineno}: non-finite number")
             poses.append(_parse_pose_row(values, f"{path}:{lineno}"))
     return poses
 
@@ -204,7 +207,7 @@ def write_overlap_file(path, overlaps, sensor: SensorConfig,
                        config_digest: bytes = b"\x00" * 16) -> int:
     """Write ``overlaps``, an OverlapSet or an iterable of canonically
     ordered record arrays that joined end to end form one, written as they
-    come; returns the record count."""
+    come; returns the record count.  The reader checks that order."""
     if len(config_digest) != 16:
         raise ValueError("config digest must be 16 bytes")
     from .extraction import RECORD_DTYPE
@@ -216,8 +219,9 @@ def write_overlap_file(path, overlaps, sensor: SensorConfig,
 
 def read_overlap_file(path):
     """Returns (OverlapSet, OverlapFileInfo), the set's records in the
-    stored layout, ``extraction.RECORD_DTYPE``."""
-    from .extraction import RECORD_DTYPE, OverlapSet
+    stored layout, ``extraction.RECORD_DTYPE``.  Records out of canonical
+    order are a FormatError, never sorted: ``.prob`` rows pair in file order."""
+    from .extraction import RECORD_DTYPE, OverlapSet, _is_canonical
 
     header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE)
     try:
@@ -226,7 +230,9 @@ def read_overlap_file(path):
         raise SchemaViolation(f"{path}: header: {e}") from None
     info = OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]),
                            version=int(header["version"]))
-    return OverlapSet(rec), info
+    if not _is_canonical(rec):
+        raise FormatError(f"{path}: records are not in (current, offset, adjacent, rank) order")
+    return OverlapSet(rec, presorted=True), info
 
 
 def write_recon_file(path, rset: "ReconSet"):
@@ -294,7 +300,8 @@ def _mapping(value, where: str) -> dict:
 def _scalar(kind, fields, key, where: str, default=None, least=None):
     """``kind(fields[key])`` (str, int or float) of a field, ``default``
     standing in for an absent one unless None; a missing value, one that
-    ``kind`` cannot take, or one below ``least`` is a SchemaViolation."""
+    ``kind`` cannot take, a non-finite float, or one below ``least`` is a
+    SchemaViolation."""
     value = fields.get(key, default) if isinstance(fields, dict) else fields[key]
     if value is None:
         raise SchemaViolation(f"{where}: missing field {key!r}")
@@ -302,6 +309,8 @@ def _scalar(kind, fields, key, where: str, default=None, least=None):
         out = kind(value)
     except (TypeError, ValueError):
         raise SchemaViolation(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not np.isfinite(out):
+        raise SchemaViolation(f"{where}.{key}: expected a finite number, got {value!r}")
     if least is not None and out < least:
         raise SchemaViolation(f"{where}.{key} must be >= {least}")
     return out
@@ -314,6 +323,8 @@ def _vec3(value, where: str) -> tuple:
         raise SchemaViolation(f"{where}: expected 3 numbers") from None
     if len(vec) != 3:
         raise SchemaViolation(f"{where}: expected 3 numbers, got {len(vec)}")
+    if not np.all(np.isfinite(vec)):
+        raise SchemaViolation(f"{where}: expected 3 finite numbers, got {list(vec)}")
     return vec
 
 

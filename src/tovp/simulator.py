@@ -15,10 +15,7 @@ import numpy as np
 
 from ._boxes import SECTOR_PAD, footprint_azimuths, points_in_box, ray_box_crossings
 from .errors import SceneMismatch
-from .sensor_model import RigidTransform, Scan, SensorConfig
-
-# Surface crossings closer than this are ignored (a scan range must be > 0). [m]
-MIN_HIT_RANGE = 1e-6
+from .sensor_model import MIN_BEAM_RANGE, RigidTransform, Scan, SensorConfig
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,8 @@ def _nearest_hits(origin, dirs_unit, scene: SceneSpec, time: float):
     ahead of its origin heads into the footprint, so its azimuth lies in
     the span.  The slab test of :func:`ray_box_crossings` is computed row
     by row, so its result on those rays is bit for bit its result on all
-    rays.
+    rays.  Crossings at MIN_BEAM_RANGE or nearer are ignored: a return
+    must form a beam.
     """
     origin = np.asarray(origin, dtype=float).reshape(3)
     n = dirs_unit.shape[0]
@@ -170,14 +168,14 @@ def _nearest_hits(origin, dirs_unit, scene: SceneSpec, time: float):
         center = box.center_at(time)
         for a, b in _sector_rows(starts, footprint_azimuths(center - origin, box.size, box.yaw)):
             t, _ = ray_box_crossings(origin[None, :], dirs[a:b], center, box.size, box.yaw)
-            closer = (t > MIN_HIT_RANGE) & (t < nearest[a:b])
+            closer = (t > MIN_BEAM_RANGE) & (t < nearest[a:b])
             nearest[a:b][closer] = t[closer]
             hit_box[a:b][closer] = b_idx
     if scene.ground_plane:
         dz = dirs[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -origin[2] / dz
-        closer = (dz != 0.0) & (t > MIN_HIT_RANGE) & (t < nearest)
+        closer = (dz != 0.0) & (t > MIN_BEAM_RANGE) & (t < nearest)
         nearest[closer] = t[closer]
         hit_box[closer] = -1
     out_nearest, out_hit = np.empty_like(nearest), np.empty_like(hit_box)

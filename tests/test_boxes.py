@@ -25,9 +25,8 @@ from tovp import formats, simulator
 from tovp._boxes import points_in_box, ray_box_crossings, yaw_matrix
 from tovp.cli import main
 from tovp.labeling import TrackedBox, label_points
-from tovp.sensor_model import RigidTransform, Scan, SensorConfig
+from tovp.sensor_model import MIN_BEAM_RANGE, RigidTransform, Scan, SensorConfig
 from tovp.simulator import (
-    MIN_HIT_RANGE,
     SceneBox,
     SceneSpec,
     SpinningLidarSpec,
@@ -81,7 +80,7 @@ def reference_nearest_hits(origins, dirs_unit, scene, time):
     hit_box = np.full(n, -1, dtype=np.int64)
     for b_idx, box in enumerate(scene.all_boxes()):
         t, valid = reference_ray_box_crossings(origins, dirs_unit, box.center_at(time), box.size, box.yaw)
-        t = np.where(valid & (t > MIN_HIT_RANGE), t, np.inf)
+        t = np.where(valid & (t > MIN_BEAM_RANGE), t, np.inf)
         closer = t < nearest
         nearest[closer] = t[closer]
         hit_box[closer] = b_idx
@@ -89,7 +88,7 @@ def reference_nearest_hits(origins, dirs_unit, scene, time):
         dz = dirs_unit[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -origins[:, 2] / dz
-        t = np.where((dz != 0.0) & (t > MIN_HIT_RANGE), t, np.inf)
+        t = np.where((dz != 0.0) & (t > MIN_BEAM_RANGE), t, np.inf)
         closer = t < nearest
         nearest[closer] = t[closer]
         hit_box[closer] = -1
@@ -246,7 +245,7 @@ class TestRayCulling:
         # origins an ulp inside a corner, leaving along the diagonal: the
         # box lies all but wholly behind the origin, every ray reaches the
         # slab test (the origin is inside the footprint), and with so short
-        # a direction the exit an ulp away still lies beyond MIN_HIT_RANGE
+        # a direction the exit an ulp away still lies beyond MIN_BEAM_RANGE
         # (in units of the direction length).  Boxes centered on the world
         # origin keep the corner exact to the ulp.
         rng = np.random.default_rng(15)

@@ -299,6 +299,16 @@ class TestSimulate:
         assert main(["simulate", "--scene", str(scene),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_non_finite_start_is_data_error(self, tmp_path, capsys):
+        # a NaN start once wrote NaN poses and exited 0
+        scene = tmp_path / "scene.yaml"
+        write_scene(scene)
+        scene.write_text(scene.read_text().replace("start: [0.0, 0.0, 1.7]", "start: [.nan, 0.0, 1.7]"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 2
+        assert "trajectory.start" in capsys.readouterr().err
+        assert not (out / "poses.txt").exists()
+
     def test_seed_range(self, tmp_path, capsys):
         # 7 scans take the per-scan seeds seed .. seed + 6
         scene = tmp_path / "scene.yaml"
@@ -482,6 +492,20 @@ class TestLabel:
         assert "000001.bin" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_non_finite_pose_is_data_error(self, tmp_path, capsys):
+        # a NaN translation once labeled every moving point of its scan
+        # STATIC and exited 0
+        sim = simulate(tmp_path, count=2)
+        poses = sim / "poses.txt"
+        rows = poses.read_text().splitlines()
+        rows[0] = " ".join(rows[0].split()[:3] + ["nan"] + rows[0].split()[4:])
+        poses.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "labels"
+        assert main(["label", "--scans", str(sim / "scans"),
+                     "--boxes", str(sim / "boxes.jsonl"),
+                     "--poses", str(poses), "--out", str(out)]) == 2
+        assert f"{poses}:1: non-finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("margin", ["nan", "inf", "-1e-4"])
     def test_margin_must_be_finite_and_not_negative(self, tmp_path, capsys, margin):
         # a NaN margin once labeled every point STATIC and exited 0
@@ -552,6 +576,19 @@ class TestEval:
                      "--predictions", str(preds), "--boxes", str(boxes)]) == 2
         err = capsys.readouterr().err
         assert str(labels / "000000.label") in err and "found 3" in err
+
+    def test_ego_mask_values_validated(self, tmp_path, capsys):
+        # an ego byte of 7 once counted as an ego point, with exit 0
+        scans, labels, preds, boxes = self.hand_case(tmp_path)
+        ego = tmp_path / "ego"
+        ego.mkdir()
+        np.array([0, 0, 0, 0, 0, 7, 0, 0], np.uint8).tofile(ego / "000000.label")
+        assert main(["eval", "--scans", str(scans), "--labels", str(labels),
+                     "--predictions", str(preds), "--boxes", str(boxes),
+                     "--ego-masks", str(ego)]) == 2
+        captured = capsys.readouterr()
+        assert str(ego / "000000.label") in captured.err and "found 7" in captured.err
+        assert "iou" not in captured.out
 
     def test_length_mismatch_is_data_error(self, tmp_path, capsys):
         scans, labels, preds, boxes = self.hand_case(tmp_path)
@@ -656,6 +693,23 @@ class TestLossCheck:
         assert "overlap_loss: 3.465735903" in out
         assert "recon_loss: 0.693147181" in out
         assert "total_loss: 4.158883083" in out
+
+    def test_out_of_order_file_is_format_error(self, tmp_path, capsys):
+        # .prob rows pair with records in file order: a file out of
+        # canonical order was once sorted on read, so that its loss paired
+        # the wrong rows and exited 0
+        rec = np.zeros(2, dtype=RECORD_DTYPE)
+        rec["current_index"] = [1, 0]
+        rec["state"] = [0, 1]
+        rec["confidence"] = 1.0
+        path = tmp_path / "x.tovp"
+        write_overlap_file(path, [rec], SensorConfig())
+        probs = tmp_path / "x.prob"
+        write_probabilities(probs, np.array([[0.6, 0.2, 0.2], [0.1, 0.8, 0.1]]))
+        assert main(["loss-check", "--overlaps", str(path),
+                     "--probs", str(probs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(path) in captured.err
 
     def test_count_mismatch_is_data_error(self, tmp_path, capsys):
         path, _ = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])

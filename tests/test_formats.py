@@ -1,5 +1,6 @@
 """File format round trips, validation errors, and reader robustness."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from tovp import extraction, formats
 from tovp.errors import (
     BadLength,
     CountMismatch,
+    FormatError,
     LengthMismatch,
     MagicMismatch,
     MalformedLine,
@@ -149,6 +151,17 @@ class TestPoses:
         with pytest.raises(MalformedLine):
             read_poses(path)
 
+    @pytest.mark.parametrize("bad, k", [("nan", 3), ("inf", 0), ("-inf", 11)])
+    def test_non_finite_number(self, tmp_path, bad, k):
+        # a NaN translation once made extraction drop a scan's records and
+        # labeling mark every point static, both with exit 0
+        values = "1 0 0 4 0 1 0 5 0 0 1 6".split()
+        values[k] = bad
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" + " ".join(values) + "\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: non-finite")):
+            read_poses(path)
+
     def test_mild_drift_is_repaired(self, tmp_path):
         rot = self.rot(0.4)
         rot[0, 0] += 2e-4  # beyond keep-verbatim, well under reject
@@ -255,37 +268,48 @@ class TestOverlapFile:
                                b"short")
 
     def test_read_back_in_canonical_order(self, tmp_path):
-        # indices below 2^24 are ordered by one packed key; from base
-        # 2^24 - 25 on they reach 2^24 and beyond, where a lexsort orders them
+        # a canonical file reads back as it is, whatever its indices, here
+        # from 2^24 - 25 up as well; one out of that order, or a set built
+        # from such records, is refused, never sorted
         for base in (0, (1 << 24) - 25):
             rec = overlap_records(200, seed=4)
             rec["current_index"] //= 4  # tied current indices: order by the other keys
             rec["current_index"] += base
             rec["adjacent_index"] += base
-            canonical = OverlapSet(rec).records
             keys = [rec[name] for name in ("sample_rank", "adjacent_index", "scan_offset", "current_index")]
-            assert canonical.tobytes() == rec[np.lexsort(keys)].tobytes()
-            assert extraction._canonical_order(canonical) is canonical
+            canonical = rec[np.lexsort(keys)]
+            assert extraction._is_canonical(canonical)
+            path = tmp_path / f"{base}.tovp"
+            write_overlap_file(path, OverlapSet(canonical), SENSOR)
+            back, _ = read_overlap_file(path)
+            assert back.records.tobytes() == canonical.tobytes()
+
             shuffled = canonical[np.random.default_rng(4).permutation(len(canonical))]
-            assert shuffled.tobytes() != canonical.tobytes()
-            for i, records in enumerate((shuffled, canonical)):
-                path = tmp_path / f"{i}.tovp"
-                write_overlap_file(path, OverlapSet(records, presorted=True), SENSOR)
-                back, _ = read_overlap_file(path)
-                assert back.records.tobytes() == canonical.tobytes()
+            assert not extraction._is_canonical(shuffled)
+            with pytest.raises(ValueError, match="order"):
+                OverlapSet(shuffled)
+            write_overlap_file(path, [shuffled], SENSOR)
+            with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*order"):
+                read_overlap_file(path)
 
     def test_order_checked_across_chunks(self, monkeypatch):
-        # chunks of 7 records: a record out of order at, just before or just
-        # after a chunk boundary, or at either end, is found and sorted
+        # chunks of 7 records over pairs of equal current indices: a swap
+        # of two records at, just before or just after a chunk seam, or at
+        # either end, is found, whether it puts a current index (odd i) or
+        # the (offset, adjacent, rank) key of one current index (even i)
+        # out of order
         monkeypatch.setattr(extraction, "_ORDER_CHUNK", 7)
-        canonical = OverlapSet(overlap_records(50, seed=8)).records
-        assert extraction._canonical_order(canonical) is canonical
-        for i in (0, 5, 6, 7, 13, 14, 20, 48):
+        rec = overlap_records(50, seed=8)
+        rec["current_index"] //= 2
+        rec["adjacent_index"] = np.random.default_rng(8).permutation(50)  # unique keys
+        keys = [rec[name] for name in ("sample_rank", "adjacent_index", "scan_offset", "current_index")]
+        canonical = rec[np.lexsort(keys)]
+        assert extraction._is_canonical(canonical)
+        assert extraction._is_canonical(canonical[:1]) and extraction._is_canonical(canonical[:0])
+        for i in (0, 1, 5, 6, 7, 12, 13, 14, 20, 47, 48):
             swapped = canonical.copy()
             swapped[[i, i + 1]] = swapped[[i + 1, i]]
-            got = extraction._canonical_order(swapped)
-            assert got is not swapped
-            assert got.tobytes() == canonical.tobytes()
+            assert not extraction._is_canonical(swapped), i
 
     @pytest.mark.slow
     def test_large_round_trip(self, tmp_path):
@@ -482,6 +506,17 @@ class TestBoxes:
             with pytest.raises(SchemaViolation, match=missing):
                 read_boxes(path)
 
+    @pytest.mark.parametrize("key, value", [("center", [0.0, float("nan"), 0.0]), ("size", [1.0, float("inf"), 1.0]),
+                                            ("yaw", float("nan")), ("time", float("-inf"))])
+    def test_non_finite_field_named(self, tmp_path, key, value):
+        import json
+        obj = {"instance_id": "a", "category": "HUMAN", "center": [0, 0, 0],
+               "size": [1, 1, 1], "yaw": 0.0, "time": 0.0, key: value}
+        path = tmp_path / "boxes.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaViolation, match=f"{key}.*finite"):
+            read_boxes(path)
+
     def test_negative_size_named(self, tmp_path):
         path = tmp_path / "boxes.jsonl"
         path.write_text('{"instance_id": "a", "category": "HUMAN", '
@@ -591,6 +626,17 @@ class TestScene:
             "lidar:\n  elevations_rad: [0.0]\n  azimuth_count: 8\n"
             "trajectory:\n  count: 0\n  period_s: 0.5\n  start: [0, 0, 1]\n")
         with pytest.raises(SchemaViolation, match="count"):
+            read_scene(path)
+
+    @pytest.mark.parametrize("key, value", [("start", "[.nan, 0.0, 1.7]"), ("velocity", "[2.0, .inf, 0.0]"),
+                                            ("yaw_rad", ".nan"), ("period_s", ".nan")])
+    def test_non_finite_trajectory(self, tmp_path, key, value):
+        # a NaN start once gave NaN poses and exit 0
+        traj = {"count": "1", "period_s": "0.5", "start": "[0, 0, 1]", key: value}
+        path = tmp_path / "scene.yaml"
+        path.write_text("lidar:\n  elevations_rad: [0.0]\n  azimuth_count: 8\ntrajectory:\n"
+                        + "".join(f"  {k}: {v}\n" for k, v in traj.items()))
+        with pytest.raises(SchemaViolation, match=f"trajectory.{key}: expected .*finite"):
             read_scene(path)
 
     def test_bad_box_size(self, tmp_path):
