@@ -7,7 +7,9 @@ and sanity-check loss values.  Exit codes: 0 success, 1 usage, 2 bad data
 readable, an existing file named as an output directory among them), 3
 internal failure.  Configuration resolves as
 flags > config file > defaults, and every command echoes the values it ran
-with.  Set TOP_LOG=debug for progress logging.
+with.  Every command that reads a scan directory reads it through
+:func:`_sequence`: scans in name order, scan k taken k scan periods after
+the first, and line k of ``--poses`` its pose.
 
 Each command imports the modules it runs at the top of its ``cmd_*``
 function, and PyYAML only where a ``--config`` file is read, so a process
@@ -15,7 +17,6 @@ loads and compiles only what its command executes.
 """
 
 import argparse
-import logging
 import os
 import sys
 
@@ -25,8 +26,6 @@ from . import formats
 from .errors import CountMismatch, DataError, EmptyBatch, SchemaViolation, TovpError
 from .labeling import MotionClass, ThresholdTable, TrackedBox, box_motion_class, label_points
 from .sensor_model import DEFAULT_BOUNDS, SEED_LIMIT, Scan, SensorConfig
-
-log = logging.getLogger("tovp")
 
 _MAP = "a mapping of category to 2 numbers"
 # every config key: its default and the kind of value it takes, with the
@@ -155,30 +154,28 @@ def _echo(cfg: dict, keys) -> str:
     return " ".join(f"{k}={cfg[k]}" for k in keys)
 
 
-def _scan_files(directory: str):
+def _sequence(directory: str, poses_path, period: float) -> list:
+    """(base name, path, pose or None, time) of each ``.bin`` scan in
+    ``directory``, in name order: scan k is taken k periods after the
+    first and, when a poses file is given, has its line k as its pose."""
     names = sorted(f for f in os.listdir(directory) if f.endswith(".bin"))
     if not names:
         raise DataError(f"no .bin scans in {directory}")
-    return [os.path.join(directory, f) for f in names]
+    poses = formats.read_poses(poses_path) if poses_path else [None] * len(names)
+    if len(poses) != len(names):
+        raise CountMismatch(f"{len(names)} scans but {len(poses)} poses")
+    return [(os.path.splitext(name)[0], os.path.join(directory, name), pose, k * period)
+            for k, (name, pose) in enumerate(zip(names, poses))]
 
 
-def _load_scan(path: str, time: float, pose) -> Scan:
-    points, intensities = formats.read_scan_bin(path)
-    return Scan(points=points, time=time, pose=pose, intensities=intensities)
-
-
-def _world_points(scan_paths, poses_path):
-    """Yield per-scan points, mapped to the box frame when poses are given."""
-    poses = None
-    if poses_path:
-        poses = formats.read_poses(poses_path)
-        if len(poses) != len(scan_paths):
-            raise CountMismatch(f"{len(scan_paths)} scans but {len(poses)} poses")
-    for i, path in enumerate(scan_paths):
+def _world_points(sequence):
+    """(base name, time, points) of each scan of a :func:`_sequence`, the
+    points mapped to the box frame when the scan has a pose."""
+    for base, path, pose, time in sequence:
         points, _ = formats.read_scan_bin(path)
-        if poses and len(points):
-            points = poses[i].apply(points)
-        yield i, path, points
+        if pose is not None and len(points):
+            points = pose.apply(points)
+        yield base, time, points
 
 
 class _AtomicOutputs:
@@ -225,17 +222,17 @@ def cmd_extract(args) -> int:
     n = extraction.n_adjacent
     digest = formats.config_hash(extraction, sensor)
 
-    poses = formats.read_poses(args.poses)
-    scan_paths = _scan_files(args.scans)
-    if len(poses) != len(scan_paths):
-        raise CountMismatch(f"{len(scan_paths)} scans but {len(poses)} poses")
-    if len(scan_paths) < 2 * n + 1:
+    sequence = _sequence(args.scans, args.poses, cfg["scan_period_s"])
+    if len(sequence) < 2 * n + 1:
         raise DataError(f"need at least {2 * n + 1} scans for a window of "
-                        f"n={n}, found {len(scan_paths)}")
-    _check_seeds(cfg["seed"], len(scan_paths))
+                        f"n={n}, found {len(sequence)}")
+    _check_seeds(cfg["seed"], len(sequence))
 
-    period = cfg["scan_period_s"]
-    times = [k * period for k in range(len(scan_paths))]
+    def load(k) -> Scan:
+        _, path, pose, time = sequence[k]
+        points, intensities = formats.read_scan_bin(path)
+        return Scan(points=points, time=time, pose=pose, intensities=intensities)
+
     print(f"config: {_echo(cfg, ('n_adjacent', 'scan_period_s', 'bounds', 'divergence_angle_rad', 'lambda_occ', 'seed', 'threads'))}")
     print(f"config_hash: {digest.hex()}")
 
@@ -246,14 +243,13 @@ def cmd_extract(args) -> int:
     with _AtomicOutputs() as outputs:
         outputs.write(os.path.join(args.out, "config.json"),
                       lambda p: formats.write_report(p, _jsonable(echo)))
-        for i in range(n, len(scan_paths) - n):
-            current = _load_scan(scan_paths[i], times[i], poses[i])
-            adjacents = [_load_scan(scan_paths[j], times[j], poses[j])
-                         for j in range(i - n, i + n + 1) if j != i]
+        for i in range(n, len(sequence) - n):
+            current = load(i)
+            adjacents = [load(j) for j in range(i - n, i + n + 1) if j != i]
             # the records go to disk block by block as they are extracted
             blocks = extract_sequence_blocks(current, adjacents, extraction, sensor,
                                              threads=cfg["threads"])
-            base = os.path.splitext(os.path.basename(scan_paths[i]))[0]
+            base = sequence[i][0]
             count = outputs.write(os.path.join(args.out, base + ".tovp"),
                                   lambda p: formats.write_overlap_file(p, blocks, sensor, digest))
             rset = sample_recon_points(current, cfg["occupied_per_beam"],
@@ -263,7 +259,6 @@ def cmd_extract(args) -> int:
                           lambda p: formats.write_recon_file(p, rset))
             print(f"scan {base}: {count} overlap points, "
                   f"{len(rset)} recon samples")
-            log.info("extracted scan %s", base)
     print(f"wrote {len(outputs.written)} files to {args.out}")
     return 0
 
@@ -332,18 +327,15 @@ def cmd_label(args) -> int:
     cfg = resolve_config(args)
     table = _thresholds_from(cfg)
     tracks = formats.read_boxes(args.boxes)
-    scan_paths = _scan_files(args.scans)
-    period = cfg["scan_period_s"]
+    sequence = _sequence(args.scans, args.poses, cfg["scan_period_s"])
     print(f"config: {_echo(cfg, ('scan_period_s', 'time_tol'))} "
           f"margin={args.margin} tracks={len(tracks)}")
 
     os.makedirs(args.out, exist_ok=True)
     with _AtomicOutputs() as outputs:
-        for i, path, points in _world_points(scan_paths, args.poses):
-            scan = Scan(points=points, time=i * period)
-            labels = label_points(scan, tracks, table,
+        for base, time, points in _world_points(sequence):
+            labels = label_points(Scan(points=points, time=time), tracks, table,
                                   time_tol=cfg["time_tol"], margin=args.margin)
-            base = os.path.splitext(os.path.basename(path))[0]
             outputs.write(os.path.join(args.out, base + ".label"),
                           lambda p: formats.write_labels(p, labels))
     print(f"wrote {len(outputs.written)} label files to {args.out}")
@@ -358,43 +350,39 @@ def _moving_keyframes(tracks, time, table, tol):
             yield track, k
 
 
+def _read_label_file(directory, base, count, top, meaning):
+    """The ``count`` bytes of scan ``base``'s ``.label`` file in
+    ``directory``; a byte above ``top`` is a DataError naming the file."""
+    path = os.path.join(directory, base + ".label")
+    values = formats.read_labels(path, expected_count=count)
+    if np.any(values > top):
+        raise DataError(f"{path}: {meaning}, found {int(values.max())}")
+    return values
+
+
 def cmd_eval(args) -> int:
     from .evaluation import EvalBox, ScanEvalInput, evaluate
 
     cfg = resolve_config(args)
     table = _thresholds_from(cfg)
     tracks = formats.read_boxes(args.boxes)
-    scan_paths = _scan_files(args.scans)
-    period = cfg["scan_period_s"]
 
     inputs = []
-    for i, path, points in _world_points(scan_paths, args.poses):
-        base = os.path.splitext(os.path.basename(path))[0]
-        gt_path = os.path.join(args.labels, base + ".label")
-        gt = formats.read_labels(gt_path, expected_count=len(points))
-        if np.any(gt > MotionClass.UNKNOWN_MOTION):
-            raise DataError(f"{gt_path}: labels must be 0 (static), 1 (moving) "
-                            f"or 2 (unknown), found {int(gt.max())}")
-        pred = formats.read_labels(
-            os.path.join(args.predictions, base + ".label"),
-            expected_count=len(points))
-        if np.any(pred > 1):
-            raise DataError(f"{base}: predictions must be 0 (static) or 1 "
-                            f"(moving), found {int(pred.max())}")
+    for base, time, points in _world_points(_sequence(args.scans, args.poses, cfg["scan_period_s"])):
+        gt = _read_label_file(args.labels, base, len(points), MotionClass.UNKNOWN_MOTION,
+                              "labels must be 0 (static), 1 (moving) or 2 (unknown)")
+        pred = _read_label_file(args.predictions, base, len(points), 1,
+                                "predictions must be 0 (static) or 1 (moving)")
         ego = None
         if args.ego_masks:
-            ego_path = os.path.join(args.ego_masks, base + ".label")
-            ego = formats.read_labels(ego_path, expected_count=len(points))
-            if np.any(ego > 1):
-                raise DataError(f"{ego_path}: ego masks must be 0 or 1, "
-                                f"found {int(ego.max())}")
+            ego = _read_label_file(args.ego_masks, base, len(points), 1,
+                                   "ego masks must be 0 or 1").astype(bool)
         inputs.append(ScanEvalInput(
-            points=points, predicted_moving=pred.astype(bool), gt_labels=gt,
-            ego_mask=None if ego is None else ego.astype(bool),
+            points=points, predicted_moving=pred.astype(bool), gt_labels=gt, ego_mask=ego,
             moving_boxes=tuple(
                 EvalBox(instance_id=track.instance_id, center=track.centers[k],
                         size=track.sizes[k], yaw=float(track.yaws[k]))
-                for track, k in _moving_keyframes(tracks, i * period, table,
+                for track, k in _moving_keyframes(tracks, time, table,
                                                   cfg["time_tol"]))))
 
     report = evaluate(inputs)
@@ -428,11 +416,11 @@ def cmd_stats(args) -> int:
         if not (args.scans and args.boxes):
             raise DataError("stats needs either --counts or --scans with --boxes")
         tracks = formats.read_boxes(args.boxes)
-        period = cfg["scan_period_s"]
         counts = []
-        for i, _, points in _world_points(_scan_files(args.scans), args.poses):
+        for _, time, points in _world_points(_sequence(args.scans, args.poses,
+                                                       cfg["scan_period_s"])):
             for track in tracks:
-                k = track.keyframe_at(i * period, cfg["time_tol"])
+                k = track.keyframe_at(time, cfg["time_tol"])
                 if k is None:
                     continue
                 inside = int(np.sum(points_in_box(
@@ -560,9 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TOP_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

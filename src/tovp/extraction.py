@@ -567,25 +567,6 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     return rec
 
 
-def _extract_chunk(lo, hi, cur, index, adj_scan, offset, time, cfg, sensor) -> list:
-    """Records of the current beams ``cur`` (see :func:`_pair_records`) of
-    points [lo, hi) against one adjacent scan taken ``time`` seconds after
-    the current one, as unsorted runs viewed as bytes."""
-    theta = sensor.divergence_angle_rad
-    first, last = np.searchsorted(cur[0], (lo, hi))
-    cur = tuple(col[first:last] for col in cur)
-    adj = (index.beam_ids, index.directions, index.ranges, adj_scan.points)
-    ii, jj = _band_candidates(index, cur[1], _coarse_bound(theta), theta)
-    # the pair stages run on cache-sized blocks of candidates
-    runs = []
-    for b in range(0, len(ii), PAIR_BLOCK):
-        runs += _pair_records(
-            ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, adj_scan.sensor_origin,
-            offset, time, cfg, sensor,
-        )
-    return runs
-
-
 def _check_frames(current: Scan, adjacent: Scan | None = None):
     """Raise FrameMismatch unless the current scan is in its own sensor
     frame and the adjacent one, when given, in the current scan's frame."""
@@ -626,10 +607,13 @@ def extract_scan_pair(
 
 def _extract_blocks(current, jobs, cfg, sensor, threads):
     """Record blocks of ``current`` against (offset, adjacent) jobs, the
-    adjacent scans in the current sensor frame.  Each job is prepared once;
-    each block of CHUNK current points is extracted against every job and
-    sorted into canonical order on one u64 key: the block-local current
-    index (below CHUNK) in bits 48-63 over the :func:`_tail_keys` key."""
+    adjacent scans in the current sensor frame.  Each job is prepared once:
+    its live current beams, its direction index and its column tuples.
+    Each block of CHUNK current points runs the band query and then the
+    pair kernel against every job, and is sorted into canonical order on
+    one u64 key: the block-local current index (below CHUNK) in bits 48-63
+    over the :func:`_tail_keys` key."""
+    theta = sensor.divergence_angle_rad
     ids, dirs, ranges = current.beams()
     prepared = []
     for offset, adjacent in jobs:
@@ -646,14 +630,24 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
             index = build_direction_index(adjacent, cfg.cell_size(sensor))
         except EmptyScan:
             continue
+        adj = (index.beam_ids, index.directions, index.ranges, adjacent.points)
         # stored times are relative to the current scan
-        prepared.append((cur, index, adjacent, offset, adjacent.time - current.time))
+        prepared.append((cur, index, adj, adjacent.sensor_origin, offset, adjacent.time - current.time))
 
     def block(lo):
-        hi = min(lo + CHUNK, len(current))
-        # the runs are freed once joined, before the sort
-        rec = np.concatenate([np.empty(0, dtype=_RECORD_BYTES)] + [
-            run for job in prepared for run in _extract_chunk(lo, hi, *job, cfg, sensor)]).view(RECORD_DTYPE)
+        # each job's band query on the block's live beams, then the pair
+        # stages on cache-sized blocks of candidates
+        runs = [np.empty(0, dtype=_RECORD_BYTES)]
+        for cur, index, adj, a, offset, time in prepared:
+            first, last = np.searchsorted(cur[0], (lo, lo + CHUNK))
+            cur = tuple(col[first:last] for col in cur)
+            ii, jj = _band_candidates(index, cur[1], _coarse_bound(theta), theta)
+            for b in range(0, len(ii), PAIR_BLOCK):
+                runs += _pair_records(ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, a,
+                                      offset, time, cfg, sensor)
+            del ii, jj  # freed before the next band query
+        rec = np.concatenate(runs).view(RECORD_DTYPE)
+        del runs  # freed before the sort
         key = _tail_keys(rec)
         key |= (rec["current_index"] - np.uint32(lo)).astype(np.uint64) << np.uint64(48)
         return rec.view(_RECORD_BYTES).take(np.argsort(key)).view(RECORD_DTYPE)

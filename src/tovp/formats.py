@@ -266,13 +266,14 @@ def write_labels(path, labels):
 
 
 def read_probabilities(path, expected_count=None) -> np.ndarray:
-    """Raw float32 (M, 3) state distributions."""
+    """Raw float32 (M, 3) state distributions, as stored: the losses widen
+    them to float64 one chunk at a time."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) % 12 != 0:
         raise BadLength(f"{path}: {len(data)} bytes is not a whole number "
                         "of 12-byte rows")
-    probs = np.frombuffer(data, dtype="<f4").reshape(-1, 3).astype(np.float64)
+    probs = np.frombuffer(data, dtype="<f4").reshape(-1, 3)
     if expected_count is not None and len(probs) != expected_count:
         raise LengthMismatch(f"{path}: {len(probs)} rows for "
                              f"{expected_count} points")

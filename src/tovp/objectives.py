@@ -99,9 +99,12 @@ class StatePrediction:
 
 
 def _probability_matrix(predictions) -> np.ndarray:
+    """(M, 3) probabilities: float32 rows as given, anything else float64."""
     if len(predictions) and isinstance(predictions[0], StatePrediction):
         return np.stack([p.probabilities for p in predictions])
-    p = np.asarray(predictions, dtype=float)
+    p = np.asarray(predictions)
+    if p.dtype != np.float32:
+        p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[1] != N_STATES:
         raise ValueError(f"predictions must be (M, {N_STATES})")
     return p
@@ -110,8 +113,10 @@ def _probability_matrix(predictions) -> np.ndarray:
 def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> float:
     """Sum of (conf * w[state]) * -log(p[state]) over the batch, with
     conf = 1 when not given.  Chunk by chunk, the true-class probabilities
-    are gathered, checked and logged, then scaled in place in the nll
-    array, which the one closing sum reads whole."""
+    are gathered, widened to float64, checked and logged, then scaled in
+    place in the nll array by the weights and the confidences, widened
+    alike; the one closing sum reads the array whole.  Widening float32 is
+    exact, so float32 inputs give the bits of their float64 copies."""
     probs = _probability_matrix(predictions)
     s = np.asarray(states)
     if s.shape != (len(probs),):
@@ -130,6 +135,7 @@ def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> 
             raise BadState(f"state {bad} is not FREE 0, OCCUPIED 1 or UNKNOWN 2")
         # one gather from the flat block, not one per row of three
         p_true = block.reshape(-1).take(np.arange(0, N_STATES * len(block), N_STATES) + idx)
+        p_true = p_true.astype(np.float64, copy=False)
         if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
             raise NonFiniteLoss("true-class probability is zero or non-finite")
         np.negative(np.log(p_true), out=nll[rows])
@@ -149,7 +155,7 @@ def overlap_loss(states, confidences, predictions, weights: ClassWeights = Class
     """
     if len(predictions) == 0:
         raise EmptyBatch("overlap loss needs at least one point")
-    total = _weighted_nll_sum(states, predictions, weights, np.asarray(confidences, dtype=float))
+    total = _weighted_nll_sum(states, predictions, weights, np.asarray(confidences))
     if not np.isfinite(total):
         raise NonFiniteLoss("overlap loss overflowed")
     return total / len(predictions)

@@ -160,8 +160,8 @@ def sample_recon_points(
     [r, r + band) and ``free_per_beam`` ranges uniform in [0, r), both on
     the beam's centerline from the sensor origin (see ``Scan.beams``).
     States are FREE and OCCUPIED by construction.
-    Points sitting on the sensor origin form no beam and contribute
-    nothing, so a scan with such points yields fewer than N * (occupied +
+    Points sitting on the sensor origin, or with a non-finite coordinate,
+    form no beam and contribute nothing, so a scan with such points yields fewer than N * (occupied +
     free) samples.  ``seed`` must lie in [0, 2**63).
     """
     seed = operator.index(seed)

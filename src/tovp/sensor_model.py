@@ -188,14 +188,16 @@ class Scan:
         return self.points.shape[0]
 
     def beams(self):
-        """(ids, unit directions (n, 3), ranges) of the points at least
-        MIN_BEAM_RANGE from the sensor origin, in point order; nearer points
+        """(ids, unit directions (n, 3), ranges) of the points whose range
+        from the sensor origin is finite and at least MIN_BEAM_RANGE, in
+        point order; nearer points, and points with a non-finite coordinate,
         form no beam and are left out.  Built one coordinate column at a
         time, bit for bit the row form: ``np.linalg.norm(points - origin,
         axis=1)``, the mask, then the division."""
         delta = [self.points[:, j] - self.sensor_origin[j] for j in range(3)]
         ranges = np.sqrt(delta[0] * delta[0] + delta[1] * delta[1] + delta[2] * delta[2])
-        ids = np.nonzero(ranges >= MIN_BEAM_RANGE)[0]
+        # NaN fails both tests
+        ids = np.nonzero((ranges >= MIN_BEAM_RANGE) & (ranges < np.inf))[0]
         ranges = ranges[ids]
         dirs = np.empty((len(ids), 3))
         for j in range(3):

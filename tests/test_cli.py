@@ -18,6 +18,7 @@ from tovp.formats import (
     write_overlap_file,
     write_probabilities,
     write_recon_file,
+    write_scan_bin,
 )
 from tovp.recon import RECON_DTYPE, ReconSet
 from tovp.sensor_model import SensorConfig
@@ -389,19 +390,44 @@ class TestExtract:
         out = tmp_path / "out"
         monkeypatch.setattr(extraction, "CHUNK", 16)
         last = (len(read_scan_bin(sim / "scans" / "000002.bin")[0]) - 1) // 16 * 16
-        extract_chunk, written = extraction._extract_chunk, []
+        map_in_order, written = extraction._map_in_order, []
 
-        def failing(lo, *args):
-            if lo == last:
-                written.append((out / "000002.tovp.tmp").stat().st_size)
-                raise DataError("block failed")
-            return extract_chunk(lo, *args)
+        def failing_map(block, items, threads):
+            def failing(lo):
+                if lo == last:
+                    written.append((out / "000002.tovp.tmp").stat().st_size)
+                    raise DataError("block failed")
+                return block(lo)
+            return map_in_order(failing, items, threads)
 
-        monkeypatch.setattr(extraction, "_extract_chunk", failing)
+        monkeypatch.setattr(extraction, "_map_in_order", failing_map)
         assert run_extract(sim, out, "--n", "2") == 2
         assert "block failed" in capsys.readouterr().err
         assert written[0] > _OVERLAP_HEADER.itemsize
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_form_no_beam(self, tmp_path, value):
+        # a point with a non-finite coordinate gives the bytes of a point on
+        # the sensor origin: no overlap record and no recon sample
+        sim = simulate(tmp_path, count=3)
+        outs = []
+        for name, fill in (("bad", value), ("origin", 0.0)):
+            scans = tmp_path / name / "scans"
+            scans.mkdir(parents=True)
+            for f in sorted(os.listdir(sim / "scans")):
+                points, intensities = read_scan_bin(sim / "scans" / f)
+                if name == "bad":  # one coordinate, then a whole point
+                    points[[3, 40, 77], [0, 1, 2]] = fill
+                    points[90] = fill
+                else:
+                    points[[3, 40, 77, 90]] = 0.0
+                write_scan_bin(scans / f, points, intensities)
+            out = tmp_path / name / "out"
+            assert main(["extract", "--scans", str(scans), "--poses", str(sim / "poses.txt"),
+                         "--out", str(out), "--n", "1"]) == 0
+            outs.append({f: (out / f).read_bytes() for f in ("000001.tovp", "000001.trcn")})
+        assert outs[0] == outs[1]
 
     def test_pose_count_mismatch(self, tmp_path, capsys):
         sim = simulate(tmp_path, count=7)
@@ -568,6 +594,8 @@ class TestEval:
         np.full(8, 2, np.uint8).tofile(preds / "000000.label")
         assert main(["eval", "--scans", str(scans), "--labels", str(labels),
                      "--predictions", str(preds), "--boxes", str(boxes)]) == 2
+        err = capsys.readouterr().err
+        assert str(preds / "000000.label") in err and "found 2" in err
 
     def test_ground_truth_values_validated(self, tmp_path, capsys):
         scans, labels, preds, boxes = self.hand_case(tmp_path)

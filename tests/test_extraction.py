@@ -713,7 +713,7 @@ class TestSequence:
         def refuse(*args):
             raise AssertionError("a block was extracted")
 
-        monkeypatch.setattr(extraction, "_extract_chunk", refuse)
+        monkeypatch.setattr(extraction, "_band_candidates", refuse)
         current, adjacents = self._window(2)
         with pytest.raises(ValueError):
             extract_sequence_blocks(current, adjacents, ExtractionConfig(n_adjacent=3), SENSOR)
@@ -722,20 +722,22 @@ class TestSequence:
     def test_blocks_computed_ahead_of_a_stalled_consumer(self, monkeypatch, threads):
         # 50 blocks of 8 beams; the consumer takes one block and stalls
         monkeypatch.setattr(extraction, "CHUNK", 8)
+        # every block queries the first job's index first, so those queries
+        # count the blocks started
         started = []
-        extract_chunk = extraction._extract_chunk
+        band_candidates = extraction._band_candidates
 
-        def counting(lo, *args):
-            started.append(lo)
-            return extract_chunk(lo, *args)
+        def counting(index, *args):
+            started.append(index)
+            return band_candidates(index, *args)
 
-        monkeypatch.setattr(extraction, "_extract_chunk", counting)
+        monkeypatch.setattr(extraction, "_band_candidates", counting)
         current, adjacents = self._window(1, n_points=400)
         blocks = extract_sequence_blocks(current, adjacents, ExtractionConfig(n_adjacent=1), SENSOR,
                                          threads=threads)
         next(blocks)
         time.sleep(0.3)
-        ahead = len(set(started)) - 1
+        ahead = sum(index is started[0] for index in started) - 1
         assert ahead <= threads + 1
         assert ahead >= (1 if threads > 1 else 0)
         assert len(list(blocks)) == 49

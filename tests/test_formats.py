@@ -1,5 +1,6 @@
 """File format round trips, validation errors, and reader robustness."""
 
+from pathlib import Path
 import re
 import tracemalloc
 
@@ -447,6 +448,7 @@ class TestLabelsAndProbabilities:
         probs = np.random.default_rng(0).dirichlet([1, 1, 1], size=20)
         write_probabilities(path, probs)
         back = read_probabilities(path, expected_count=20)
+        assert back.dtype == np.float32 and back.shape == (20, 3)
         np.testing.assert_allclose(back, probs, atol=1e-7)
 
     def test_probabilities_bad_length(self, tmp_path):
@@ -554,6 +556,37 @@ class TestBoxes:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaViolation, match="category"):
             read_boxes(path)
+
+
+FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+# a type column of docs/formats.md as a numpy field type
+DOC_TYPES = {"u8": "u1", "i8": "i1", "u32": "<u4", "f32": "<f4", "3 x f32": ("<f4", (3,))}
+
+
+def documented_records(heading):
+    """(name, dtype, offset) of each row of the last table in the section
+    of docs/formats.md under ``heading``: its record table."""
+    section = FORMATS_MD.read_text().split(f"\n## {heading}\n")[1].split("\n## ")[0]
+    table = re.findall(r"((?:^\|.*\|\n)+)", section, flags=re.M)[-1]
+    rows = []
+    for line in table.splitlines()[2:]:  # past the head and the rule
+        offset, kind, field = (cell.strip() for cell in line.strip("|").split("|"))
+        name = re.match(r"[a-z_]+", field).group()
+        rows.append((name, np.dtype(DOC_TYPES[kind]), int(offset)))
+    return rows
+
+
+class TestRecordTablesOfTheDocs:
+    """docs/formats.md describes each record layout field by field, in
+    name, type and offset, as the dtype the code writes."""
+
+    @pytest.mark.parametrize("heading, dtype", [
+        ("Overlap sets (`.tovp`)", RECORD_DTYPE),
+        ("Reconstruction sets (`.trcn`)", RECON_DTYPE),
+    ])
+    def test_table_matches_the_dtype(self, heading, dtype):
+        fields = [(name, dtype.fields[name][0], dtype.fields[name][1]) for name in dtype.names]
+        assert documented_records(heading) == fields
 
 
 class TestReports:

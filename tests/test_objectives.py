@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tovp import objectives
 from tovp.errors import BadDimension, BadState, CountMismatch, DataError, EmptyBatch, NonFiniteLoss
 from tovp.objectives import (
     ClassWeights,
@@ -250,20 +251,38 @@ class TestChunkedWeightedNll:
         assert overlap_loss(states, conf, probs) == float(np.sum(conf * w * nll)) / self.ROWS
         assert recon_loss(states, probs, n_beams=self.ROWS, per_beam=1) == float(np.sum(w * nll)) / self.ROWS
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 191, 193])
+    def test_float32_inputs_give_the_bits_of_their_float64_copies(self, monkeypatch, n):
+        # float32 rows and confidences, the latter strided as in a record
+        # array, are widened chunk by chunk: exact, so the bits cannot move
+        monkeypatch.setattr(objectives, "_CHUNK", 64)
+        states, conf, probs = random_batch(np.random.default_rng(n), n)
+        rec = np.zeros(n, dtype=[("state", "u1"), ("confidence", "<f4")])
+        rec["state"], rec["confidence"] = states, conf
+        probs32 = probs.astype(np.float32)
+        got = overlap_loss(rec["state"], rec["confidence"], probs32)
+        want = overlap_loss(states, rec["confidence"].astype(float), probs32.astype(float))
+        assert got == want
+        got = recon_loss(rec["state"], probs32, n_beams=n, per_beam=1)
+        assert got == recon_loss(states, probs32.astype(float), n_beams=n, per_beam=1)
+
     def test_peak_memory_per_row(self):
-        states, conf, probs = self.batch()
-        for loss in (lambda: overlap_loss(states, conf, probs),
-                     lambda: recon_loss(states, probs, n_beams=self.ROWS, per_beam=1)):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                loss()
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            # the nll array is 8 B per row; whole-batch weights and products
-            # took 24 B per row
-            assert peak <= 10 * self.ROWS, peak
+        states, conf64, probs64 = self.batch()
+        conf32, probs32 = conf64.astype(np.float32), probs64.astype(np.float32)
+        for conf, probs in ((conf64, probs64), (conf32, probs32)):
+            for loss in (lambda: overlap_loss(states, conf, probs),
+                         lambda: recon_loss(states, probs, n_beams=self.ROWS, per_beam=1)):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    loss()
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                # the nll array is 8 B per row; whole-batch weights and
+                # products took 24 B per row, and float64 copies of float32
+                # rows and confidences 32 B
+                assert peak <= 10 * self.ROWS, (probs.dtype, peak)
 
 
 def test_total_loss_is_plain_sum():

@@ -65,13 +65,14 @@ class TestBeamFromPoint:
 
 class TestScanBeams:
     """Scan.beams builds its table one coordinate column at a time, bit for
-    bit the row form: the norm over rows, the mask, then the division."""
+    bit the row form: the norm over rows, the mask (finite and at least
+    MIN_BEAM_RANGE), then the division."""
 
     @staticmethod
     def row_form(scan):
         delta = scan.points - scan.sensor_origin
         ranges = np.linalg.norm(delta, axis=1)
-        valid = ranges >= MIN_BEAM_RANGE
+        valid = (ranges >= MIN_BEAM_RANGE) & np.isfinite(ranges)
         return np.nonzero(valid)[0], delta[valid] / ranges[valid, None], ranges[valid]
 
     @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.3, -1e-7, 12.5), (-40.0, 25.0, 1.7)])
@@ -85,6 +86,8 @@ class TestScanBeams:
         pts[1::89] = origin + [MIN_BEAM_RANGE, 0.0, 0.0]
         pts[2::83] = origin + [0.0, np.nextafter(MIN_BEAM_RANGE, 0.0), 0.0]
         pts[3::79, 2] = -0.0
+        # a non-finite coordinate forms no beam
+        pts[4::73, 0], pts[5::71, 1], pts[6::67, 2] = np.inf, -np.inf, np.nan
         scan = make_scan(pts, origin=origin)
         got, want = scan.beams(), self.row_form(scan)
         for g, w in zip(got, want):
