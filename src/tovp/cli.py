@@ -242,7 +242,7 @@ def cmd_extract(args) -> int:
     echo = {k: v for k, v in cfg.items() if k != "threads"}
     with _AtomicOutputs() as outputs:
         outputs.write(os.path.join(args.out, "config.json"),
-                      lambda p: formats.write_report(p, _jsonable(echo)))
+                      lambda p: formats.write_report(p, echo))
         for i in range(n, len(sequence) - n):
             current = load(i)
             adjacents = [load(j) for j in range(i - n, i + n + 1) if j != i]
@@ -395,7 +395,7 @@ def cmd_eval(args) -> int:
         print(f"flag: {flag}")
     if args.out:
         doc = report.to_dict()
-        doc["config"] = _jsonable(cfg)
+        doc["config"] = cfg
         formats.write_report(args.out, doc)
         print(f"report written to {args.out}")
     return 0
@@ -482,13 +482,6 @@ def cmd_loss_check(args) -> int:
         print(f"recon_loss: {rvalue:.9f}")
         print(f"total_loss: {total_loss(value, rvalue):.9f}")
     return 0
-
-
-def _jsonable(cfg: dict) -> dict:
-    out = {}
-    for key, value in cfg.items():
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

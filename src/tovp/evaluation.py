@@ -7,7 +7,7 @@ recall averages per scan and per instance, so the same track seen in ten
 scans contributes ten terms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,45 +64,29 @@ class EvalReport:
     flags: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "recall_obj": self.recall_obj,
-            "iou_excluding_ego": self.iou_excluding_ego,
-            "iou_conventional": self.iou_conventional,
-            "per_object": self.per_object,
-            "counts": self.counts,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
-def _safe_iou(tp: int, fp: int, fn: int):
-    denom = tp + fp + fn
-    if denom == 0:
-        return 0.0, True
-    return 100.0 * tp / denom, False
+def _tp_fp_fn(mask, pred, gt_moving) -> np.ndarray:
+    """Moving-class tp, fp and fn over the points in ``mask``."""
+    return np.array([np.count_nonzero(mask & pred & gt_moving),
+                     np.count_nonzero(mask & pred & ~gt_moving),
+                     np.count_nonzero(mask & ~pred & gt_moving)])
 
 
 def evaluate(inputs) -> EvalReport:
     """Compute all metrics over a sequence of ScanEvalInput."""
-    tp_c = fp_c = fn_c = 0
-    tp_e = fp_e = fn_e = 0
+    # keyed by IoU name; the conventional IoU keeps ego-vehicle points
+    totals = {"excluding_ego": np.zeros(3, dtype=np.int64),
+              "conventional": np.zeros(3, dtype=np.int64)}
     per_object = []
 
     for scan_idx, scan in enumerate(inputs):
         valid = scan.gt_labels != MotionClass.UNKNOWN_MOTION
         gt_moving = scan.gt_labels == MotionClass.MOVING
         pred = scan.predicted_moving
-
-        for mask, sums in (
-            (valid, "conv"),
-            (valid & ~scan.ego_mask, "ego"),
-        ):
-            tp = int(np.sum(mask & pred & gt_moving))
-            fp = int(np.sum(mask & pred & ~gt_moving))
-            fn = int(np.sum(mask & ~pred & gt_moving))
-            if sums == "conv":
-                tp_c, fp_c, fn_c = tp_c + tp, fp_c + fp, fn_c + fn
-            else:
-                tp_e, fp_e, fn_e = tp_e + tp, fp_e + fp, fn_e + fn
+        totals["excluding_ego"] += _tp_fp_fn(valid & ~scan.ego_mask, pred, gt_moving)
+        totals["conventional"] += _tp_fp_fn(valid, pred, gt_moving)
 
         for box in scan.moving_boxes:
             inside = points_in_box(scan.points, box.center, box.size, box.yaw)
@@ -126,22 +110,20 @@ def evaluate(inputs) -> EvalReport:
         recall = 0.0
         flags.append("no_eligible_objects")
 
-    iou_ego, empty_e = _safe_iou(tp_e, fp_e, fn_e)
-    iou_conv, empty_c = _safe_iou(tp_c, fp_c, fn_c)
-    if empty_e:
-        flags.append("empty_denominator_iou_excluding_ego")
-    if empty_c:
-        flags.append("empty_denominator_iou_conventional")
+    counts = {name: dict(zip(("tp", "fp", "fn"), t.tolist())) for name, t in totals.items()}
+    iou = {}
+    for name, c in counts.items():
+        denom = c["tp"] + c["fp"] + c["fn"]
+        iou[name] = 100.0 * c["tp"] / denom if denom else 0.0
+        if not denom:
+            flags.append(f"empty_denominator_iou_{name}")
 
     return EvalReport(
         recall_obj=recall,
-        iou_excluding_ego=iou_ego,
-        iou_conventional=iou_conv,
+        iou_excluding_ego=iou["excluding_ego"],
+        iou_conventional=iou["conventional"],
         per_object=per_object,
-        counts={
-            "excluding_ego": {"tp": tp_e, "fp": fp_e, "fn": fn_e},
-            "conventional": {"tp": tp_c, "fp": fp_c, "fn": fn_c},
-        },
+        counts=counts,
         flags=flags,
     )
 

@@ -75,17 +75,29 @@ def config_hash(cfg: "ExtractionConfig", sensor: SensorConfig) -> bytes:
 
 # -- point cloud scans --------------------------------------------------------
 
+def _rows(path, dtype, unit: str, expected_count=None) -> np.ndarray:
+    """The rows of ``dtype`` in a headerless file, read with ``np.fromfile``:
+    a file that is not a whole number of rows is a BadLength, and one of
+    other than ``expected_count`` rows, when given, a LengthMismatch;
+    ``unit`` names the rows in both messages."""
+    dtype = np.dtype(dtype)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % dtype.itemsize != 0:
+            raise BadLength(f"{path}: {size} bytes is not a whole number "
+                            f"of {dtype.itemsize}-byte {unit}")
+        if expected_count is not None and size // dtype.itemsize != expected_count:
+            raise LengthMismatch(f"{path}: {size // dtype.itemsize} {unit} for "
+                                 f"{expected_count} points")
+        return np.fromfile(fh, dtype=dtype)
+
+
 def read_scan_bin(path):
     """Read x, y, z, intensity float32 quads.
 
     Returns (points (N, 3) float64, intensities (N,) float32).
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) % 16 != 0:
-        raise BadLength(f"{path}: {len(data)} bytes is not a whole number "
-                        "of 16-byte points")
-    quads = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    quads = _rows(path, ("<f4", 4), "points")
     return quads[:, :3].astype(np.float64), quads[:, 3].copy()
 
 
@@ -221,7 +233,7 @@ def read_overlap_file(path):
     """Returns (OverlapSet, OverlapFileInfo), the set's records in the
     stored layout, ``extraction.RECORD_DTYPE``.  Records out of canonical
     order are a FormatError, never sorted: ``.prob`` rows pair in file order."""
-    from .extraction import RECORD_DTYPE, OverlapSet, _is_canonical
+    from .extraction import RECORD_DTYPE, OverlapSet
 
     header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE)
     try:
@@ -230,9 +242,10 @@ def read_overlap_file(path):
         raise SchemaViolation(f"{path}: header: {e}") from None
     info = OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]),
                            version=int(header["version"]))
-    if not _is_canonical(rec):
-        raise FormatError(f"{path}: records are not in (current, offset, adjacent, rank) order")
-    return OverlapSet(rec, presorted=True), info
+    try:
+        return OverlapSet(rec), info
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_recon_file(path, rset: "ReconSet"):
@@ -254,11 +267,7 @@ def read_recon_file(path) -> "ReconSet":
 # -- labels, predictions, probabilities ----------------------------------------
 
 def read_labels(path, expected_count=None) -> np.ndarray:
-    labels = np.fromfile(path, dtype=np.uint8)
-    if expected_count is not None and len(labels) != expected_count:
-        raise LengthMismatch(f"{path}: {len(labels)} labels for "
-                             f"{expected_count} points")
-    return labels
+    return _rows(path, np.uint8, "labels", expected_count)
 
 
 def write_labels(path, labels):
@@ -266,18 +275,9 @@ def write_labels(path, labels):
 
 
 def read_probabilities(path, expected_count=None) -> np.ndarray:
-    """Raw float32 (M, 3) state distributions, as stored: the losses widen
-    them to float64 one chunk at a time."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) % 12 != 0:
-        raise BadLength(f"{path}: {len(data)} bytes is not a whole number "
-                        "of 12-byte rows")
-    probs = np.frombuffer(data, dtype="<f4").reshape(-1, 3)
-    if expected_count is not None and len(probs) != expected_count:
-        raise LengthMismatch(f"{path}: {len(probs)} rows for "
-                             f"{expected_count} points")
-    return probs
+    """Float32 (M, 3) state distributions, as stored: the losses widen
+    them to float64 one leaf of their sum at a time."""
+    return _rows(path, ("<f4", 3), "rows", expected_count)
 
 
 def write_probabilities(path, probs):

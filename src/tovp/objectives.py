@@ -12,7 +12,8 @@ from .errors import BadDimension, BadState, CountMismatch, EmptyBatch, NonFinite
 
 N_STATES = 3
 
-# rows per pass of the loss arithmetic; bounds the temporaries
+# most rows per leaf of the loss sum's tree; bounds the temporaries.  It
+# must be >= 128, numpy's pairwise block, or the tree is not np.sum's
 _CHUNK = 1 << 16
 
 
@@ -112,11 +113,12 @@ def _probability_matrix(predictions) -> np.ndarray:
 
 def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> float:
     """Sum of (conf * w[state]) * -log(p[state]) over the batch, with
-    conf = 1 when not given.  Chunk by chunk, the true-class probabilities
-    are gathered, widened to float64, checked and logged, then scaled in
-    place in the nll array by the weights and the confidences, widened
-    alike; the one closing sum reads the array whole.  Widening float32 is
-    exact, so float32 inputs give the bits of their float64 copies."""
+    conf = 1 when not given: the bits of ``np.sum`` of the whole-batch
+    product, never held.  This walks np.sum's pairwise tree (n split at
+    n // 2, rounded down to a multiple of 8) down to leaves of at most
+    ``_CHUNK`` rows, and gathers, widens, checks, logs, weights and sums
+    each leaf's rows where it makes them.  Widening float32 is exact, so
+    float32 inputs give the bits of their float64 copies."""
     probs = _probability_matrix(predictions)
     s = np.asarray(states)
     if s.shape != (len(probs),):
@@ -124,9 +126,8 @@ def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> 
     if conf is not None and conf.shape != s.shape:
         raise CountMismatch(f"{conf.shape} confidences for {s.shape} points")
     w = weights.as_array()
-    nll = np.empty(len(probs))
-    for a in range(0, len(probs), _CHUNK):
-        rows = slice(a, a + _CHUNK)
+
+    def leaf(rows):
         block = probs[rows]
         idx = s[rows].astype(np.intp)
         # a negative state wraps to a huge unsigned one
@@ -138,12 +139,24 @@ def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> 
         p_true = p_true.astype(np.float64, copy=False)
         if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
             raise NonFiniteLoss("true-class probability is zero or non-finite")
-        np.negative(np.log(p_true), out=nll[rows])
+        nll = np.negative(np.log(p_true, out=p_true), out=p_true)
         factor = w[idx]
         if conf is not None:
             factor *= conf[rows]
-        nll[rows] *= factor
-    return float(np.sum(nll))
+        nll *= factor
+        return np.sum(nll)
+
+    return float(_tree_sum(leaf, 0, len(probs)))
+
+
+def _tree_sum(leaf, lo: int, n: int):
+    """The sum of ``leaf(rows)`` over rows lo to lo + n, split as np.sum
+    splits them; a module function, not a closure that calls itself, so
+    that no reference cycle keeps the caller's arrays alive."""
+    if n <= _CHUNK:
+        return leaf(slice(lo, lo + n))
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(leaf, lo, half) + _tree_sum(leaf, lo + half, n - half)
 
 
 def overlap_loss(states, confidences, predictions, weights: ClassWeights = ClassWeights()) -> float:

@@ -121,7 +121,8 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        with np.errstate(invalid="ignore"):  # inf * 0: a non-finite point maps to NaN
+            return pts @ self.rotation.T + self.translation
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self ∘ other)(x) = self(other(x))."""
@@ -157,10 +158,11 @@ class Beam:
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "direction", d)
         n = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if abs(n - 1.0) > 1e-9:
+        # written with `not` so that NaN fails the tests
+        if not abs(n - 1.0) <= 1e-9:
             raise ValueError(f"direction not unit-norm: |d| = {n!r}")
-        if self.range <= 0.0:
-            raise ValueError(f"range must be > 0: {self.range}")
+        if not 0.0 < self.range < math.inf:
+            raise ValueError(f"range must be > 0 and finite: {self.range}")
 
 
 @dataclass
@@ -195,7 +197,8 @@ class Scan:
         time, bit for bit the row form: ``np.linalg.norm(points - origin,
         axis=1)``, the mask, then the division."""
         delta = [self.points[:, j] - self.sensor_origin[j] for j in range(3)]
-        ranges = np.sqrt(delta[0] * delta[0] + delta[1] * delta[1] + delta[2] * delta[2])
+        with np.errstate(over="ignore"):  # a range too large for float64 is inf
+            ranges = np.sqrt(delta[0] * delta[0] + delta[1] * delta[1] + delta[2] * delta[2])
         # NaN fails both tests
         ids = np.nonzero((ranges >= MIN_BEAM_RANGE) & (ranges < np.inf))[0]
         ranges = ranges[ids]
@@ -219,14 +222,16 @@ class Scan:
 def beam_from_point(scan: Scan, point_index: int) -> Beam:
     """Reconstruct the beam that produced ``scan.points[point_index]``.
 
-    Raises ZeroRange when the point sits on the sensor origin (closer than
-    1e-6 m), where no direction is defined.
+    Raises ZeroRange when the point forms no beam, by the rule of
+    :meth:`Scan.beams`: its range from the sensor origin is below
+    MIN_BEAM_RANGE, where no direction is defined, or is not finite.
     """
     p = scan.points[point_index]
     delta = p - scan.sensor_origin
-    r = math.sqrt(delta[0] ** 2 + delta[1] ** 2 + delta[2] ** 2)
-    if r < MIN_BEAM_RANGE:
-        raise ZeroRange(f"point {point_index} is {r:.2e} m from the sensor origin")
+    with np.errstate(over="ignore"):  # a range too large for float64 is inf
+        r = math.sqrt(delta[0] ** 2 + delta[1] ** 2 + delta[2] ** 2)
+    if not MIN_BEAM_RANGE <= r < math.inf:
+        raise ZeroRange(f"point {point_index} forms no beam: {r:.2e} m from the sensor origin")
     return Beam(scan.sensor_origin, delta / r, r, scan.time)
 
 

@@ -1,7 +1,9 @@
 """Reference losses and encoding against hand values and an fsum oracle."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -233,9 +235,9 @@ class TestStatesOutsideTheThree:
 
 
 class TestChunkedWeightedNll:
-    """Both losses weight the per-row log-loss chunk by chunk, in place, and
-    sum the whole array once: the same bits as the whole-batch product, in
-    bounded extra memory."""
+    """Both losses weight the per-row log-loss leaf by leaf of np.sum's
+    pairwise tree and sum each leaf where it is made: the same bits as the
+    whole-batch product, in bounded extra memory."""
 
     ROWS = 2_000_000
 
@@ -251,11 +253,22 @@ class TestChunkedWeightedNll:
         assert overlap_loss(states, conf, probs) == float(np.sum(conf * w * nll)) / self.ROWS
         assert recon_loss(states, probs, n_beams=self.ROWS, per_beam=1) == float(np.sum(w * nll)) / self.ROWS
 
-    @pytest.mark.parametrize("n", [63, 64, 65, 128, 191, 193])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 1000, 4097, 100_003])
+    def test_leaves_of_128_rows_give_the_bits_of_np_sum(self, monkeypatch, n):
+        # at the smallest leaf that keeps np.sum's tree; a leaf of 64 rows
+        # splits blocks that np.sum adds in one, which moves the bits
+        monkeypatch.setattr(objectives, "_CHUNK", 128)
+        states, conf, probs = random_batch(np.random.default_rng(n), n)
+        w = ClassWeights().as_array()[states]
+        nll = -np.log(probs[np.arange(n), states])
+        assert overlap_loss(states, conf, probs) == float(np.sum(conf * w * nll)) / n
+        assert recon_loss(states, probs, n_beams=n, per_beam=1) == float(np.sum(w * nll)) / n
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257, 1000])
     def test_float32_inputs_give_the_bits_of_their_float64_copies(self, monkeypatch, n):
         # float32 rows and confidences, the latter strided as in a record
-        # array, are widened chunk by chunk: exact, so the bits cannot move
-        monkeypatch.setattr(objectives, "_CHUNK", 64)
+        # array, are widened leaf by leaf: exact, so the bits cannot move
+        monkeypatch.setattr(objectives, "_CHUNK", 128)
         states, conf, probs = random_batch(np.random.default_rng(n), n)
         rec = np.zeros(n, dtype=[("state", "u1"), ("confidence", "<f4")])
         rec["state"], rec["confidence"] = states, conf
@@ -265,6 +278,25 @@ class TestChunkedWeightedNll:
         assert got == want
         got = recon_loss(rec["state"], probs32, n_beams=n, per_beam=1)
         assert got == recon_loss(states, probs32.astype(float), n_beams=n, per_beam=1)
+
+    def test_inputs_are_freed_without_the_collector(self):
+        # a reference cycle in the loss would keep the records behind a
+        # field view alive until the collector runs: about 80 MB per scan
+        # of a 64x2048 sensor, which piled up over a benchmark run
+        rng = np.random.default_rng(3)
+        for loss in (lambda r, p: overlap_loss(r["state"], r["confidence"], p),
+                     lambda r, p: recon_loss(r["state"], p, n_beams=len(r), per_beam=1)):
+            states, conf, probs = random_batch(rng, 1000)
+            rec = np.zeros(1000, dtype=[("state", "u1"), ("confidence", "<f4")])
+            rec["state"], rec["confidence"] = states, conf
+            alive = weakref.ref(rec)
+            gc.disable()
+            try:
+                loss(rec, probs)
+                del rec
+                assert alive() is None
+            finally:
+                gc.enable()
 
     def test_peak_memory_per_row(self):
         states, conf64, probs64 = self.batch()
@@ -279,10 +311,10 @@ class TestChunkedWeightedNll:
                     peak = tracemalloc.get_traced_memory()[1] - base
                 finally:
                     tracemalloc.stop()
-                # the nll array is 8 B per row; whole-batch weights and
-                # products took 24 B per row, and float64 copies of float32
-                # rows and confidences 32 B
-                assert peak <= 10 * self.ROWS, (probs.dtype, peak)
+                # a leaf's temporaries only: a whole-batch nll array would
+                # take 8 B per row, whole-batch weights and products 24 B,
+                # and float64 copies of float32 rows and confidences 32 B
+                assert peak <= 2 * self.ROWS, (probs.dtype, peak)
 
 
 def test_total_loss_is_plain_sum():

@@ -45,6 +45,15 @@ class TestBeamFromPoint:
         with pytest.raises(ZeroRange):
             beam_from_point(scan, 0)
 
+    @pytest.mark.parametrize("point", [[np.inf, 1.0, 0.0], [np.nan, 0.0, 0.0], [1e308, 1e308, 0.0]],
+                             ids=["inf", "nan", "range-overflows"])
+    def test_non_finite_range_forms_no_beam(self, point):
+        # the rule of Scan.beams(), which leaves such points out
+        scan = make_scan([point])
+        assert len(scan.beams()[0]) == 0
+        with pytest.raises(ZeroRange, match="forms no beam"):
+            beam_from_point(scan, 0)
+
     def test_roundtrip_identity(self):
         # hit point reconstruction, 1e4 random beams
         rng = np.random.default_rng(7)
@@ -113,6 +122,16 @@ class TestBeamRadius:
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
             beam_radius_at(CFG, -1.0)
+
+
+class TestBeam:
+    @pytest.mark.parametrize("direction, range_m", [([np.nan, 0.0, 0.0], 1.0),
+                                                    ([1.0, 0.0, 0.0], np.nan),
+                                                    ([1.0, 0.0, 0.0], np.inf)],
+                             ids=["nan-norm", "nan-range", "inf-range"])
+    def test_non_finite_rejected(self, direction, range_m):
+        with pytest.raises(ValueError):
+            Beam(np.zeros(3), np.array(direction), range_m)
 
 
 class TestRangeAlongBeam:
