@@ -28,12 +28,12 @@ _MODULES = {
         "plane_normal", "sample_scenario2_points", "segment_start_range", "spatial_angle",
     ),
     "extraction": (
-        "ExtractionConfig", "OverlapPoint", "OverlapSet", "balance_classes",
+        "ExtractionConfig", "OverlapSet", "balance_classes",
         "extract_scan_pair", "extract_sequence", "extract_sequence_blocks",
     ),
-    "recon": ("ReconSample", "ReconSet", "sample_recon_points"),
+    "recon": ("ReconSet", "sample_recon_points"),
     "objectives": (
-        "ClassWeights", "EncodingConfig", "StatePrediction", "overlap_loss",
+        "ClassWeights", "EncodingConfig", "overlap_loss",
         "positional_encoding", "recon_loss", "total_loss",
     ),
     "labeling": (
@@ -41,8 +41,7 @@ _MODULES = {
         "classify_motion", "label_points", "object_speed",
     ),
     "evaluation": (
-        "EvalReport", "ScanEvalInput", "evaluate", "iou_conventional",
-        "iou_excluding_ego", "object_size_cdf", "recall_obj",
+        "EvalReport", "ScanEvalInput", "evaluate", "object_size_cdf",
     ),
 }
 _SOURCES = {name: module for module, names in _MODULES.items() for name in names}

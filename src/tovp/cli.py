@@ -76,7 +76,8 @@ _FLAGS = {
 
 def _has_kind(value, kind: str) -> bool:
     """``value`` is of ``kind``: _MAP, "<n> numbers", or "an integer" or
-    "a number", each optionally bounded below as in "a number > 0"."""
+    "a number", each optionally bounded below as in "a number > 0".  Every
+    number must be finite in float64: no inf, NaN or overflowing value."""
     if kind == _MAP:
         return isinstance(value, dict) and all(_has_kind(v, "2 numbers") for v in value.values())
     if kind.endswith(" numbers"):
@@ -84,6 +85,8 @@ def _has_kind(value, kind: str) -> bool:
                 and all(_has_kind(v, "a number") for v in value))
     _, name, *bound = kind.split()
     if isinstance(value, bool) or not isinstance(value, int if name == "integer" else (int, float)):
+        return False
+    if not abs(value) <= sys.float_info.max:  # False on NaN too
         return False
     if not bound:
         return True
@@ -161,6 +164,8 @@ def _sequence(directory: str, poses_path, period: float) -> list:
     names = sorted(f for f in os.listdir(directory) if f.endswith(".bin"))
     if not names:
         raise DataError(f"no .bin scans in {directory}")
+    if not np.isfinite((len(names) - 1) * float(period)):
+        raise DataError(f"{len(names)} scans {period} s apart: the last one's time is not finite")
     poses = formats.read_poses(poses_path) if poses_path else [None] * len(names)
     if len(poses) != len(names):
         raise CountMismatch(f"{len(names)} scans but {len(poses)} poses")
@@ -457,6 +462,8 @@ def cmd_loss_check(args) -> int:
 
     cfg = resolve_config(args)
     weights = _built(ClassWeights, *cfg["class_weights"])
+    if args.recon and not args.recon_probs:
+        raise DataError("--recon needs --recon-probs")
     oset, info = formats.read_overlap_file(args.overlaps)
     probs = formats.read_probabilities(args.probs, expected_count=len(oset))
     print(f"config: class_weights={cfg['class_weights']} "
@@ -465,8 +472,6 @@ def cmd_loss_check(args) -> int:
                          probs, weights)
     print(f"overlap_loss: {value:.9f}")
     if args.recon:
-        if not args.recon_probs:
-            raise DataError("--recon needs --recon-probs")
         rset = formats.read_recon_file(args.recon)
         rprobs = formats.read_probabilities(args.recon_probs,
                                             expected_count=len(rset))

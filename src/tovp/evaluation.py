@@ -128,21 +128,6 @@ def evaluate(inputs) -> EvalReport:
     )
 
 
-def recall_obj(inputs) -> float:
-    """Mean per-scan per-object recall of moving points, in percent."""
-    return evaluate(inputs).recall_obj
-
-
-def iou_excluding_ego(inputs) -> float:
-    """Moving-class IoU in percent with ego-vehicle points removed."""
-    return evaluate(inputs).iou_excluding_ego
-
-
-def iou_conventional(inputs) -> float:
-    """Moving-class IoU in percent over all non-UNKNOWN points."""
-    return evaluate(inputs).iou_conventional
-
-
 @dataclass(frozen=True)
 class SizeCdf:
     """Distribution of points over objects, smallest objects first."""

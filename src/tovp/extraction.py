@@ -114,29 +114,14 @@ class ExtractionConfig:
         return sensor.divergence_angle_rad / 8.0
 
 
-@dataclass(frozen=True)
-class OverlapPoint:
-    """One labeled temporal overlap point (view over a record row); its
-    position, time and confidence are the record's float32 values."""
-
-    position: np.ndarray
-    time: float
-    state: OccupancyState
-    confidence: float
-    current_point_index: int
-    adjacent_scan_offset: int
-    adjacent_point_index: int
-    sample_rank: int
-
-
 class OverlapSet(RecordSet):
     """Canonically ordered collection of overlap records.
 
     Stores a packed numpy record array in the ``.tovp`` layout (see
-    RECORD_DTYPE), so a set is written and read without a cast; indexing
-    yields :class:`OverlapPoint` views.  Order is (current index, scan
-    offset, adjacent index, sample rank), which makes serialization
-    deterministic.  Records out of that order are a ValueError, never sorted.
+    RECORD_DTYPE), so a set is written and read without a cast, and read
+    through its ``records`` fields.  Order is (current index, scan offset,
+    adjacent index, sample rank), which makes serialization deterministic.
+    Records out of that order are a ValueError, never sorted.
     """
 
     record_dtype = RECORD_DTYPE
@@ -146,19 +131,6 @@ class OverlapSet(RecordSet):
         if not (presorted or _is_canonical(records)):
             raise ValueError("overlap records are not in (current, offset, adjacent, rank) order")
         self.records = records
-
-    def __getitem__(self, idx: int) -> OverlapPoint:
-        r = self.records[idx]
-        return OverlapPoint(
-            position=r["position"].copy(),
-            time=float(r["time"]),
-            state=OccupancyState(int(r["state"])),
-            confidence=float(r["confidence"]),
-            current_point_index=int(r["current_index"]),
-            adjacent_scan_offset=int(r["scan_offset"]),
-            adjacent_point_index=int(r["adjacent_index"]),
-            sample_rank=int(r["sample_rank"]),
-        )
 
 
 def _tail_keys(records: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Plain numpy, written for auditability rather than speed: these are the
 ground-truth definitions that a training implementation is checked against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,25 +84,8 @@ class ClassWeights:
         return np.array([self.free, self.occupied, self.unknown])
 
 
-@dataclass(frozen=True)
-class StatePrediction:
-    """A distribution over (free, occupied, unknown) for one query point."""
-
-    probabilities: np.ndarray = field(default_factory=lambda: np.full(N_STATES, 1.0 / N_STATES))
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (N_STATES,):
-            raise ValueError(f"probabilities must have shape ({N_STATES},)")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-6:
-            raise ValueError("probabilities must be >= 0 and sum to 1 within 1e-6")
-        object.__setattr__(self, "probabilities", p)
-
-
 def _probability_matrix(predictions) -> np.ndarray:
     """(M, 3) probabilities: float32 rows as given, anything else float64."""
-    if len(predictions) and isinstance(predictions[0], StatePrediction):
-        return np.stack([p.probabilities for p in predictions])
     p = np.asarray(predictions)
     if p.dtype != np.float32:
         p = np.asarray(p, dtype=float)
@@ -163,8 +146,8 @@ def overlap_loss(states, confidences, predictions, weights: ClassWeights = Class
     """Confidence-weighted cross entropy over overlap points.
 
     ``states`` are true occupancy labels, ``confidences`` the per-point
-    weights from the sensor model, ``predictions`` an (M, 3) array or a
-    sequence of StatePrediction.  Mean over the batch.
+    weights from the sensor model, ``predictions`` an (M, 3) array of
+    (free, occupied, unknown) probabilities.  Mean over the batch.
     """
     if len(predictions) == 0:
         raise EmptyBatch("overlap loss needs at least one point")

@@ -20,7 +20,6 @@ written and read without a cast.
 """
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +46,6 @@ RECON_DTYPE = np.dtype(
 )
 
 
-@dataclass(frozen=True)
-class ReconSample:
-    """One reconstruction target on a current beam's centerline.
-
-    ``position`` is the record's float32 (3,) array and ``time`` its
-    float32 time, as a float."""
-
-    position: np.ndarray
-    time: float
-    state: OccupancyState
-    current_point_index: int
-
-
 class ReconSet(RecordSet):
     """Reconstruction samples in beam order (occupied block, then free)."""
 
@@ -67,15 +53,6 @@ class ReconSet(RecordSet):
 
     def __init__(self, records: np.ndarray):
         self.records = np.asarray(records, dtype=RECON_DTYPE)
-
-    def __getitem__(self, idx: int) -> ReconSample:
-        r = self.records[idx]
-        return ReconSample(
-            position=r["position"].copy(),
-            time=float(r["time"]),
-            state=OccupancyState(int(r["state"])),
-            current_point_index=int(r["current_index"]),
-        )
 
 
 def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, t: np.ndarray, w: np.ndarray):

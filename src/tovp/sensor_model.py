@@ -40,30 +40,21 @@ SEED_LIMIT = 2**63
 class OccupancyState(IntEnum):
     """Measurement outcome for a point along a beam.
 
-    Integer values double as the on-disk u8 encoding and as the index of
-    the one-hot slot used by the losses.
+    Integer values double as the on-disk u8 encoding and as the column of
+    the state's probability in the losses' (M, 3) predictions.
     """
 
     FREE = 0
     OCCUPIED = 1
     UNKNOWN = 2
 
-    def one_hot(self) -> np.ndarray:
-        v = np.zeros(3)
-        v[int(self)] = 1.0
-        return v
-
 
 class RecordSet:
     """A structured array ``records`` of the subclass's ``record_dtype``,
-    with a ``state`` field; indexing yields one view object per record,
-    defined by the subclass."""
+    with a ``state`` field; records are read through its fields."""
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @classmethod
     def empty(cls):

@@ -176,6 +176,23 @@ class TestUsageAndExitCodes:
         assert out.read_bytes() == scene
 
 
+    @pytest.mark.parametrize("argv", [
+        "label --period 1e308 --scans {sim}/scans --boxes {sim}/boxes.jsonl --out {out}",
+        "extract --period 1e308 --n 1 --scans {sim}/scans --poses {sim}/poses.txt --out {out}",
+        "eval --period 1e308 --scans {sim}/scans --labels {sim}/labels --predictions {sim}/labels "
+        "--boxes {sim}/boxes.jsonl",
+    ], ids=["label", "extract", "eval"])
+    def test_scan_times_past_float64_are_2(self, tmp_path, capsys, argv):
+        # scan 2 is taken at 2e308 s, past float64: extract once exited 3
+        sim = simulate(tmp_path, count=3)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv.format(sim=sim, out=out).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 3 scans 1e+308 s apart: the last one's time is not finite\n"
+        assert captured.out == "" and not out.exists()
+
+
 class TestBadValuesAreSchemaViolations:
     """A config or scene value of the wrong kind or out of range exits 2
     with an error that names its key, before any output is written."""
@@ -199,6 +216,14 @@ class TestBadValuesAreSchemaViolations:
         ("", ["--bounds", "0,nan,0,1,0,1"], "bounds"),
         ("max_tail_beyond_hit_m: .nan\n", [], "max_tail_beyond_hit_m"),
         ("decay_rate_per_meter: .nan\n", [], "decay_rate_per_meter"),
+        # every number must be finite: inf once reached extraction and
+        # exited 3, and went into config.json as -Infinity, which is not JSON
+        ("", ["--period", "inf"], "scan_period_s"),
+        pytest.param("scan_period_s: 1" + "0" * 400 + "\n", [], "scan_period_s", id="period-past-float64"),
+        ("bounds: [-.inf, .inf, -70, 70, -4.5, 4.5]\n", [], "bounds"),
+        ("", ["--bounds", "0,inf,0,1,0,1"], "bounds"),
+        ("max_tail_beyond_hit_m: .inf\n", [], "max_tail_beyond_hit_m"),
+        ("time_tol: .inf\n", [], "time_tol"),
     ])
     def test_extract_config(self, tmp_path, capsys, config, flags, key):
         cfg = tmp_path / "cfg.yaml"
@@ -219,6 +244,11 @@ class TestBadValuesAreSchemaViolations:
         ("label", "time_tol: -1\n", "time_tol"),
         ("label", "thresholds: {HUMAN: [0.4, 0.6], CYCLE: [0.4, 1.0], VEHICLE: [0.5, 1.0], TREE: [1, 2]}\n", "TREE"),
         ("label", "thresholds: {HUMAN: [0.4, 0.6], CYCLE: [0.4, 1.0]}\n", "VEHICLE"),
+        ("label", "scan_period_s: .inf\n", "scan_period_s"),
+        ("label", "time_tol: .inf\n", "time_tol"),
+        ("label", "thresholds: {HUMAN: [0.4, .inf], CYCLE: [0.4, 1.0], VEHICLE: [0.5, 1.0]}\n",
+         "thresholds"),
+        ("loss-check", "class_weights: [1.0, .inf, 1.0]\n", "class_weights"),
     ])
     def test_other_commands(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.yaml"
@@ -231,6 +261,13 @@ class TestBadValuesAreSchemaViolations:
         err = capsys.readouterr().err
         assert f"config key {key} must be" in err or f"config: {key}: " in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", ["[1, 2]\n", "7\n"])
+    def test_config_not_a_mapping(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        assert main(["stats", "--counts", str(tmp_path / "nope"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a mapping\n"
 
     @pytest.mark.parametrize("old,new,key", [
         ("azimuth_count: 32", "azimuth_count: lots", "lidar.azimuth_count: expected int"),
@@ -671,6 +708,20 @@ class TestStats:
         counts.write_text("1\ntwo\n")
         assert main(["stats", "--counts", str(counts)]) == 2
 
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_no_objects_to_summarize(self, tmp_path, capsys, counts):
+        # an empty counts file, or boxes that hold no scan point
+        if counts:
+            (tmp_path / "counts.txt").write_text("\n")
+            argv = ["--counts", str(tmp_path / "counts.txt")]
+        else:
+            sim = simulate(tmp_path, count=2)
+            (tmp_path / "boxes.jsonl").write_text("")
+            argv = ["--scans", str(sim / "scans"), "--boxes", str(tmp_path / "boxes.jsonl")]
+        capsys.readouterr()
+        assert main(["stats", *argv]) == 2
+        assert capsys.readouterr() == ("", "error: no objects with points to summarize\n")
+
     @pytest.mark.parametrize("text", ["1\n-3\n5\n", "0\n0\n"])
     def test_negative_or_all_zero_counts(self, tmp_path, capsys, text):
         counts = tmp_path / "counts.txt"
@@ -777,9 +828,26 @@ class TestLossCheck:
         assert "no reconstruction samples" in capsys.readouterr().err
 
     def test_recon_without_probs(self, tmp_path, capsys):
+        # checked before any file is read: the overlap loss was once
+        # printed first, and a missing overlap file was reported instead
         path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+        for overlaps in (path, tmp_path / "nope.tovp"):
+            assert main(["loss-check", "--overlaps", str(overlaps),
+                         "--probs", str(probs), "--recon", str(path)]) == 2
+            assert capsys.readouterr() == ("", "error: --recon needs --recon-probs\n")
+
+    def test_recon_samples_uneven_over_beams_is_count_mismatch(self, tmp_path, capsys):
+        path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+        rec = np.zeros(3, dtype=RECON_DTYPE)
+        rec["current_index"] = [0, 0, 1]
+        recon_path = tmp_path / "x.trcn"
+        write_recon_file(recon_path, ReconSet(rec))
+        rprobs_path = tmp_path / "r.prob"
+        write_probabilities(rprobs_path, np.full((3, 3), 1 / 3))
         assert main(["loss-check", "--overlaps", str(path),
-                     "--probs", str(probs), "--recon", str(path)]) == 2
+                     "--probs", str(probs), "--recon", str(recon_path),
+                     "--recon-probs", str(rprobs_path)]) == 2
+        assert capsys.readouterr().err == "error: 3 samples do not divide evenly over 2 beams\n"
 
     def test_out_of_range_header_sensor_value_is_format_error(self, tmp_path, capsys):
         for key, value in (("divergence_angle_rad", 0.5), ("decay_rate_per_meter", np.nan)):

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from tovp.evaluation import (
-    EvalBox,
-    ScanEvalInput,
-    evaluate,
-    iou_conventional,
-    iou_excluding_ego,
-    object_size_cdf,
-    recall_obj,
-)
+from tovp.evaluation import EvalBox, ScanEvalInput, evaluate, object_size_cdf
 from tovp.labeling import MotionClass
 
 S, M, U = MotionClass.STATIC, MotionClass.MOVING, MotionClass.UNKNOWN_MOTION
@@ -43,7 +35,7 @@ class TestRecallObj:
         gt = np.full(8, M, dtype=np.uint8)
         scan = ScanEvalInput(points=pts, predicted_moving=pred, gt_labels=gt,
                              moving_boxes=(box_a, box_b))
-        assert recall_obj([scan]) == pytest.approx(62.5)
+        assert evaluate([scan]).recall_obj == pytest.approx(62.5)
 
     def test_object_without_gt_moving_points_skipped(self):
         seen = EvalBox("seen", np.zeros(3), np.array([2.0, 2.0, 2.0]), 0.0)
@@ -64,7 +56,7 @@ class TestRecallObj:
         pred = np.array([1, 0, 0, 0], dtype=bool)
         scan = ScanEvalInput(points=pts, predicted_moving=pred, gt_labels=gt,
                              moving_boxes=(box,))
-        assert recall_obj([scan]) == pytest.approx(50.0)
+        assert evaluate([scan]).recall_obj == pytest.approx(50.0)
 
     def test_same_instance_counts_once_per_scan(self):
         box = EvalBox("veh", np.zeros(3), np.array([2.0, 2.0, 2.0]), 0.0)
@@ -102,18 +94,21 @@ class TestIoU:
 
     def test_one_third_hand_value(self):
         scan = scan_from_rows(self.rows_with_counts(tp=5, fp=5, fn=5))
-        assert iou_conventional([scan]) == pytest.approx(100.0 / 3.0)
-        assert iou_excluding_ego([scan]) == pytest.approx(100.0 / 3.0)
+        report = evaluate([scan])
+        assert report.iou_conventional == pytest.approx(100.0 / 3.0)
+        assert report.iou_excluding_ego == pytest.approx(100.0 / 3.0)
 
     def test_high_tp_hand_value(self):
         scan = scan_from_rows(self.rows_with_counts(tp=105, fp=5, fn=5))
-        assert iou_conventional([scan]) == pytest.approx(10500.0 / 115.0)
-        assert iou_conventional([scan]) == pytest.approx(91.30434782608695)
+        iou = evaluate([scan]).iou_conventional
+        assert iou == pytest.approx(10500.0 / 115.0)
+        assert iou == pytest.approx(91.30434782608695)
 
     def test_ego_only_correct_predictions_score_zero(self):
         scan = scan_from_rows(self.rows_with_counts(tp=3, fp=0, fn=2, ego_tp=3))
-        assert iou_conventional([scan]) == pytest.approx(60.0)
-        assert iou_excluding_ego([scan]) == 0.0
+        report = evaluate([scan])
+        assert report.iou_conventional == pytest.approx(60.0)
+        assert report.iou_excluding_ego == 0.0
 
     def test_no_ego_points_makes_variants_equal(self):
         rng = np.random.default_rng(0)
@@ -121,7 +116,8 @@ class TestIoU:
         scan = ScanEvalInput(points=pts,
                              predicted_moving=rng.integers(0, 2, 200).astype(bool),
                              gt_labels=rng.integers(0, 3, 200).astype(np.uint8))
-        assert iou_excluding_ego([scan]) == iou_conventional([scan])
+        report = evaluate([scan])
+        assert report.iou_excluding_ego == report.iou_conventional
 
     def test_omitted_ego_mask_holds_no_per_point_bytes(self):
         rng = np.random.default_rng(1)
@@ -141,14 +137,15 @@ class TestIoU:
         for i in range(40):  # predicted moving over GT unknown: not a FP
             noisy_rows.append(([i, 20, 0], 1, U, 0))
         noisy = scan_from_rows(noisy_rows)
-        assert iou_conventional([noisy]) == iou_conventional([base])
-        assert iou_excluding_ego([noisy]) == iou_excluding_ego([base])
+        noisy_report, base_report = evaluate([noisy]), evaluate([base])
+        assert noisy_report.iou_conventional == base_report.iou_conventional
+        assert noisy_report.iou_excluding_ego == base_report.iou_excluding_ego
 
     def test_counts_pool_before_ratio(self):
         scan1 = scan_from_rows(self.rows_with_counts(tp=1, fp=0, fn=1))
         scan2 = scan_from_rows(self.rows_with_counts(tp=3, fp=0, fn=0))
         # pooled 4/5, not mean(1/2, 1)
-        assert iou_conventional([scan1, scan2]) == pytest.approx(80.0)
+        assert evaluate([scan1, scan2]).iou_conventional == pytest.approx(80.0)
 
     def test_empty_denominator_flagged(self):
         scan = scan_from_rows(self.rows_with_counts(tp=0, fp=0, fn=0, tn=10))
@@ -178,7 +175,7 @@ class TestIoU:
                     fp += 1
                 elif not p and g == M:
                     fn += 1
-        assert iou_excluding_ego(scans) == pytest.approx(100.0 * tp / (tp + fp + fn))
+        assert evaluate(scans).iou_excluding_ego == pytest.approx(100.0 * tp / (tp + fp + fn))
 
     def test_report_counts_and_dict(self):
         scan = scan_from_rows(self.rows_with_counts(tp=2, fp=1, fn=1, ego_tp=1))

@@ -66,30 +66,30 @@ class TestPairGeometryAndLabels:
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         assert len(oset) == 1
-        p = oset[0]
-        np.testing.assert_allclose(p.position, [10.0, 0.0, 0.0], atol=1e-12)
-        assert p.state is OccupancyState.OCCUPIED
-        assert p.confidence == 1.0
-        assert p.sample_rank == 0
-        assert p.adjacent_scan_offset == 1
+        p = oset.records[0]
+        np.testing.assert_allclose(p["position"], [10.0, 0.0, 0.0], atol=1e-12)
+        assert p["state"] == OccupancyState.OCCUPIED
+        assert p["confidence"] == 1.0
+        assert p["sample_rank"] == 0
+        assert p["scan_offset"] == 1
 
     def test_crossing_three_meters_past_adjacent_hit_is_unknown(self):
         # crossing at rho = 8 on an adjacent beam that reported 5
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, -3.0]], np.array([10.0, 0.0, -8.0]))
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         assert len(oset) == 1
-        p = oset[0]
-        assert p.state is OccupancyState.UNKNOWN
+        p = oset.records[0]
+        assert p["state"] == OccupancyState.UNKNOWN
         # within rtol 1e-12 of exp(-3), as held in float32
         tol = 1e-12 * math.exp(-3.0)
-        assert np.float32(math.exp(-3.0) - tol) <= p.confidence <= np.float32(math.exp(-3.0) + tol)
+        assert np.float32(math.exp(-3.0) - tol) <= p["confidence"] <= np.float32(math.exp(-3.0) + tol)
 
     def test_crossing_short_of_adjacent_hit_is_free(self):
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 2.0]], np.array([10.0, 0.0, -8.0]))
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         assert len(oset) == 1
-        assert oset[0].state is OccupancyState.FREE
-        assert oset[0].confidence == 1.0
+        assert oset.records[0]["state"] == OccupancyState.FREE
+        assert oset.records[0]["confidence"] == 1.0
 
     def test_small_crossing_angle_yields_five_samples(self):
         theta = SENSOR.divergence_angle_rad
@@ -102,9 +102,9 @@ class TestPairGeometryAndLabels:
         cur, adj = scan_pair([[x_cross - 0.02, 0.0, 0.0]], [a + s_j * e], a)
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         assert len(oset) == 5
-        assert [p.sample_rank for p in oset] == [0, 1, 2, 3, 4]
+        assert oset.records["sample_rank"].tolist() == [0, 1, 2, 3, 4]
         # ranks: own hit, projected adjacent hit, then the three midpoints
-        r = [np.linalg.norm(p.position) for p in oset]
+        r = [np.linalg.norm(pos) for pos in oset.records["position"]]
         np.testing.assert_allclose(r[2], 0.5 * (r[0] + r[1]), rtol=1e-12)
         np.testing.assert_allclose(r[3], 0.5 * (r[0] + x_cross), rtol=1e-6)
 
@@ -117,7 +117,7 @@ class TestPairGeometryAndLabels:
         adj = Scan(points=pts, sensor_origin=np.zeros(3), time=0.5)
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
         assert len(oset) == 0
-        assert all(p.state is OccupancyState.OCCUPIED for p in oset)
+        assert np.all(oset.records["state"] == OccupancyState.OCCUPIED)
 
     def test_points_outside_bounds_are_cropped(self):
         cfg = ExtractionConfig(bounds=(-5.0, 5.0, -5.0, 5.0, -2.0, 2.0))
@@ -159,15 +159,15 @@ class TestScanPairApi:
     def test_offset_follows_time_difference(self):
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))
         oset = extract_scan_pair(cur, adj, CFG, SENSOR)
-        assert oset[0].adjacent_scan_offset == 1
+        assert oset.records[0]["scan_offset"] == 1
         adj_past = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=-1.0)
         oset = extract_scan_pair(cur, adj_past, CFG, SENSOR)
-        assert oset[0].adjacent_scan_offset == -2
+        assert oset.records[0]["scan_offset"] == -2
 
     def test_offsets_stop_at_127_periods(self):
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))
         far = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=127 * 0.5)
-        assert extract_scan_pair(cur, far, CFG, SENSOR)[0].adjacent_scan_offset == 127
+        assert extract_scan_pair(cur, far, CFG, SENSOR).records[0]["scan_offset"] == 127
         too_far = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=-128 * 0.5)
         with pytest.raises(ValueError):
             extract_scan_pair(cur, too_far, CFG, SENSOR)
@@ -199,6 +199,14 @@ class TestScanPairApi:
     def test_empty_adjacent_scan_gives_empty_set(self):
         cur = Scan(points=[[10.0, 0.0, 0.0]])
         adj = Scan(points=np.empty((0, 3)), sensor_origin=np.array([1.0, 0.0, 0.0]), time=0.5)
+        assert len(extract_scan_pair(cur, adj, CFG, SENSOR)) == 0
+
+    def test_adjacent_points_all_on_its_origin_give_empty_set(self):
+        # the current beam spans a plane with the baseline, but no adjacent
+        # point forms a beam, so the scan pair has no direction index
+        a = np.array([1.0, 0.0, 0.0])
+        cur = Scan(points=[[0.0, 8.0, 1.0]])
+        adj = Scan(points=np.tile(a, (3, 1)), sensor_origin=a, time=0.5)
         assert len(extract_scan_pair(cur, adj, CFG, SENSOR)) == 0
 
 
@@ -563,6 +571,22 @@ class TestZeroBaseline:
         _, adj = _short_baseline_pair(1.0)
         adj = Scan(points=adj.points - adj.sensor_origin + a, sensor_origin=a, time=0.5)
         assert _assert_matches_reference(cur, adj) == 0
+
+    def test_some_beams_on_the_baseline_line(self):
+        # every 50th current point moved onto the baseline line, on both
+        # sides of the current origin: those beams span no plane and give
+        # no record, and the rest are extracted as the reference extracts them
+        cur, adj = random_scan_pair(9, n_current=600, n_adjacent=600)
+        a = adj.sensor_origin
+        pts = cur.points.copy()
+        on_line = np.arange(0, len(pts), 50)
+        pts[on_line] = a * np.linspace(-20.0, 30.0, len(on_line))[:, None]
+        cur = Scan(points=pts, time=0.0)
+        live, _ = extraction._band_planes(cur.beams()[1], a)
+        assert len(live) == len(pts) - len(on_line)
+        assert _assert_matches_reference(cur, adj) > 0
+        rec = extract_scan_pair(cur, adj, CFG, SENSOR).records
+        assert not np.isin(rec["current_index"], on_line).any()
 
     def test_full_size_pair_under_a_second(self, no_index):
         rng = np.random.default_rng(7)

@@ -13,7 +13,6 @@ from tovp.errors import BadDimension, BadState, CountMismatch, DataError, EmptyB
 from tovp.objectives import (
     ClassWeights,
     EncodingConfig,
-    StatePrediction,
     overlap_loss,
     positional_encoding,
     recon_loss,
@@ -112,26 +111,11 @@ class TestWeightsAndPredictions:
         with pytest.raises(ValueError):
             ClassWeights(**kw)
 
-    def test_prediction_validation(self):
-        StatePrediction(np.array([0.2, 0.5, 0.3]))
-        StatePrediction(np.array([0.2, 0.5, 0.3 + 5e-7]))  # inside tolerance
-        with pytest.raises(ValueError):
-            StatePrediction(np.array([0.5, 0.6, -0.1]))
-        with pytest.raises(ValueError):
-            StatePrediction(np.array([0.2, 0.2, 0.2]))
-        with pytest.raises(ValueError):
-            StatePrediction(np.array([0.5, 0.5]))
-
 
 class TestOverlapLoss:
     def test_hand_value_single_occupied(self):
         loss = overlap_loss([OCCUPIED], [1.0], [[0.2, 0.5, 0.3]])
         assert loss == pytest.approx(3.4657359027997265, rel=1e-15)
-
-    def test_accepts_state_prediction_objects(self):
-        preds = [StatePrediction(np.array([0.2, 0.5, 0.3]))]
-        assert overlap_loss([OCCUPIED], [1.0], preds) == pytest.approx(
-            3.4657359027997265, rel=1e-15)
 
     def test_perfect_prediction_is_zero(self):
         probs = np.eye(3)[[FREE, OCCUPIED, UNKNOWN]]

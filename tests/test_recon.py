@@ -154,11 +154,11 @@ def test_empty_scan_and_zero_budget():
 def test_sample_access_api():
     scan = ball_scan(3, seed=2)
     out = sample_recon_points(scan, 1, 1, SENSOR, seed=5)
-    s = out[0]
-    assert s.current_point_index == 0
-    assert s.state == OccupancyState.OCCUPIED
+    first = out.records[0]
+    assert first["current_index"] == 0
+    assert first["state"] == OccupancyState.OCCUPIED
     assert out.records.dtype == RECON_DTYPE
-    assert len(list(iter(out))) == 6
+    assert len(out) == 6
 
 
 def scalar_uniform(seed, beams, k):

@@ -240,9 +240,6 @@ class TestStateEncoding:
         assert int(OccupancyState.OCCUPIED) == 1
         assert int(OccupancyState.UNKNOWN) == 2
 
-    def test_one_hot(self):
-        np.testing.assert_array_equal(OccupancyState.OCCUPIED.one_hot(), [0.0, 1.0, 0.0])
-
 
 class TestSensorConfig:
     def test_defaults(self):
