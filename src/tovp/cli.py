@@ -18,13 +18,16 @@ loads and compiles only what its command executes.
 
 import argparse
 import os
+import pathlib
 import sys
 
 import numpy as np
 
 from . import formats
 from .errors import CountMismatch, DataError, EmptyBatch, SchemaViolation, TovpError
-from .labeling import MotionClass, ThresholdTable, TrackedBox, box_motion_class, label_points
+from .labeling import (
+    TIME_TOL, MotionClass, ThresholdTable, TrackedBox, box_motion_class, keyframes_at, label_points,
+)
 from .sensor_model import DEFAULT_BOUNDS, SEED_LIMIT, Scan, SensorConfig
 
 _MAP = "a mapping of category to 2 numbers"
@@ -44,7 +47,7 @@ _CONFIG = {
     "max_tail_beyond_hit_m": (None, "a number"),
     "class_weights": ((1.0, 5.0, 1.0), "3 numbers"),
     "thresholds": (None, _MAP),
-    "time_tol": (1e-3, "a number >= 0"),
+    "time_tol": (TIME_TOL, "a number >= 0"),
 }
 DEFAULTS = {key: default for key, (default, _) in _CONFIG.items()}
 
@@ -202,11 +205,17 @@ class _AtomicOutputs:
                 pass
 
     def write(self, path, writer):
-        """``writer(tmp)``, then the rename; returns what the writer does."""
+        """``writer(tmp)``, then the rename; returns what the writer does.
+        An OSError on the tmp name names ``path``, the name asked for."""
         tmp = path + ".tmp"
         self.written.append(tmp)
-        out = writer(tmp)
-        os.replace(tmp, path)
+        try:
+            out = writer(tmp)
+            os.replace(tmp, path)
+        except OSError as e:
+            if e.filename == tmp:
+                e.filename = path
+            raise
         self.written[-1] = path
         return out
 
@@ -347,14 +356,6 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _moving_keyframes(tracks, time, table, tol):
-    """(track, keyframe index) of each track keyed at ``time`` and MOVING there."""
-    for track in tracks:
-        k = track.keyframe_at(time, tol)
-        if k is not None and box_motion_class(track, k, table) == MotionClass.MOVING:
-            yield track, k
-
-
 def _read_label_file(directory, base, count, top, meaning):
     """The ``count`` bytes of scan ``base``'s ``.label`` file in
     ``directory``; a byte above ``top`` is a DataError naming the file."""
@@ -366,6 +367,8 @@ def _read_label_file(directory, base, count, top, meaning):
 
 
 def cmd_eval(args) -> int:
+    from dataclasses import asdict
+
     from .evaluation import EvalBox, ScanEvalInput, evaluate
 
     cfg = resolve_config(args)
@@ -387,8 +390,8 @@ def cmd_eval(args) -> int:
             moving_boxes=tuple(
                 EvalBox(instance_id=track.instance_id, center=track.centers[k],
                         size=track.sizes[k], yaw=float(track.yaws[k]))
-                for track, k in _moving_keyframes(tracks, time, table,
-                                                  cfg["time_tol"]))))
+                for track, k in keyframes_at(tracks, time, cfg["time_tol"])
+                if box_motion_class(track, k, table) == MotionClass.MOVING)))
 
     report = evaluate(inputs)
     print(f"config: {_echo(cfg, ('scan_period_s', 'time_tol'))} "
@@ -399,9 +402,10 @@ def cmd_eval(args) -> int:
     for flag in report.flags:
         print(f"flag: {flag}")
     if args.out:
-        doc = report.to_dict()
+        doc = asdict(report)
         doc["config"] = cfg
-        formats.write_report(args.out, doc)
+        with _AtomicOutputs() as outputs:
+            outputs.write(args.out, lambda p: formats.write_report(p, doc))
         print(f"report written to {args.out}")
     return 0
 
@@ -410,6 +414,9 @@ def cmd_stats(args) -> int:
     from ._boxes import points_in_box
     from .evaluation import object_size_cdf
 
+    scene = [flag for flag in ("--scans", "--boxes", "--poses") if getattr(args, flag[2:])]
+    if args.counts and scene:
+        raise DataError(f"stats takes --counts or {' with '.join(scene)}, not both")
     cfg = resolve_config(args)
     if args.counts:
         with open(args.counts) as fh:
@@ -424,10 +431,7 @@ def cmd_stats(args) -> int:
         counts = []
         for _, time, points in _world_points(_sequence(args.scans, args.poses,
                                                        cfg["scan_period_s"])):
-            for track in tracks:
-                k = track.keyframe_at(time, cfg["time_tol"])
-                if k is None:
-                    continue
+            for track, k in keyframes_at(tracks, time, cfg["time_tol"]):
                 inside = int(np.sum(points_in_box(
                     points, track.centers[k], track.sizes[k], track.yaws[k])))
                 if inside > 0:
@@ -449,10 +453,11 @@ def cmd_stats(args) -> int:
         print(f"{decile:7d}  {cdf.point_share(decile):7.3f}")
     print(f"{args.percentile:g}% objects -> {share:g}% points")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("object_points,object_fraction,point_fraction\n")
-            for c, of, pf in zip(cdf.counts, cdf.object_fraction, cdf.point_fraction):
-                fh.write(f"{int(c)},{of:.9f},{pf:.9f}\n")
+        curve = "object_points,object_fraction,point_fraction\n" + "".join(
+            f"{int(c)},{of:.9f},{pf:.9f}\n"
+            for c, of, pf in zip(cdf.counts, cdf.object_fraction, cdf.point_fraction))
+        with _AtomicOutputs() as outputs:
+            outputs.write(args.csv, lambda p: pathlib.Path(p).write_text(curve))
         print(f"wrote curve to {args.csv}")
     return 0
 
@@ -464,6 +469,8 @@ def cmd_loss_check(args) -> int:
     weights = _built(ClassWeights, *cfg["class_weights"])
     if args.recon and not args.recon_probs:
         raise DataError("--recon needs --recon-probs")
+    if args.recon_probs and not args.recon:
+        raise DataError("--recon-probs needs --recon")
     oset, info = formats.read_overlap_file(args.overlaps)
     probs = formats.read_probabilities(args.probs, expected_count=len(oset))
     print(f"config: class_weights={cfg['class_weights']} "
@@ -475,15 +482,14 @@ def cmd_loss_check(args) -> int:
         rset = formats.read_recon_file(args.recon)
         rprobs = formats.read_probabilities(args.recon_probs,
                                             expected_count=len(rset))
-        beams = np.unique(rset.records["current_index"])
-        if len(beams) == 0:
+        _, per_beam = np.unique(rset.records["current_index"], return_counts=True)
+        if len(per_beam) == 0:
             raise EmptyBatch(f"{args.recon}: no reconstruction samples")
-        if len(rset) % len(beams) != 0:
-            raise CountMismatch(f"{len(rset)} samples do not divide evenly "
-                                f"over {len(beams)} beams")
-        per_beam = len(rset) // len(beams)
+        if per_beam.min() != per_beam.max():
+            raise CountMismatch(f"{args.recon}: beams hold {per_beam.min()} to "
+                                f"{per_beam.max()} samples; every beam must hold the same count")
         rvalue = recon_loss(rset.records["state"], rprobs, weights,
-                            n_beams=len(beams), per_beam=per_beam)
+                            n_beams=len(per_beam), per_beam=int(per_beam[0]))
         print(f"recon_loss: {rvalue:.9f}")
         print(f"total_loss: {total_loss(value, rvalue):.9f}")
     return 0

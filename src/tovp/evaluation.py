@@ -7,7 +7,7 @@ recall averages per scan and per instance, so the same track seen in ten
 scans contributes ten terms.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class EvalReport:
     per_object: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _tp_fp_fn(mask, pred, gt_moving) -> np.ndarray:

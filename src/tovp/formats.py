@@ -212,7 +212,6 @@ def _read_set(path, magic: bytes, header_dtype, record_dtype):
 class OverlapFileInfo:
     sensor: SensorConfig
     config_hash: bytes
-    version: int
 
 
 def write_overlap_file(path, overlaps, sensor: SensorConfig,
@@ -240,8 +239,7 @@ def read_overlap_file(path):
         sensor = SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)})
     except ValueError as e:
         raise SchemaViolation(f"{path}: header: {e}") from None
-    info = OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]),
-                           version=int(header["version"]))
+    info = OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]))
     try:
         return OverlapSet(rec), info
     except ValueError as e:
@@ -407,11 +405,6 @@ def write_report(path, report: dict):
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # -- scene descriptions -----------------------------------------------------------

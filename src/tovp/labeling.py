@@ -24,6 +24,10 @@ class MotionClass(IntEnum):
 
 CATEGORIES = ("HUMAN", "CYCLE", "VEHICLE")
 
+# A box is in a scan when one of its keyframes lies within this many
+# seconds of the scan time. [s]
+TIME_TOL = 1e-3
+
 # when several boxes claim a point, the more alarming class wins
 _PRECEDENCE = {
     MotionClass.STATIC: 0,
@@ -109,7 +113,7 @@ class TrackedBox:
     def n_keyframes(self) -> int:
         return len(self.timestamps)
 
-    def keyframe_at(self, time: float, tol: float = 1e-6):
+    def keyframe_at(self, time: float, tol: float = TIME_TOL):
         """Index of the keyframe at ``time``, or None if no timestamp is
         within ``tol``."""
         k = int(np.argmin(np.abs(self.timestamps - time)))
@@ -157,26 +161,33 @@ def box_motion_class(
     return classify_motion(speed, box.category, table)
 
 
+def keyframes_at(tracks, time: float, tol: float):
+    """(track, keyframe index) of each track with a keyframe within ``tol``
+    of ``time``, in track order."""
+    for track in tracks:
+        k = track.keyframe_at(time, tol)
+        if k is not None:
+            yield track, k
+
+
 def label_points(
     scan: Scan,
     boxes,
     table: ThresholdTable = ThresholdTable(),
-    time_tol: float = 1e-6,
+    time_tol: float = TIME_TOL,
     margin: float = 0.0,
 ) -> np.ndarray:
     """Per-point motion labels (uint8 MotionClass values) for one scan.
 
     A point inside a box at the scan time inherits the box's class; where
     boxes overlap, MOVING beats UNKNOWN_MOTION beats STATIC.  Points in no
-    box, and boxes with no keyframe at the scan time, default to STATIC
-    background.  A point on a box face may test outside the box through
-    rounding (see ``points_in_box``); ``margin`` grows every face.
+    box, and boxes with no keyframe within ``time_tol`` of the scan time,
+    default to STATIC background.  A point on a box face may test outside
+    the box through rounding (see ``points_in_box``); ``margin`` grows
+    every face.
     """
     rank = np.zeros(len(scan), dtype=np.uint8)
-    for box in boxes:
-        k = box.keyframe_at(scan.time, time_tol)
-        if k is None:
-            continue
+    for box, k in keyframes_at(boxes, scan.time, time_tol):
         cls = box_motion_class(box, k, table)
         inside = points_in_box(scan.points, box.centers[k], box.sizes[k],
                                box.yaws[k], margin)

@@ -60,11 +60,6 @@ class RecordSet:
     def empty(cls):
         return cls(np.empty(0, dtype=cls.record_dtype))
 
-    @property
-    def counts(self) -> dict:
-        c = np.bincount(self.records["state"], minlength=3)
-        return {state: int(c[state]) for state in OccupancyState}
-
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -141,7 +136,6 @@ class Beam:
     origin: np.ndarray
     direction: np.ndarray
     range: float
-    time: float = 0.0
 
     def __post_init__(self):
         o = np.asarray(self.origin, dtype=float).reshape(3)
@@ -223,7 +217,7 @@ def beam_from_point(scan: Scan, point_index: int) -> Beam:
         r = math.sqrt(delta[0] ** 2 + delta[1] ** 2 + delta[2] ** 2)
     if not MIN_BEAM_RANGE <= r < math.inf:
         raise ZeroRange(f"point {point_index} forms no beam: {r:.2e} m from the sensor origin")
-    return Beam(scan.sensor_origin, delta / r, r, scan.time)
+    return Beam(scan.sensor_origin, delta / r, r)
 
 
 def beam_radius_at(cfg: SensorConfig, range_m: float) -> float:

@@ -184,19 +184,6 @@ def _nearest_hits(origin, dirs_unit, scene: SceneSpec, time: float):
     return out_nearest, out_hit
 
 
-def simulate_scan(
-    scene: SceneSpec,
-    lidar: SpinningLidarSpec,
-    sensor_pose: RigidTransform,
-    time: float,
-    noise_seed: int = 0,
-) -> Scan:
-    """Simulate one revolution.  Points come back in the sensor frame with
-    the pose attached; rays that hit nothing are omitted."""
-    scan, _ = simulate_scan_with_hits(scene, lidar, sensor_pose, time, noise_seed)
-    return scan
-
-
 def simulate_scan_with_hits(
     scene: SceneSpec,
     lidar: SpinningLidarSpec,
@@ -204,8 +191,10 @@ def simulate_scan_with_hits(
     time: float,
     noise_seed: int = 0,
 ):
-    """Like :func:`simulate_scan` but also returns, per returned point, the
-    index into ``scene.all_boxes()`` that produced it (-1 for the ground)."""
+    """Simulate one revolution: (scan, hit).  Points come back in the
+    sensor frame with the pose attached; rays that hit nothing are omitted.
+    ``hit`` gives, per returned point, the index into ``scene.all_boxes()``
+    that produced it (-1 for the ground)."""
     d_sensor = lidar.ray_directions()
     d_world = d_sensor @ sensor_pose.rotation.T
     origin = sensor_pose.translation
@@ -282,12 +271,6 @@ def ground_truth_states(
     return states, margin
 
 
-def ground_truth_state(point, time, sensor_origin_world, scene, sensor: SensorConfig) -> int:
-    """Scalar convenience wrapper around :func:`ground_truth_states`."""
-    states, _ = ground_truth_states(np.asarray(point, dtype=float)[None, :], time, sensor_origin_world, scene, sensor)
-    return int(states[0])
-
-
 @dataclass
 class OracleComparison:
     """Agreement between extracted labels and the geometric oracle."""
@@ -295,22 +278,12 @@ class OracleComparison:
     confusion: np.ndarray  # (3,3), rows = extracted state, cols = oracle state
     compared: int
     excluded: int
-    empty_comparison: bool
 
     @property
     def agreement(self) -> float:
         if self.compared == 0:
             return float("nan")
         return float(np.trace(self.confusion)) / self.compared
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion.tolist(),
-            "compared": self.compared,
-            "excluded": self.excluded,
-            "empty_comparison": self.empty_comparison,
-            "agreement": None if self.compared == 0 else self.agreement,
-        }
 
 
 def oracle_compare(
@@ -351,9 +324,4 @@ def oracle_compare(
         np.add.at(confusion, (ext.astype(np.int64), oracle.astype(np.int64)), 1)
         compared += int(ok.sum())
 
-    return OracleComparison(
-        confusion=confusion,
-        compared=compared,
-        excluded=excluded,
-        empty_comparison=compared == 0,
-    )
+    return OracleComparison(confusion=confusion, compared=compared, excluded=excluded)

@@ -41,7 +41,9 @@ from tovp.sensor_model import (
     confidence,
     occupancy_state,
 )
-from tovp.simulator import SceneBox, SceneSpec, SpinningLidarSpec, oracle_compare, simulate_scan
+from tovp.simulator import (
+    SceneBox, SceneSpec, SpinningLidarSpec, oracle_compare, simulate_scan_with_hits,
+)
 
 SENSOR = SensorConfig()
 CFG = ExtractionConfig()
@@ -149,8 +151,8 @@ def _pose(x, y, z=1.7):
 
 
 def _pair_agreement(scene, p0, p1, lidar):
-    cur = simulate_scan(scene, lidar, p0, 0.0)
-    adj = simulate_scan(scene, lidar, p1, 0.5).in_frame_of(cur)
+    cur = simulate_scan_with_hits(scene, lidar, p0, 0.0)[0]
+    adj = simulate_scan_with_hits(scene, lidar, p1, 0.5)[0].in_frame_of(cur)
     oset = extract_scan_pair(cur, adj, CFG, SENSOR)
     cmp = oracle_compare(oset, scene, {0: (p0, 0.0), 1: (p1, 0.5)}, 0.02, SENSOR)
     return cmp
@@ -192,7 +194,7 @@ def test_c04_simulated_scenes_agree_with_ray_cast_oracle():
     dense = _lidar(24, 720)
     cfg1 = ExtractionConfig(n_adjacent=1)
     poses = {-1: (_pose(-0.3, -0.2), -0.5), 0: (_pose(0.0, 0.0), 0.0), 1: (_pose(0.3, 0.2), 0.5)}
-    scans = {off: simulate_scan(corridor, dense, p, t) for off, (p, t) in poses.items()}
+    scans = {off: simulate_scan_with_hits(corridor, dense, p, t)[0] for off, (p, t) in poses.items()}
     oset = extract_sequence(scans[0], [scans[-1], scans[1]], cfg1, SENSOR)
     cmp_box = oracle_compare(oset, corridor, poses, 0.02, SENSOR)
 

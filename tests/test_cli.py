@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
+import errno
 import json
 import os
 
@@ -174,6 +175,45 @@ class TestUsageAndExitCodes:
         assert main(argv.format(sim=sim, out=out).split()) == 2
         assert capsys.readouterr().err == f"error: {out}: File exists\n"
         assert out.read_bytes() == scene
+
+    # a command that writes one named output file, and the writer it uses
+    ONE_FILE = {
+        "eval": ("eval --scans {sim}/scans --labels {sim}/labels --predictions {sim}/labels "
+                 "--boxes {sim}/boxes.jsonl --poses {sim}/poses.txt --out {out}",
+                 "tovp.formats.write_report"),
+        "stats": ("stats --scans {sim}/scans --boxes {sim}/boxes.jsonl --poses {sim}/poses.txt "
+                  "--csv {out}", "pathlib.Path.write_text"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(ONE_FILE))
+    def test_unwritable_output_is_2_and_named(self, tmp_path, capsys, command):
+        # the file is written under a tmp name, but the error names the output
+        sim = simulate(tmp_path, count=3)
+        for out, reason in ((tmp_path / "missing" / "out", MISSING), (sim / "scans", "Is a directory")):
+            capsys.readouterr()
+            assert main(self.ONE_FILE[command][0].format(sim=sim, out=out).split()) == 2
+            assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+        assert not list(sim.glob("*.tmp"))
+
+    @pytest.mark.parametrize("command", sorted(ONE_FILE))
+    def test_output_writer_failing_partway_leaves_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # the report and the curve were once written in place, so a failed
+        # write left a partial file under the output's name
+        def fail_partway(path, *args, **kwargs):
+            with open(path, "w") as fh:
+                fh.write("{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        argv, writer = self.ONE_FILE[command]
+        sim = simulate(tmp_path, count=3)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setattr(writer, fail_partway)
+        capsys.readouterr()
+        assert main(argv.format(sim=sim, out=out_dir / "x").split()) == 3
+        err = capsys.readouterr().err
+        assert f"'{out_dir / 'x'}'" in err and ".tmp" not in err
+        assert list(out_dir.iterdir()) == []
 
 
     @pytest.mark.parametrize("argv", [
@@ -722,6 +762,18 @@ class TestStats:
         assert main(["stats", *argv]) == 2
         assert capsys.readouterr() == ("", "error: no objects with points to summarize\n")
 
+    @pytest.mark.parametrize("scene,named", [
+        ("--scans {nope} --boxes {nope}", "--scans with --boxes"),
+        ("--poses {nope}", "--poses"),
+    ], ids=["scans-boxes", "poses"])
+    def test_counts_with_scene_inputs_is_2(self, tmp_path, capsys, scene, named):
+        # --counts once won silently, and the scene paths went unread
+        counts = tmp_path / "counts.txt"
+        counts.write_text("1\n1\n1\n97\n")
+        argv = ["stats", "--counts", str(counts), *scene.format(nope=tmp_path / "nope").split()]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: stats takes --counts or {named}, not both\n")
+
     @pytest.mark.parametrize("text", ["1\n-3\n5\n", "0\n0\n"])
     def test_negative_or_all_zero_counts(self, tmp_path, capsys, text):
         counts = tmp_path / "counts.txt"
@@ -835,19 +887,27 @@ class TestLossCheck:
             assert main(["loss-check", "--overlaps", str(overlaps),
                          "--probs", str(probs), "--recon", str(path)]) == 2
             assert capsys.readouterr() == ("", "error: --recon needs --recon-probs\n")
+            # the reverse: --recon-probs was once ignored, even when missing
+            assert main(["loss-check", "--overlaps", str(overlaps), "--probs", str(probs),
+                         "--recon-probs", str(tmp_path / "nope.prob")]) == 2
+            assert capsys.readouterr() == ("", "error: --recon-probs needs --recon\n")
 
     def test_recon_samples_uneven_over_beams_is_count_mismatch(self, tmp_path, capsys):
+        # [0, 0, 0, 1] divides evenly, 2 per beam, and once passed as that
         path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
-        rec = np.zeros(3, dtype=RECON_DTYPE)
-        rec["current_index"] = [0, 0, 1]
-        recon_path = tmp_path / "x.trcn"
-        write_recon_file(recon_path, ReconSet(rec))
-        rprobs_path = tmp_path / "r.prob"
-        write_probabilities(rprobs_path, np.full((3, 3), 1 / 3))
-        assert main(["loss-check", "--overlaps", str(path),
-                     "--probs", str(probs), "--recon", str(recon_path),
-                     "--recon-probs", str(rprobs_path)]) == 2
-        assert capsys.readouterr().err == "error: 3 samples do not divide evenly over 2 beams\n"
+        for beams, low, high in (([0, 0, 1], 1, 2), ([0, 0, 0, 1], 1, 3)):
+            rec = np.zeros(len(beams), dtype=RECON_DTYPE)
+            rec["current_index"] = beams
+            recon_path = tmp_path / "x.trcn"
+            write_recon_file(recon_path, ReconSet(rec))
+            rprobs_path = tmp_path / "r.prob"
+            write_probabilities(rprobs_path, np.full((len(beams), 3), 1 / 3))
+            assert main(["loss-check", "--overlaps", str(path),
+                         "--probs", str(probs), "--recon", str(recon_path),
+                         "--recon-probs", str(rprobs_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {recon_path}: beams hold {low} to {high} samples; "
+                "every beam must hold the same count\n")
 
     def test_out_of_range_header_sensor_value_is_format_error(self, tmp_path, capsys):
         for key, value in (("divergence_angle_rad", 0.5), ("decay_rate_per_meter", np.nan)):

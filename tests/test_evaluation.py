@@ -1,5 +1,7 @@
 """Segmentation metric hand cases and pooling semantics."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ class TestIoU:
         assert not scan.ego_mask.any()
         explicit = ScanEvalInput(points=pts, predicted_moving=pred, gt_labels=gt,
                                  ego_mask=np.zeros(200, dtype=bool))
-        assert evaluate([scan]).to_dict() == evaluate([explicit]).to_dict()
+        assert asdict(evaluate([scan])) == asdict(evaluate([explicit]))
 
     def test_unknown_gt_never_counts(self):
         base = scan_from_rows(self.rows_with_counts(tp=5, fp=5, fn=5))
@@ -182,7 +184,7 @@ class TestIoU:
         report = evaluate([scan])
         assert report.counts["conventional"] == {"tp": 2, "fp": 1, "fn": 1}
         assert report.counts["excluding_ego"] == {"tp": 1, "fp": 1, "fn": 1}
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {"recall_obj", "iou_excluding_ego", "iou_conventional",
                           "per_object", "counts", "flags"}
 

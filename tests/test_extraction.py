@@ -39,7 +39,7 @@ def scan_pair(cur_pts, adj_pts, adj_origin):
 
 
 def _spinning_pair(channels, azimuths):
-    from tovp.simulator import SceneBox, SceneSpec, SpinningLidarSpec, simulate_scan
+    from tovp.simulator import SceneBox, SceneSpec, SpinningLidarSpec, simulate_scan_with_hits
 
     scene = SceneSpec(
         static_boxes=[
@@ -54,8 +54,8 @@ def _spinning_pair(channels, azimuths):
     )
     p0 = RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.7]))
     p1 = RigidTransform(np.eye(3), np.array([1.1, 0.15, 1.7]))
-    cur = simulate_scan(scene, lidar, p0, 0.0)
-    adj = simulate_scan(scene, lidar, p1, 0.5).in_frame_of(cur)
+    cur = simulate_scan_with_hits(scene, lidar, p0, 0.0)[0]
+    adj = simulate_scan_with_hits(scene, lidar, p1, 0.5)[0].in_frame_of(cur)
     return cur, adj
 
 
@@ -785,13 +785,14 @@ class TestSequence:
 
 def _reduced_c10_scans(tmp_path, channels, azimuths, count):
     """The scans of the criterion-10 scene with fewer beams and scans."""
-    from tovp.simulator import simulate_scan
+    from tovp.simulator import simulate_scan_with_hits
 
     path = tmp_path / "scene.yaml"
     path.write_text(C10_SCENE_YAML.replace("count: 32}", f"count: {channels}}}")
                     .replace("count: 13", f"count: {count}").replace("azimuth_count: 1024", f"azimuth_count: {azimuths}"))
     sim = formats.read_scene(str(path))
-    return [simulate_scan(sim.scene, sim.lidar, pose, t) for pose, t in zip(sim.poses, sim.times)]
+    return [simulate_scan_with_hits(sim.scene, sim.lidar, pose, t)[0]
+            for pose, t in zip(sim.poses, sim.times)]
 
 
 class TestPinnedBytes:
@@ -824,14 +825,14 @@ class TestBalanceClasses:
 
     def test_five_to_one_to_one_ratio(self):
         out = balance_classes(self._synthetic(3000, 100, 700), seed=0)
-        counts = out.counts
+        counts = np.bincount(out.records["state"], minlength=3)
         assert counts[OccupancyState.OCCUPIED] == 100
         assert counts[OccupancyState.FREE] == 500
         assert counts[OccupancyState.UNKNOWN] == 100
 
     def test_short_supply_keeps_what_exists(self):
         out = balance_classes(self._synthetic(120, 100, 30), seed=0)
-        counts = out.counts
+        counts = np.bincount(out.records["state"], minlength=3)
         assert counts[OccupancyState.OCCUPIED] == 100
         assert counts[OccupancyState.FREE] == 120
         assert counts[OccupancyState.UNKNOWN] == 30

@@ -5,11 +5,13 @@ import pytest
 
 from tovp.errors import SingleKeyframe
 from tovp.labeling import (
+    TIME_TOL,
     MotionClass,
     ThresholdTable,
     TrackedBox,
     box_motion_class,
     classify_motion,
+    keyframes_at,
     label_points,
     object_speed,
 )
@@ -131,6 +133,13 @@ class TestTrackedBoxValidation:
         assert box.keyframe_at(1.0 + 5e-7) == 1
         assert box.keyframe_at(1.4) is None
 
+    def test_keyframes_at_keeps_tracks_keyed_within_tol_in_order(self):
+        a, b = straight_track(1.0), straight_track(2.0, start=(0.0, 5.0, 0.0))
+        late = TrackedBox("late", "VEHICLE", [[0, 0, 0]], [[1, 1, 1]], [0.0], [1.0 + 2e-3])
+        assert list(keyframes_at([late, b, a], 1.0 + 5e-4, TIME_TOL)) == [(b, 1), (a, 1)]
+        assert list(keyframes_at([a, b], 0.5, TIME_TOL)) == []
+        assert list(keyframes_at([late], 1.0, 0.0)) == []
+
 
 class TestLabelPoints:
     def test_points_inherit_box_class(self):
@@ -161,6 +170,15 @@ class TestLabelPoints:
         assert label_points(pt, [static, unknown])[0] == MotionClass.UNKNOWN_MOTION
         assert label_points(pt, [static, unknown, moving])[0] == MotionClass.MOVING
         assert label_points(pt, [moving, static])[0] == MotionClass.MOVING
+
+    def test_default_time_tol_is_a_millisecond(self):
+        # the library default was 1e-6 s, a thousandth of the command line's
+        box = straight_track(2.0)
+        pts = np.array([[2.0, 0.0, 0.0]])
+        assert TIME_TOL == 1e-3
+        assert label_points(Scan(points=pts, time=1.0 + 5e-4), [box])[0] == MotionClass.MOVING
+        assert label_points(Scan(points=pts, time=1.0 + 2e-3), [box])[0] == MotionClass.STATIC
+        assert box.keyframe_at(1.0 - 5e-4) == 1
 
     def test_box_absent_at_scan_time_ignored(self):
         box = straight_track(5.0)  # keyframes at t = 0, 1, 2

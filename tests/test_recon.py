@@ -39,7 +39,7 @@ def test_default_counts_per_beam():
     scan = ball_scan(100)
     out = sample_recon_points(scan, 5, 25, SENSOR, seed=7)
     assert len(out) == 3000
-    counts = out.counts
+    counts = np.bincount(out.records["state"], minlength=3)
     assert counts[OccupancyState.OCCUPIED] == 500
     assert counts[OccupancyState.FREE] == 2500
     assert counts[OccupancyState.UNKNOWN] == 0

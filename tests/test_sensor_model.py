@@ -23,8 +23,8 @@ from tovp.sensor_model import (
 CFG = SensorConfig()
 
 
-def make_scan(points, origin=(0.0, 0.0, 0.0), time=0.0):
-    return Scan(points=np.asarray(points, dtype=float), sensor_origin=np.asarray(origin), time=time)
+def make_scan(points, origin=(0.0, 0.0, 0.0)):
+    return Scan(points=np.asarray(points, dtype=float), sensor_origin=np.asarray(origin))
 
 
 class TestBeamFromPoint:
@@ -66,10 +66,6 @@ class TestBeamFromPoint:
             rebuilt = b.origin + b.range * b.direction
             err = np.linalg.norm(rebuilt - scan.points[i]) / b.range
             assert err < 1e-9
-
-    def test_beam_carries_scan_time(self):
-        scan = make_scan([[1.0, 0.0, 0.0]], time=2.5)
-        assert beam_from_point(scan, 0).time == 2.5
 
 
 class TestScanBeams:

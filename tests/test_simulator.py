@@ -12,10 +12,8 @@ from tovp.simulator import (
     SceneBox,
     SceneSpec,
     SpinningLidarSpec,
-    ground_truth_state,
     ground_truth_states,
     oracle_compare,
-    simulate_scan,
     simulate_scan_with_hits,
 )
 
@@ -31,13 +29,13 @@ def wall_scene():
 
 
 def test_single_beam_hits_box_face():
-    scan = simulate_scan(wall_scene(), ONE_BEAM, RigidTransform.identity(), time=0.0)
+    scan = simulate_scan_with_hits(wall_scene(), ONE_BEAM, RigidTransform.identity(), time=0.0)[0]
     assert len(scan) == 1
     np.testing.assert_allclose(scan.points[0], [10.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_empty_scene_returns_empty_scan():
-    scan = simulate_scan(SceneSpec(), ONE_BEAM, RigidTransform.identity(), time=0.0)
+    scan = simulate_scan_with_hits(SceneSpec(), ONE_BEAM, RigidTransform.identity(), time=0.0)[0]
     assert len(scan) == 0
 
 
@@ -52,8 +50,8 @@ def test_miss_is_omitted_not_padded():
 def test_moving_box_advects_linearly():
     box = SceneBox(center=(20.0, 0.0, 0.0), size=(5.0, 5.0, 5.0), velocity=(1.0, 0.0, 0.0))
     scene = SceneSpec(moving_boxes=[box])
-    at0 = simulate_scan(scene, ONE_BEAM, RigidTransform.identity(), time=0.0)
-    at2 = simulate_scan(scene, ONE_BEAM, RigidTransform.identity(), time=2.0)
+    at0 = simulate_scan_with_hits(scene, ONE_BEAM, RigidTransform.identity(), time=0.0)[0]
+    at2 = simulate_scan_with_hits(scene, ONE_BEAM, RigidTransform.identity(), time=2.0)[0]
     np.testing.assert_allclose(at0.points[0, 0], 17.5, atol=1e-12)
     np.testing.assert_allclose(at2.points[0, 0], 19.5, atol=1e-12)
 
@@ -64,7 +62,7 @@ def test_points_come_back_in_sensor_frame():
     rot = np.array([[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]])
     pose = RigidTransform(rotation=rot, translation=np.array([0.0, 0.0, 2.0]))
     scene = SceneSpec(static_boxes=[SceneBox(center=(0.0, 12.5, 2.0), size=(5.0, 5.0, 5.0))])
-    scan = simulate_scan(scene, ONE_BEAM, pose, time=0.0)
+    scan = simulate_scan_with_hits(scene, ONE_BEAM, pose, time=0.0)[0]
     assert len(scan) == 1
     np.testing.assert_allclose(scan.points[0], [10.0, 0.0, 0.0], atol=1e-9)
     assert scan.pose is pose
@@ -83,7 +81,7 @@ def test_ground_plane_hit():
 
 def test_max_range_drops_far_hits():
     lidar = SpinningLidarSpec(elevation_angles_rad=(0.0,), azimuth_step_rad=2 * np.pi, max_range_m=5.0)
-    scan = simulate_scan(wall_scene(), lidar, RigidTransform.identity(), time=0.0)
+    scan = simulate_scan_with_hits(wall_scene(), lidar, RigidTransform.identity(), time=0.0)[0]
     assert len(scan) == 0
 
 
@@ -91,16 +89,17 @@ def test_range_noise_is_seeded():
     lidar = SpinningLidarSpec(
         elevation_angles_rad=(0.0,), azimuth_step_rad=np.pi / 180, range_noise_std_m=0.02
     )
-    a = simulate_scan(wall_scene(), lidar, RigidTransform.identity(), 0.0, noise_seed=7)
-    b = simulate_scan(wall_scene(), lidar, RigidTransform.identity(), 0.0, noise_seed=7)
-    c = simulate_scan(wall_scene(), lidar, RigidTransform.identity(), 0.0, noise_seed=8)
+    a = simulate_scan_with_hits(wall_scene(), lidar, RigidTransform.identity(), 0.0, noise_seed=7)[0]
+    b = simulate_scan_with_hits(wall_scene(), lidar, RigidTransform.identity(), 0.0, noise_seed=7)[0]
+    c = simulate_scan_with_hits(wall_scene(), lidar, RigidTransform.identity(), 0.0, noise_seed=8)[0]
     np.testing.assert_array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
 
 def test_sensor_inside_box_sees_exit_face():
     box = SceneBox(center=(0.0, 0.0, 0.0), size=(6.0, 6.0, 6.0))
-    scan = simulate_scan(SceneSpec(static_boxes=[box]), ONE_BEAM, RigidTransform.identity(), 0.0)
+    scan, _ = simulate_scan_with_hits(SceneSpec(static_boxes=[box]), ONE_BEAM,
+                                      RigidTransform.identity(), 0.0)
     np.testing.assert_allclose(scan.points[0], [3.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -108,35 +107,35 @@ def test_yawed_box_crossing():
     # 45 deg yaw turns the corner toward the sensor: sqrt(2)-scaled half diagonal
     half_diag = 2.5 * np.sqrt(2.0)
     box = SceneBox(center=(20.0, 0.0, 0.0), size=(5.0, 5.0, 5.0), yaw=np.pi / 4)
-    scan = simulate_scan(SceneSpec(static_boxes=[box]), ONE_BEAM, RigidTransform.identity(), 0.0)
+    scan, _ = simulate_scan_with_hits(SceneSpec(static_boxes=[box]), ONE_BEAM,
+                                      RigidTransform.identity(), 0.0)
     np.testing.assert_allclose(scan.points[0, 0], 20.0 - half_diag, atol=1e-9)
 
 
 class TestGroundTruthStates:
     def test_midway_point_is_free(self):
-        assert ground_truth_state((5.0, 0.0, 0.0), 0.0, np.zeros(3), wall_scene(), SENSOR) == int(
-            OccupancyState.FREE
-        )
+        (state,), _ = ground_truth_states([(5.0, 0.0, 0.0)], 0.0, np.zeros(3), wall_scene(), SENSOR)
+        assert state == int(OccupancyState.FREE)
 
     def test_point_inside_box_is_occupied(self):
-        assert ground_truth_state((10.05, 0.0, 0.0), 0.0, np.zeros(3), wall_scene(), SENSOR) == int(
-            OccupancyState.OCCUPIED
-        )
+        (state,), _ = ground_truth_states([(10.05, 0.0, 0.0)], 0.0, np.zeros(3), wall_scene(), SENSOR)
+        assert state == int(OccupancyState.OCCUPIED)
 
     def test_point_just_past_exit_face_within_band_is_occupied(self):
         # 15 is the far face; the decay band extends the occupied zone... but the
         # far face is occluded by the near face, so the rule keys off the FIRST
         # crossing at 10: anything deeper than 10 + band and outside is UNKNOWN.
-        state = ground_truth_state((15.05, 0.0, 0.0), 0.0, np.zeros(3), wall_scene(), SENSOR)
+        (state,), _ = ground_truth_states([(15.05, 0.0, 0.0)], 0.0, np.zeros(3), wall_scene(), SENSOR)
         assert state == int(OccupancyState.UNKNOWN)
 
     def test_point_shallow_behind_first_face_is_occupied(self):
-        state = ground_truth_state((10.0 + BAND / 2, 0.0, 0.0), 0.0, np.zeros(3), wall_scene(), SENSOR)
+        (state,), _ = ground_truth_states([(10.0 + BAND / 2, 0.0, 0.0)], 0.0, np.zeros(3),
+                                          wall_scene(), SENSOR)
         assert state == int(OccupancyState.OCCUPIED)
 
     def test_deep_occluded_point_is_unknown(self):
         scene = SceneSpec(static_boxes=[SceneBox(center=(12.5, 0.0, 0.0), size=(0.2, 5.0, 5.0))])
-        state = ground_truth_state((13.6, 0.0, 0.0), 0.0, np.zeros(3), scene, SENSOR)
+        (state,), _ = ground_truth_states([(13.6, 0.0, 0.0)], 0.0, np.zeros(3), scene, SENSOR)
         assert state == int(OccupancyState.UNKNOWN)
 
     def test_unobstructed_ray_is_free_with_infinite_margin(self):
@@ -156,8 +155,8 @@ class TestGroundTruthStates:
     def test_moving_scene_is_queried_at_time(self):
         box = SceneBox(center=(12.5, 0.0, 0.0), size=(5.0, 5.0, 5.0), velocity=(1.0, 0.0, 0.0))
         scene = SceneSpec(moving_boxes=[box])
-        at0 = ground_truth_state((10.5, 0.0, 0.0), 0.0, np.zeros(3), scene, SENSOR)
-        at5 = ground_truth_state((10.5, 0.0, 0.0), 5.0, np.zeros(3), scene, SENSOR)
+        (at0,), _ = ground_truth_states([(10.5, 0.0, 0.0)], 0.0, np.zeros(3), scene, SENSOR)
+        (at5,), _ = ground_truth_states([(10.5, 0.0, 0.0)], 5.0, np.zeros(3), scene, SENSOR)
         assert at0 == int(OccupancyState.OCCUPIED)
         assert at5 == int(OccupancyState.FREE)
 
@@ -165,7 +164,7 @@ class TestGroundTruthStates:
         lidar = SpinningLidarSpec(
             elevation_angles_rad=np.linspace(-0.2, 0.1, 8), azimuth_step_rad=np.pi / 64
         )
-        scan = simulate_scan(wall_scene(), lidar, RigidTransform.identity(), 0.0)
+        scan = simulate_scan_with_hits(wall_scene(), lidar, RigidTransform.identity(), 0.0)[0]
         assert len(scan) > 0
         states, _ = ground_truth_states(scan.points, 0.0, np.zeros(3), wall_scene(), SENSOR)
         assert np.all(states == int(OccupancyState.OCCUPIED))
@@ -184,7 +183,7 @@ class TestGroundTruthStates:
         lidar = SpinningLidarSpec(
             elevation_angles_rad=np.linspace(-0.3, 0.05, 4), azimuth_step_rad=np.pi / 16
         )
-        scan = simulate_scan(scene, lidar, pose, 0.0)
+        scan = simulate_scan_with_hits(scene, lidar, pose, 0.0)[0]
         assert len(scan) > 0
         idx = rng.choice(len(scan), size=min(12, len(scan)), replace=False)
         for i in idx:
@@ -193,7 +192,7 @@ class TestGroundTruthStates:
             d = (p_world - pose.translation) / r
             for frac in np.linspace(0.05, 0.95, 12):
                 probe = pose.translation + frac * r * d
-                state = ground_truth_state(probe, 0.0, pose.translation, scene, SENSOR)
+                (state,), _ = ground_truth_states([probe], 0.0, pose.translation, scene, SENSOR)
                 assert state == int(OccupancyState.FREE)
 
 
@@ -319,6 +318,5 @@ class TestOracleCompare:
         ident = RigidTransform.identity()
         oset = self._records([((10.0, 0.0, 0.0), 1, 1)])
         cmp = oracle_compare(oset, wall_scene(), {0: (ident, 0.0), 1: (ident, 0.5)}, 0.05, SENSOR)
-        assert cmp.empty_comparison
+        assert cmp.compared == 0
         assert np.isnan(cmp.agreement)
-        assert cmp.to_dict()["agreement"] is None
