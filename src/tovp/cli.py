@@ -3,11 +3,11 @@
 Subcommands cover the full data path: simulate a scene, extract overlap
 and reconstruction sets, label scans from tracked boxes, score predictions,
 and sanity-check loss values.  Exit codes: 0 success, 1 usage, 2 bad data
-(any package error, or a path that is missing, of the wrong kind or not
-readable, an existing file named as an output directory among them), 3
-internal failure.  Configuration resolves as
-flags > config file > defaults, and every command echoes the values it ran
-with.  Every command that reads a scan directory reads it through
+(any package error, or a path that cannot be read or written: missing, of
+the wrong kind, not permitted, on a full or read-only disk, or an existing
+file named as an output directory), 3 internal failure.  Configuration
+resolves as flags > config file > defaults, and every command echoes the
+values it ran with.  Every command that reads a scan directory reads it through
 :func:`_sequence`: scans in name order, scan k taken k scan periods after
 the first, and line k of ``--poses`` its pose.
 
@@ -30,24 +30,23 @@ from .labeling import (
 )
 from .sensor_model import DEFAULT_BOUNDS, SEED_LIMIT, Scan, SensorConfig
 
-_MAP = "a mapping of category to 2 numbers"
-# every config key: its default and the kind of value it takes, with the
-# key's lower bound where it has one; null is taken where the default is null
+# every config key: its default and the kind of value it takes, as
+# formats.check_kind reads it; null is taken where the default is null
 _CONFIG = {
     "n_adjacent": (6, "an integer"),
-    "scan_period_s": (0.5, "a number > 0"),
-    "bounds": (DEFAULT_BOUNDS, "6 numbers"),
-    "divergence_angle_rad": (0.003, "a number"),
-    "lambda_occ": (0.9, "a number"),
-    "decay_rate_per_meter": (1.0, "a number"),
+    "scan_period_s": (0.5, "a finite number > 0"),
+    "bounds": (DEFAULT_BOUNDS, "6 finite numbers"),
+    "divergence_angle_rad": (0.003, "a finite number"),
+    "lambda_occ": (0.9, "a finite number"),
+    "decay_rate_per_meter": (1.0, "a finite number"),
     "seed": (0, "an integer"),
     "threads": (1, "an integer >= 1"),
     "occupied_per_beam": (5, "an integer >= 0"),
     "free_per_beam": (25, "an integer >= 0"),
-    "max_tail_beyond_hit_m": (None, "a number"),
-    "class_weights": ((1.0, 5.0, 1.0), "3 numbers"),
-    "thresholds": (None, _MAP),
-    "time_tol": (TIME_TOL, "a number >= 0"),
+    "max_tail_beyond_hit_m": (None, "a finite number"),
+    "class_weights": ((1.0, 5.0, 1.0), "3 finite numbers"),
+    "thresholds": (None, "a mapping of category to 2 finite numbers"),
+    "time_tol": (TIME_TOL, "a finite number >= 0"),
 }
 DEFAULTS = {key: default for key, (default, _) in _CONFIG.items()}
 
@@ -77,26 +76,6 @@ _FLAGS = {
 }
 
 
-def _has_kind(value, kind: str) -> bool:
-    """``value`` is of ``kind``: _MAP, "<n> numbers", or "an integer" or
-    "a number", each optionally bounded below as in "a number > 0".  Every
-    number must be finite in float64: no inf, NaN or overflowing value."""
-    if kind == _MAP:
-        return isinstance(value, dict) and all(_has_kind(v, "2 numbers") for v in value.values())
-    if kind.endswith(" numbers"):
-        return (isinstance(value, (list, tuple)) and len(value) == int(kind.split()[0])
-                and all(_has_kind(v, "a number") for v in value))
-    _, name, *bound = kind.split()
-    if isinstance(value, bool) or not isinstance(value, int if name == "integer" else (int, float)):
-        return False
-    if not abs(value) <= sys.float_info.max:  # False on NaN too
-        return False
-    if not bound:
-        return True
-    op, least = bound
-    return value >= float(least) if op == ">=" else value > float(least)
-
-
 def resolve_config(args) -> dict:
     """Merge defaults, the optional config file, and command line flags."""
     merged = dict(DEFAULTS)
@@ -106,20 +85,16 @@ def resolve_config(args) -> dict:
 
         with open(path) as fh:
             loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise SchemaViolation(f"{path}: config must be a mapping")
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise SchemaViolation(f"{path}: unknown config keys {sorted(unknown)}")
+        formats.check_kind(loaded, "a mapping", f"{path}: config")
+        formats.check_keys(loaded, DEFAULTS, f"{path}: ")
         merged.update(loaded)
     for flag, (key, _) in _FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if key and value is not None:
             merged[key] = value
     for key, (default, kind) in _CONFIG.items():
-        value = merged[key]
-        if not _has_kind(value, kind) and not (value is None and default is None):
-            raise SchemaViolation(f"config key {key} must be {kind}, got {value!r}")
+        if not (merged[key] is None and default is None):
+            formats.check_kind(merged[key], kind, f"config key {key}")
     _check_seeds(merged["seed"])
     return merged
 
@@ -336,8 +311,7 @@ def _tracks_from_scene(boxes, times):
 
 
 def cmd_label(args) -> int:
-    if not 0.0 <= args.margin < np.inf:  # False on NaN too
-        raise DataError(f"--margin must be a finite number >= 0, got {args.margin}")
+    formats.check_kind(args.margin, "a finite number >= 0", "--margin")
     cfg = resolve_config(args)
     table = _thresholds_from(cfg)
     tracks = formats.read_boxes(args.boxes)
@@ -562,13 +536,12 @@ def main(argv=None) -> int:
     except TovpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
-            PermissionError) as e:
-        # an input path that cannot be read, or an output directory that
-        # names a file, is bad data, not a fault
-        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits
+        if isinstance(e, OSError) and e.filename is not None:
+            # a path that cannot be read or written, on a full or read-only
+            # disk too, is bad data or a bad place, not a fault of the program
+            print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

@@ -15,6 +15,7 @@ command loads only what its own formats need.
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -282,66 +283,75 @@ def write_probabilities(path, probs):
     np.asarray(probs, dtype="<f4").reshape(-1, 3).tofile(path)
 
 
-# -- fields of JSON and YAML inputs ---------------------------------------------
+# -- values of YAML and JSON inputs ---------------------------------------------
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    return mapping[key]
+_TYPES = {"a string": str, "a boolean": bool, "a mapping": dict, "a list": list}
+_CATEGORY = "one of " + ", ".join(CATEGORIES)
 
 
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaViolation(f"{where}: expected a mapping")
+def _has_kind(value, kind: str) -> bool:
+    """``value`` is of ``kind``: one of ``_TYPES``, ``_CATEGORY``, "a
+    mapping of <keys> to <kind>", "<n> finite numbers", or "an integer" or
+    "a finite number", the last three bounded below or not, as in "a finite
+    number > 0".  A number is an int or a float, never a bool, and finite
+    in float64: no inf, NaN or overflowing value, an integer included.  A
+    kind outside this grammar is a ValueError, a fault of the caller."""
+    if kind in _TYPES:
+        return isinstance(value, _TYPES[kind])
+    if kind == _CATEGORY:
+        return value in CATEGORIES
+    head, _, inner = kind.partition(" to ")
+    if head.startswith("a mapping of "):
+        _has_kind(None, inner)  # None is of no kind: this only vets ``inner``
+        return isinstance(value, dict) and all(_has_kind(v, inner) for v in value.values())
+    count, _, bound = kind.partition(" finite numbers")
+    if count.isdigit():
+        element = "a finite number" + bound
+        _has_kind(None, element)  # vets ``element`` as above
+        return (isinstance(value, (list, tuple)) and len(value) == int(count)
+                and all(_has_kind(v, element) for v in value))
+    for name, types in (("an integer", int), ("a finite number", (int, float))):
+        op, _, least = kind[len(name):].strip().partition(" ")
+        if kind.startswith(name) and op in ("", ">", ">="):
+            least = float(least or "-inf")
+            if isinstance(value, bool) or not isinstance(value, types) or not abs(value) <= sys.float_info.max:
+                return False  # abs(nan) <= max is False too
+            return value > least if op == ">" else value >= least
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def check_kind(value, kind: str, name: str):
+    """``value``, when it is of ``kind`` (see :func:`_has_kind`), otherwise a
+    SchemaViolation calling it ``name``: the check of every config, scene
+    and box value."""
+    if not _has_kind(value, kind):
+        raise SchemaViolation(f"{name} must be {kind}, got {value!r}")
     return value
 
 
-def _scalar(kind, fields, key, where: str, default=None, least=None):
-    """``kind(fields[key])`` (str, int or float) of a field, ``default``
-    standing in for an absent one unless None; a missing value, one that
-    ``kind`` cannot take, a non-finite float, or one below ``least`` is a
-    SchemaViolation."""
-    value = fields.get(key, default) if isinstance(fields, dict) else fields[key]
-    if value is None:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
-    if kind is float and not np.isfinite(out):
-        raise SchemaViolation(f"{where}.{key}: expected a finite number, got {value!r}")
-    if least is not None and out < least:
-        raise SchemaViolation(f"{where}.{key} must be >= {least}")
-    return out
+def check_keys(mapping: dict, known, where: str) -> None:
+    """A key of ``mapping`` outside ``known`` is a SchemaViolation, named
+    as :func:`_field` names a field: a mistyped key would drop its value."""
+    unknown = sorted(map(str, set(mapping).difference(known)))
+    if unknown:
+        raise SchemaViolation(f"{where}{unknown[0]} is not a known key")
 
 
-def _vec3(value, where: str) -> tuple:
-    try:
-        vec = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"{where}: expected 3 numbers") from None
-    if len(vec) != 3:
-        raise SchemaViolation(f"{where}: expected 3 numbers, got {len(vec)}")
-    if not np.all(np.isfinite(vec)):
-        raise SchemaViolation(f"{where}: expected 3 finite numbers, got {list(vec)}")
-    return vec
+def _field(mapping: dict, key: str, kind: str, where: str, default=None):
+    """``mapping[key]``, or ``default`` for an absent field, through
+    :func:`check_kind`, which takes a null as of no kind; with no default,
+    an absent field is missing.  ``where`` goes before ``key`` in a message:
+    the file, then the path of the mapping and a dot (``"scene.yaml: lidar."``)."""
+    if key not in mapping and default is None:
+        raise SchemaViolation(f"{where}{key} is missing")
+    return check_kind(mapping.get(key, default), kind, where + key)
 
 
 # -- tracked boxes (JSON lines, one keyframe per line) --------------------------
 
-def _keyframe_from_json(obj: dict, where: str) -> dict:
-    out = {key: _scalar(kind, obj, key, where) for key, kind in
-           (("instance_id", str), ("category", str), ("yaw", float), ("time", float))}
-    for key in ("center", "size"):
-        out[key] = np.array(_vec3(_require(obj, key, where), f"{where}.{key}"))
-    if np.any(out["size"] <= 0.0):
-        raise SchemaViolation(f"{where}: field 'size' must be positive")
-    if out["category"] not in CATEGORIES:
-        raise SchemaViolation(f"{where}: field 'category' must be one of "
-                              f"{CATEGORIES}, got {out['category']!r}")
-    if not out["instance_id"]:
-        raise SchemaViolation(f"{where}: field 'instance_id' must be non-empty")
-    return out
+# every field of a keyframe line, and its kind
+_KEYFRAME = {"instance_id": "a string", "category": _CATEGORY, "center": "3 finite numbers",
+             "size": "3 finite numbers > 0", "yaw": "a finite number", "time": "a finite number"}
 
 
 def read_boxes(path):
@@ -361,7 +371,11 @@ def read_boxes(path):
                 raise MalformedLine(f"{path}:{lineno}: {e.msg}") from None
             if not isinstance(obj, dict):
                 raise MalformedLine(f"{path}:{lineno}: expected a JSON object")
-            kf = _keyframe_from_json(obj, f"{path}:{lineno}")
+            where = f"{path}:{lineno}: "
+            check_keys(obj, _KEYFRAME, where)
+            kf = {key: _field(obj, key, kind, where) for key, kind in _KEYFRAME.items()}
+            if not kf["instance_id"]:
+                raise SchemaViolation(f"{where}instance_id must be non-empty")
             by_instance.setdefault(kf["instance_id"], []).append(kf)
 
     tracks = []
@@ -375,10 +389,10 @@ def read_boxes(path):
             tracks.append(TrackedBox(
                 instance_id=instance_id,
                 category=kfs[0]["category"],
-                centers=np.stack([k["center"] for k in kfs]),
-                sizes=np.stack([k["size"] for k in kfs]),
-                yaws=np.array([k["yaw"] for k in kfs]),
-                timestamps=np.array([k["time"] for k in kfs]),
+                centers=[k["center"] for k in kfs],
+                sizes=[k["size"] for k in kfs],
+                yaws=[k["yaw"] for k in kfs],
+                timestamps=[k["time"] for k in kfs],
             ))
         except ValueError as e:
             raise SchemaViolation(f"{path}: track {instance_id!r}: {e}") from None
@@ -424,8 +438,9 @@ def read_scene(path) -> SimScene:
     """Parse a YAML scene description.
 
     Top-level keys: ``boxes`` (list), ``ground_plane`` (bool), ``lidar``
-    (scan pattern), ``trajectory`` (linear sensor motion).  See
-    docs/formats.md for a worked example.
+    (scan pattern), ``trajectory`` (linear sensor motion); a key that no
+    mapping of the file takes is refused.  See docs/formats.md for a worked
+    example and the kind of every field.
     """
     import yaml
 
@@ -436,66 +451,62 @@ def read_scene(path) -> SimScene:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as e:
             raise MalformedLine(f"{path}: {e}") from None
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{path}: top level must be a mapping")
+    where = f"{path}: "
+    check_kind(doc, "a mapping", where + "top level")
+    check_keys(doc, ("boxes", "ground_plane", "lidar", "trajectory"), where)
 
     static, moving = [], []
-    for i, raw in enumerate(doc.get("boxes") or []):
-        where = f"{path}: boxes[{i}]"
-        _mapping(raw, where)
-        velocity = _vec3(raw.get("velocity", (0.0, 0.0, 0.0)), f"{where}.velocity")
-        category = str(raw.get("category", "VEHICLE"))
-        if category not in CATEGORIES:
-            raise SchemaViolation(f"{where}.category: must be one of {CATEGORIES}")
-        try:
-            box = SceneBox(
-                center=_vec3(_require(raw, "center", where), f"{where}.center"),
-                size=_vec3(_require(raw, "size", where), f"{where}.size"),
-                yaw=_scalar(float, raw, "yaw", where, 0.0),
-                velocity=velocity,
-                category=category,
-                instance_id=str(raw.get("instance_id", f"box{i}")),
-            )
-        except ValueError as e:
-            raise SchemaViolation(f"{where}: {e}") from None
+    for i, raw in enumerate(_field(doc, "boxes", "a list", where, [])):
+        at = f"{where}boxes[{i}]"
+        check_keys(check_kind(raw, "a mapping", at), ("center", "size", "yaw", "velocity", "category",
+                                                      "instance_id"), at + ".")
+        at += "."
+        box = SceneBox(
+            center=tuple(map(float, _field(raw, "center", "3 finite numbers", at))),
+            size=tuple(map(float, _field(raw, "size", "3 finite numbers > 0", at))),
+            yaw=float(_field(raw, "yaw", "a finite number", at, 0.0)),
+            velocity=tuple(map(float, _field(raw, "velocity", "3 finite numbers", at, (0.0, 0.0, 0.0)))),
+            category=_field(raw, "category", _CATEGORY, at, "VEHICLE"),
+            instance_id=_field(raw, "instance_id", "a string", at, f"box{i}"),
+        )
         (moving if box.is_moving else static).append(box)
     scene = SceneSpec(static_boxes=static, moving_boxes=moving,
-                      ground_plane=bool(doc.get("ground_plane", False)))
+                      ground_plane=_field(doc, "ground_plane", "a boolean", where, False))
 
-    where = f"{path}: lidar"
-    lidar_raw = _mapping(_require(doc, "lidar", path), where)
-    elev = _require(lidar_raw, "elevations_rad", where)
-    where_e = f"{where}.elevations_rad"
+    lidar = _field(doc, "lidar", "a mapping", where)
+    at = where + "lidar."
+    check_keys(lidar, ("elevations_rad", "azimuth_count", "max_range_m", "range_noise_std_m"), at)
+    elev = lidar.get("elevations_rad")
     if isinstance(elev, dict):
-        elevations = tuple(np.linspace(_scalar(float, elev, "min", where_e), _scalar(float, elev, "max", where_e),
-                                       _scalar(int, elev, "count", where_e, least=1)))
-    elif isinstance(elev, list):
-        elevations = tuple(_scalar(float, elev, i, where_e) for i in range(len(elev)))
+        at_elev = at + "elevations_rad."
+        check_keys(elev, ("min", "max", "count"), at_elev)
+        elevations = tuple(np.linspace(float(_field(elev, "min", "a finite number", at_elev)),
+                                       float(_field(elev, "max", "a finite number", at_elev)),
+                                       _field(elev, "count", "an integer >= 1", at_elev)))
     else:
-        raise SchemaViolation(f"{where_e}: expected a list, or min, max and count")
-    azimuth_count = _scalar(int, lidar_raw, "azimuth_count", where, least=1)
+        elevations = tuple(float(check_kind(v, "a finite number", f"{at}elevations_rad[{k}]"))
+                           for k, v in enumerate(_field(lidar, "elevations_rad", "a list", at)))
     try:
-        lidar = SpinningLidarSpec(
+        spec = SpinningLidarSpec(
             elevation_angles_rad=elevations,
-            azimuth_step_rad=2.0 * np.pi / azimuth_count,
-            max_range_m=_scalar(float, lidar_raw, "max_range_m", where, 120.0),
-            range_noise_std_m=_scalar(float, lidar_raw, "range_noise_std_m", where, 0.0),
+            azimuth_step_rad=2.0 * np.pi / _field(lidar, "azimuth_count", "an integer >= 1", at),
+            max_range_m=float(_field(lidar, "max_range_m", "a finite number > 0", at, 120.0)),
+            range_noise_std_m=float(_field(lidar, "range_noise_std_m", "a finite number >= 0", at, 0.0)),
         )
     except ValueError as e:
         raise SchemaViolation(f"{path}: lidar: {e}") from None
 
-    where = f"{path}: trajectory"
-    traj = _mapping(_require(doc, "trajectory", path), where)
-    count = _scalar(int, traj, "count", where, least=1)
-    period = _scalar(float, traj, "period_s", where)
-    if period <= 0.0:
-        raise SchemaViolation(f"{where}.period_s must be > 0")
-    start = np.array(_vec3(_require(traj, "start", where), f"{where}.start"))
-    velocity = np.array(_vec3(traj.get("velocity", (0.0, 0.0, 0.0)), f"{where}.velocity"))
-    rotation = yaw_matrix(_scalar(float, traj, "yaw_rad", where, 0.0))
+    traj = _field(doc, "trajectory", "a mapping", where)
+    at = where + "trajectory."
+    check_keys(traj, ("count", "period_s", "start", "velocity", "yaw_rad"), at)
+    count = _field(traj, "count", "an integer >= 1", at)
+    period = float(_field(traj, "period_s", "a finite number > 0", at))
+    start = np.array(_field(traj, "start", "3 finite numbers", at), dtype=float)
+    velocity = np.array(_field(traj, "velocity", "3 finite numbers", at, (0.0, 0.0, 0.0)), dtype=float)
+    rotation = yaw_matrix(float(_field(traj, "yaw_rad", "a finite number", at, 0.0)))
 
     times = [k * period for k in range(count)]
     poses = [RigidTransform(rotation=rotation, translation=start + velocity * t)
              for t in times]
-    return SimScene(scene=scene, lidar=lidar, poses=poses, times=times,
+    return SimScene(scene=scene, lidar=spec, poses=poses, times=times,
                     period_s=period)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tovp import extraction, formats
+from tovp.cli import main
 from tovp.errors import (
     BadLength,
     CountMismatch,
@@ -518,6 +519,29 @@ class TestBoxes:
         with pytest.raises(SchemaViolation, match=f"{key}.*finite"):
             read_boxes(path)
 
+    # each of these was once read as another box (true as 1.0 rad, "123" as
+    # [1, 2, 3], 5 as "5") or dropped a key, and `tovp label` exited 0
+    @pytest.mark.parametrize("key, value, message", [
+        ("yaw", True, "yaw must be a finite number, got True"),
+        ("time", "0.5", "time must be a finite number, got '0.5'"),
+        ("center", "123", "center must be 3 finite numbers, got '123'"),
+        ("instance_id", 5, "instance_id must be a string, got 5"),
+        ("velocity", [1.0, 0.0, 0.0], "velocity is not a known key"),
+    ])
+    def test_value_of_another_kind_named(self, tmp_path, capsys, key, value, message):
+        obj = {"instance_id": "a", "category": "HUMAN", "center": [0, 0, 0],
+               "size": [1, 1, 1], "yaw": 0.0, "time": 0.0, key: value}
+        path = tmp_path / "boxes.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaViolation, match=re.escape(f"{path}:1: {message}")):
+            read_boxes(path)
+        (tmp_path / "scans").mkdir()
+        write_scan_bin(tmp_path / "scans" / "000000.bin", np.zeros((1, 3)))
+        out = tmp_path / "labels"
+        assert main(["label", "--scans", str(tmp_path / "scans"), "--boxes", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
+        assert not out.exists()
+
     def test_negative_size_named(self, tmp_path):
         path = tmp_path / "boxes.jsonl"
         path.write_text('{"instance_id": "a", "category": "HUMAN", '
@@ -586,6 +610,51 @@ class TestRecordTablesOfTheDocs:
     def test_table_matches_the_dtype(self, heading, dtype):
         fields = [(name, dtype.fields[name][0], dtype.fields[name][1]) for name in dtype.names]
         assert documented_records(heading) == fields
+
+
+class TestExamplesOfTheDocs:
+    def test_scene_and_box_line_parse(self, tmp_path):
+        # the worked examples of docs/formats.md hold to the readers' rules
+        text = FORMATS_MD.read_text()
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(re.search(r"```yaml\n(.*?)```", text, flags=re.S).group(1))
+        sim = read_scene(scene)
+        assert [box.instance_id for box in sim.scene.all_boxes()] == ["box0", "parked", "crosser"]
+        assert len(sim.times) == 10 and sim.lidar.n_azimuths == 1024
+        boxes = tmp_path / "boxes.jsonl"
+        line = re.search(r"```json\n(.*?)```", text, flags=re.S).group(1).replace("\n", " ")
+        boxes.write_text(line + "\n")
+        (track,) = read_boxes(boxes)
+        assert (track.instance_id, track.category, float(track.timestamps[0])) == ("car0", "VEHICLE", 0.5)
+
+
+class TestCheckKind:
+    @pytest.mark.parametrize("kind, good, bad", [
+        ("an integer >= 1", [1, 7], [0, 1.0, True, "1", 10**400]),
+        ("a finite number > 0", [0.5, 2], [0, -1.0, float("nan"), float("inf"), True, "0.5"]),
+        ("3 finite numbers > 0", [[1, 2, 3], (0.5, 1, 1)], [[1, 2], [1, 0, 1], "123", [1, float("nan"), 1]]),
+        ("a boolean", [True, False], [0, "false", None]),
+        ("a string", ["x", ""], [5, None]),
+        ("a list", [[], [1]], [(), {}]),
+        ("one of HUMAN, CYCLE, VEHICLE", ["HUMAN"], ["TREE", "human", 5]),
+        ("a mapping of category to 2 finite numbers", [{}, {"HUMAN": [0.4, 0.6]}], [{"HUMAN": [1]}, []]),
+    ])
+    def test_kinds(self, kind, good, bad):
+        for value in good:
+            assert formats.check_kind(value, kind, "key") is value
+        for value in bad:
+            with pytest.raises(SchemaViolation, match=re.escape(f"key must be {kind}, got {value!r}")):
+                formats.check_kind(value, kind, "key")
+
+    @pytest.mark.parametrize("kind", ["a numbr", "an integr", "a number", "a finite number => 0",
+                                      "an integer > x", "3 finite numbers => 0",
+                                      "a mapping of category to 2 numbrs"])
+    def test_unknown_kind_is_a_fault_of_the_caller(self, kind):
+        # once read as "a number", or "=>" as ">", whatever the value
+        for value in (5, 0.5, "x", None, [1, 2, 3], {}):
+            with pytest.raises(ValueError) as raised:
+                formats.check_kind(value, kind, "key")
+            assert not isinstance(raised.value, TovpError)
 
 
 class TestReports:
@@ -669,7 +738,7 @@ class TestScene:
         path = tmp_path / "scene.yaml"
         path.write_text("lidar:\n  elevations_rad: [0.0]\n  azimuth_count: 8\ntrajectory:\n"
                         + "".join(f"  {k}: {v}\n" for k, v in traj.items()))
-        with pytest.raises(SchemaViolation, match=f"trajectory.{key}: expected .*finite"):
+        with pytest.raises(SchemaViolation, match=f"trajectory.{key} must be .*finite"):
             read_scene(path)
 
     def test_bad_box_size(self, tmp_path):
