@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import formats
-from .errors import CountMismatch, DataError, EmptyBatch, SchemaViolation, TovpError
+from .errors import CountMismatch, DataError, SchemaViolation, TovpError
 from .labeling import (
     TIME_TOL, MotionClass, ThresholdTable, TrackedBox, box_motion_class, keyframes_at, label_points,
 )
@@ -81,10 +81,7 @@ def resolve_config(args) -> dict:
     merged = dict(DEFAULTS)
     path = getattr(args, "config", None)
     if path:
-        import yaml
-
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
+        loaded = formats.read_yaml(path) or {}
         formats.check_kind(loaded, "a mapping", f"{path}: config")
         formats.check_keys(loaded, DEFAULTS, f"{path}: ")
         merged.update(loaded)
@@ -348,28 +345,30 @@ def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     table = _thresholds_from(cfg)
     tracks = formats.read_boxes(args.boxes)
+    sequence = _sequence(args.scans, args.poses, cfg["scan_period_s"])
 
-    inputs = []
-    for base, time, points in _world_points(_sequence(args.scans, args.poses, cfg["scan_period_s"])):
-        gt = _read_label_file(args.labels, base, len(points), MotionClass.UNKNOWN_MOTION,
-                              "labels must be 0 (static), 1 (moving) or 2 (unknown)")
-        pred = _read_label_file(args.predictions, base, len(points), 1,
-                                "predictions must be 0 (static) or 1 (moving)")
-        ego = None
-        if args.ego_masks:
-            ego = _read_label_file(args.ego_masks, base, len(points), 1,
-                                   "ego masks must be 0 or 1").astype(bool)
-        inputs.append(ScanEvalInput(
-            points=points, predicted_moving=pred.astype(bool), gt_labels=gt, ego_mask=ego,
-            moving_boxes=tuple(
-                EvalBox(instance_id=track.instance_id, center=track.centers[k],
-                        size=track.sizes[k], yaw=float(track.yaws[k]))
-                for track, k in keyframes_at(tracks, time, cfg["time_tol"])
-                if box_motion_class(track, k, table) == MotionClass.MOVING)))
+    def inputs():
+        """One ScanEvalInput per scan, made as ``evaluate`` takes it."""
+        for base, time, points in _world_points(sequence):
+            gt = _read_label_file(args.labels, base, len(points), MotionClass.UNKNOWN_MOTION,
+                                  "labels must be 0 (static), 1 (moving) or 2 (unknown)")
+            pred = _read_label_file(args.predictions, base, len(points), 1,
+                                    "predictions must be 0 (static) or 1 (moving)")
+            ego = None
+            if args.ego_masks:
+                ego = _read_label_file(args.ego_masks, base, len(points), 1,
+                                       "ego masks must be 0 or 1").astype(bool)
+            yield ScanEvalInput(
+                points=points, predicted_moving=pred.astype(bool), gt_labels=gt, ego_mask=ego,
+                moving_boxes=tuple(
+                    EvalBox(instance_id=track.instance_id, center=track.centers[k],
+                            size=track.sizes[k], yaw=float(track.yaws[k]))
+                    for track, k in keyframes_at(tracks, time, cfg["time_tol"])
+                    if box_motion_class(track, k, table) == MotionClass.MOVING))
 
-    report = evaluate(inputs)
+    report = evaluate(inputs())
     print(f"config: {_echo(cfg, ('scan_period_s', 'time_tol'))} "
-          f"scans={len(inputs)}")
+          f"scans={len(sequence)}")
     print(f"recall_obj: {report.recall_obj:.2f}")
     print(f"iou_excluding_ego: {report.iou_excluding_ego:.2f}")
     print(f"iou_conventional: {report.iou_conventional:.2f}")
@@ -437,7 +436,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
-    from .objectives import ClassWeights, overlap_loss, recon_loss, total_loss
+    from .objectives import ClassWeights, streamed_overlap_loss, streamed_recon_loss, total_loss
 
     cfg = resolve_config(args)
     weights = _built(ClassWeights, *cfg["class_weights"])
@@ -445,25 +444,17 @@ def cmd_loss_check(args) -> int:
         raise DataError("--recon needs --recon-probs")
     if args.recon_probs and not args.recon:
         raise DataError("--recon-probs needs --recon")
-    oset, info = formats.read_overlap_file(args.overlaps)
-    probs = formats.read_probabilities(args.probs, expected_count=len(oset))
+    # each set and its .prob rows are read in step, one leaf of the sum at a time
+    with formats.overlap_blocks(args.overlaps) as records, \
+            formats.probability_blocks(args.probs, expected_count=records.count) as probs:
+        value = streamed_overlap_loss(records, probs, weights)
     print(f"config: class_weights={cfg['class_weights']} "
-          f"config_hash={info.config_hash.hex()}")
-    value = overlap_loss(oset.records["state"], oset.records["confidence"],
-                         probs, weights)
+          f"config_hash={records.info.config_hash.hex()}")
     print(f"overlap_loss: {value:.9f}")
     if args.recon:
-        rset = formats.read_recon_file(args.recon)
-        rprobs = formats.read_probabilities(args.recon_probs,
-                                            expected_count=len(rset))
-        _, per_beam = np.unique(rset.records["current_index"], return_counts=True)
-        if len(per_beam) == 0:
-            raise EmptyBatch(f"{args.recon}: no reconstruction samples")
-        if per_beam.min() != per_beam.max():
-            raise CountMismatch(f"{args.recon}: beams hold {per_beam.min()} to "
-                                f"{per_beam.max()} samples; every beam must hold the same count")
-        rvalue = recon_loss(rset.records["state"], rprobs, weights,
-                            n_beams=len(per_beam), per_beam=int(per_beam[0]))
+        with formats.recon_blocks(args.recon) as records, \
+                formats.probability_blocks(args.recon_probs, expected_count=records.count) as probs:
+            rvalue = streamed_recon_loss(records, probs, weights)
         print(f"recon_loss: {rvalue:.9f}")
         print(f"total_loss: {total_loss(value, rvalue):.9f}")
     return 0

@@ -72,7 +72,9 @@ def _tp_fp_fn(mask, pred, gt_moving) -> np.ndarray:
 
 
 def evaluate(inputs) -> EvalReport:
-    """Compute all metrics over a sequence of ScanEvalInput."""
+    """Compute all metrics over ``inputs``, any iterable of ScanEvalInput,
+    read once in order: a generator that makes each scan as it is asked
+    for keeps one scan alive at a time."""
     # keyed by IoU name; the conventional IoU keeps ego-vehicle points
     totals = {"excluding_ego": np.zeros(3, dtype=np.int64),
               "conventional": np.zeros(3, dtype=np.int64)}

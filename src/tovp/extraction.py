@@ -71,6 +71,7 @@ _RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
 
 # records per chunk of the order check in _is_canonical: 256 KiB of keys
 _ORDER_CHUNK = 1 << 15
+_OUT_OF_ORDER = "overlap records are not in (current, offset, adjacent, rank) order"
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class OverlapSet(RecordSet):
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
         if not (presorted or _is_canonical(records)):
-            raise ValueError("overlap records are not in (current, offset, adjacent, rank) order")
+            raise ValueError(_OUT_OF_ORDER)
         self.records = records
 
 
@@ -145,20 +146,28 @@ def _tail_keys(records: np.ndarray) -> np.ndarray:
     return key
 
 
+def _canonical_tail(chunk: np.ndarray, last: tuple):
+    """The (current, tail key) pair of the last record of ``chunk``, a
+    non-empty run of records that follows a record whose pair is ``last``,
+    when the run keeps canonical order: the current index never falls, and
+    among equal current indices the (offset, adjacent, rank) key never
+    falls.  None when it does not."""
+    cur, tail = chunk["current_index"], _tail_keys(chunk)
+    falls = (cur[1:] < cur[:-1]) | ((cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1]))
+    if (int(cur[0]), int(tail[0])) < last or falls.any():
+        return None
+    return int(cur[-1]), int(tail[-1])
+
+
 def _is_canonical(records: np.ndarray) -> bool:
-    """Whether the records are in (current, offset, adjacent, rank) order:
-    the current index never falls, and among equal current indices the
-    (offset, adjacent, rank) key never falls.  Checked ``_ORDER_CHUNK``
-    records at a time, carrying the last (current, tail key) pair across
-    chunks, so one chunk of keys is held whatever the set's size."""
+    """Whether the records are in (current, offset, adjacent, rank) order,
+    checked by :func:`_canonical_tail` ``_ORDER_CHUNK`` records at a time,
+    so one chunk of keys is held whatever the set's size."""
     last = (0, 0)
     for lo in range(0, len(records), _ORDER_CHUNK):
-        chunk = records[lo:lo + _ORDER_CHUNK]
-        cur, tail = chunk["current_index"], _tail_keys(chunk)
-        falls = (cur[1:] < cur[:-1]) | ((cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1]))
-        if (int(cur[0]), int(tail[0])) < last or falls.any():
+        last = _canonical_tail(records[lo:lo + _ORDER_CHUNK], last)
+        if last is None:
             return False
-        last = (int(cur[-1]), int(tail[-1]))
     return True
 
 

@@ -6,6 +6,9 @@ files fail loudly instead of decoding garbage.  Readers validate sizes
 before touching content; writers produce files whose read-write round trip
 is byte-identical.  Overlap and reconstruction sets are held in their
 on-disk record layouts, so they are written and read without a cast.
+They and ``.prob`` rows are read whole, or block by block through
+:class:`Blocks` with the same checks, so a reader of any file size can
+hold one block.
 
 The modules that only one format needs (PyYAML and ``simulator`` for
 scenes, ``extraction`` and ``recon`` for record sets, ``hashlib`` for the
@@ -76,20 +79,27 @@ def config_hash(cfg: "ExtractionConfig", sensor: SensorConfig) -> bytes:
 
 # -- point cloud scans --------------------------------------------------------
 
+def _row_count(fh, path, dtype: np.dtype, unit: str, expected_count=None) -> int:
+    """The rows of ``dtype`` in the headerless file open as ``fh``: a file
+    that is not a whole number of rows is a BadLength, and one of other than
+    ``expected_count`` rows, when given, a LengthMismatch; ``unit`` names
+    the rows in both messages."""
+    size = os.fstat(fh.fileno()).st_size
+    if size % dtype.itemsize != 0:
+        raise BadLength(f"{path}: {size} bytes is not a whole number "
+                        f"of {dtype.itemsize}-byte {unit}")
+    if expected_count is not None and size // dtype.itemsize != expected_count:
+        raise LengthMismatch(f"{path}: {size // dtype.itemsize} {unit} for "
+                             f"{expected_count} points")
+    return size // dtype.itemsize
+
+
 def _rows(path, dtype, unit: str, expected_count=None) -> np.ndarray:
-    """The rows of ``dtype`` in a headerless file, read with ``np.fromfile``:
-    a file that is not a whole number of rows is a BadLength, and one of
-    other than ``expected_count`` rows, when given, a LengthMismatch;
-    ``unit`` names the rows in both messages."""
+    """The rows of ``dtype`` in a headerless file, read with ``np.fromfile``
+    once :func:`_row_count` has checked the file's length."""
     dtype = np.dtype(dtype)
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size % dtype.itemsize != 0:
-            raise BadLength(f"{path}: {size} bytes is not a whole number "
-                            f"of {dtype.itemsize}-byte {unit}")
-        if expected_count is not None and size // dtype.itemsize != expected_count:
-            raise LengthMismatch(f"{path}: {size // dtype.itemsize} {unit} for "
-                                 f"{expected_count} points")
+        _row_count(fh, path, dtype, unit, expected_count)
         return np.fromfile(fh, dtype=dtype)
 
 
@@ -180,39 +190,95 @@ def _write_set(path, magic: bytes, header_dtype, record_dtype, blocks, **header_
     return int(header["count"][0])
 
 
+def _set_header(fh, path, magic: bytes, header_dtype, record_dtype):
+    """Validate the header and the length of the file open as ``fh``, one
+    written by :func:`_write_set`; returns (header, record count), with
+    ``fh`` at the first record."""
+    head = fh.read(header_dtype.itemsize)
+    size = os.fstat(fh.fileno()).st_size
+    if head[:4] != magic:  # checked first so a wrong file type names itself
+        raise MagicMismatch(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
+    if len(head) < header_dtype.itemsize:
+        raise TruncatedFile(f"{path}: {size} bytes is shorter than the "
+                            f"{header_dtype.itemsize}-byte header")
+    header = np.frombuffer(head, dtype=header_dtype, count=1)[0]
+    if header["version"] != FORMAT_VERSION:
+        raise VersionUnsupported(f"{path}: version {int(header['version'])} "
+                                 f"(supported: {FORMAT_VERSION})")
+    payload = size - header_dtype.itemsize
+    if payload % record_dtype.itemsize != 0:
+        raise TruncatedFile(f"{path}: payload of {payload} bytes is not a "
+                            f"whole number of {record_dtype.itemsize}-byte records")
+    n_stored = payload // record_dtype.itemsize
+    if n_stored != int(header["count"]):
+        raise CountMismatch(f"{path}: header promises {int(header['count'])} "
+                            f"records, file holds {n_stored}")
+    return header, n_stored
+
+
 def _read_set(path, magic: bytes, header_dtype, record_dtype):
     """Validate and decode a file written by :func:`_write_set`; returns
     (header, records), read straight into an array of ``record_dtype``."""
     with open(path, "rb") as fh:
-        head = fh.read(header_dtype.itemsize)
-        size = os.fstat(fh.fileno()).st_size
-        if head[:4] != magic:  # checked first so a wrong file type names itself
-            raise MagicMismatch(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
-        if len(head) < header_dtype.itemsize:
-            raise TruncatedFile(f"{path}: {size} bytes is shorter than the "
-                                f"{header_dtype.itemsize}-byte header")
-        header = np.frombuffer(head, dtype=header_dtype, count=1)[0]
-        if header["version"] != FORMAT_VERSION:
-            raise VersionUnsupported(f"{path}: version {int(header['version'])} "
-                                     f"(supported: {FORMAT_VERSION})")
-        payload = size - header_dtype.itemsize
-        if payload % record_dtype.itemsize != 0:
-            raise TruncatedFile(f"{path}: payload of {payload} bytes is not a "
-                                f"whole number of {record_dtype.itemsize}-byte records")
-        n_stored = payload // record_dtype.itemsize
-        if n_stored != int(header["count"]):
-            raise CountMismatch(f"{path}: header promises {int(header['count'])} "
-                                f"records, file holds {n_stored}")
+        header, n_stored = _set_header(fh, path, magic, header_dtype, record_dtype)
         records = np.fromfile(fh, dtype=record_dtype, count=n_stored)
     if len(records) != n_stored:
         raise TruncatedFile(f"{path}: ended after {len(records)} of {n_stored} records")
     return header, records
 
 
+class Blocks:
+    """The records of a set file, or the rows of a ``.prob`` file, in file
+    order: each :meth:`read` takes the next ``k`` with one ``np.fromfile``,
+    so a reader holds one block whatever the file's size.  ``check(fh)``
+    validates the header and the length, as the whole-file readers do,
+    before any record is read, and returns (record count, info).
+    ``order``, when given, is (step, key before the first record, message):
+    ``step(block, key)`` returns the key of the block's last record, or
+    None when the block falls out of order, a FormatError naming the file.
+    A context manager that closes the file."""
+
+    def __init__(self, path, dtype, check, order=(None, None, None)):
+        self.path, self._dtype = path, np.dtype(dtype)
+        self._step, self._key, self._message = order
+        self._fh = open(path, "rb")
+        try:
+            self.count, self.info = check(self._fh)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, k: int) -> np.ndarray:
+        block = np.fromfile(self._fh, dtype=self._dtype, count=k)
+        if len(block) != k:
+            raise TruncatedFile(f"{self.path}: ended {k - len(block)} records early")
+        if self._step and k:
+            self._key = self._step(block, self._key)
+            if self._key is None:
+                raise FormatError(f"{self.path}: {self._message}")
+        return block
+
+
 @dataclass(frozen=True)
 class OverlapFileInfo:
     sensor: SensorConfig
     config_hash: bytes
+
+
+def _overlap_info(path, header) -> OverlapFileInfo:
+    """The sensor and the digest a ``.tovp`` header echoes; a sensor value
+    that SensorConfig refuses is a SchemaViolation naming the file."""
+    try:
+        sensor = SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)})
+    except ValueError as e:
+        raise SchemaViolation(f"{path}: header: {e}") from None
+    return OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]))
 
 
 def write_overlap_file(path, overlaps, sensor: SensorConfig,
@@ -236,15 +302,24 @@ def read_overlap_file(path):
     from .extraction import RECORD_DTYPE, OverlapSet
 
     header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE)
-    try:
-        sensor = SensorConfig(**{f.name: float(header[f.name]) for f in fields(SensorConfig)})
-    except ValueError as e:
-        raise SchemaViolation(f"{path}: header: {e}") from None
-    info = OverlapFileInfo(sensor=sensor, config_hash=bytes(header["config_hash"]))
+    info = _overlap_info(path, header)
     try:
         return OverlapSet(rec), info
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
+
+
+def overlap_blocks(path) -> Blocks:
+    """:class:`Blocks` of a ``.tovp`` file, its info an OverlapFileInfo,
+    refusing records out of canonical order as :func:`read_overlap_file`
+    does, one block at a time."""
+    from .extraction import _OUT_OF_ORDER, RECORD_DTYPE, _canonical_tail
+
+    def check(fh):
+        header, count = _set_header(fh, path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE)
+        return count, _overlap_info(path, header)
+
+    return Blocks(path, RECORD_DTYPE, check, (_canonical_tail, (0, 0), _OUT_OF_ORDER))
 
 
 def write_recon_file(path, rset: "ReconSet"):
@@ -263,7 +338,30 @@ def read_recon_file(path) -> "ReconSet":
     return ReconSet(rec)
 
 
+def _beam_tail(block: np.ndarray, last: int):
+    """The last current index of ``block`` when its records keep beam order
+    after a record of beam ``last``: the index never falls; else None."""
+    cur = block["current_index"]
+    if cur[0] < last or np.any(cur[1:] < cur[:-1]):
+        return None
+    return int(cur[-1])
+
+
+def recon_blocks(path) -> Blocks:
+    """:class:`Blocks` of a ``.trcn`` file, refusing records out of beam
+    order."""
+    from .recon import RECON_DTYPE
+
+    def check(fh):
+        return _set_header(fh, path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE)[1], None
+
+    return Blocks(path, RECON_DTYPE, check,
+                  (_beam_tail, 0, "reconstruction records are not in beam index order"))
+
+
 # -- labels, predictions, probabilities ----------------------------------------
+
+_PROBABILITY = np.dtype(("<f4", 3))  # one (free, occupied, unknown) row
 
 def read_labels(path, expected_count=None) -> np.ndarray:
     return _rows(path, np.uint8, "labels", expected_count)
@@ -276,7 +374,14 @@ def write_labels(path, labels):
 def read_probabilities(path, expected_count=None) -> np.ndarray:
     """Float32 (M, 3) state distributions, as stored: the losses widen
     them to float64 one leaf of their sum at a time."""
-    return _rows(path, ("<f4", 3), "rows", expected_count)
+    return _rows(path, _PROBABILITY, "rows", expected_count)
+
+
+def probability_blocks(path, expected_count=None) -> Blocks:
+    """:class:`Blocks` of the rows of a ``.prob`` file, checked as
+    :func:`read_probabilities` checks them."""
+    return Blocks(path, _PROBABILITY, lambda fh: (
+        _row_count(fh, path, _PROBABILITY, "rows", expected_count), None))
 
 
 def write_probabilities(path, probs):
@@ -284,6 +389,19 @@ def write_probabilities(path, probs):
 
 
 # -- values of YAML and JSON inputs ---------------------------------------------
+
+def read_yaml(path):
+    """The document of the YAML file at ``path``, the one parse of a config
+    file and of a scene: YAML that does not parse is a MalformedLine naming
+    the file."""
+    import yaml
+
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as e:
+            raise MalformedLine(f"{path}: {e}") from None
+
 
 _TYPES = {"a string": str, "a boolean": bool, "a mapping": dict, "a list": list}
 _CATEGORY = "one of " + ", ".join(CATEGORIES)
@@ -423,6 +541,11 @@ def write_report(path, report: dict):
 
 # -- scene descriptions -----------------------------------------------------------
 
+# most scans a scene may ask for: ``simulate`` names scan i ``{i:06d}.bin``
+# and scan directories are read in name order, so a seventh digit would
+# sort scan 1000000 before scan 1
+MAX_SCANS = 1_000_000
+
 @dataclass(frozen=True)
 class SimScene:
     """A self-contained simulation setup: world, scan pattern, trajectory."""
@@ -442,15 +565,9 @@ def read_scene(path) -> SimScene:
     mapping of the file takes is refused.  See docs/formats.md for a worked
     example and the kind of every field.
     """
-    import yaml
-
     from .simulator import SceneBox, SceneSpec, SpinningLidarSpec
 
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            raise MalformedLine(f"{path}: {e}") from None
+    doc = read_yaml(path)
     where = f"{path}: "
     check_kind(doc, "a mapping", where + "top level")
     check_keys(doc, ("boxes", "ground_plane", "lidar", "trajectory"), where)
@@ -500,6 +617,8 @@ def read_scene(path) -> SimScene:
     at = where + "trajectory."
     check_keys(traj, ("count", "period_s", "start", "velocity", "yaw_rad"), at)
     count = _field(traj, "count", "an integer >= 1", at)
+    if count > MAX_SCANS:
+        raise SchemaViolation(f"{at}count must be at most {MAX_SCANS}, got {count}")
     period = float(_field(traj, "period_s", "a finite number > 0", at))
     start = np.array(_field(traj, "start", "3 finite numbers", at), dtype=float)
     velocity = np.array(_field(traj, "velocity", "3 finite numbers", at, (0.0, 0.0, 0.0)), dtype=float)

@@ -99,9 +99,7 @@ def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> 
     conf = 1 when not given: the bits of ``np.sum`` of the whole-batch
     product, never held.  This walks np.sum's pairwise tree (n split at
     n // 2, rounded down to a multiple of 8) down to leaves of at most
-    ``_CHUNK`` rows, and gathers, widens, checks, logs, weights and sums
-    each leaf's rows where it makes them.  Widening float32 is exact, so
-    float32 inputs give the bits of their float64 copies."""
+    ``_CHUNK`` rows, and sums each leaf with :func:`_leaf_sum`."""
     probs = _probability_matrix(predictions)
     s = np.asarray(states)
     if s.shape != (len(probs),):
@@ -109,27 +107,31 @@ def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> 
     if conf is not None and conf.shape != s.shape:
         raise CountMismatch(f"{conf.shape} confidences for {s.shape} points")
     w = weights.as_array()
+    return float(_tree_sum(lambda rows: _leaf_sum(
+        s[rows], probs[rows], w, None if conf is None else conf[rows]), 0, len(probs)))
 
-    def leaf(rows):
-        block = probs[rows]
-        idx = s[rows].astype(np.intp)
-        # a negative state wraps to a huge unsigned one
-        if idx.view(np.uintp).max() >= N_STATES:
-            bad = idx[(idx < 0) | (idx >= N_STATES)][0]
-            raise BadState(f"state {bad} is not FREE 0, OCCUPIED 1 or UNKNOWN 2")
-        # one gather from the flat block, not one per row of three
-        p_true = block.reshape(-1).take(np.arange(0, N_STATES * len(block), N_STATES) + idx)
-        p_true = p_true.astype(np.float64, copy=False)
-        if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
-            raise NonFiniteLoss("true-class probability is zero or non-finite")
-        nll = np.negative(np.log(p_true, out=p_true), out=p_true)
-        factor = w[idx]
-        if conf is not None:
-            factor *= conf[rows]
-        nll *= factor
-        return np.sum(nll)
 
-    return float(_tree_sum(leaf, 0, len(probs)))
+def _leaf_sum(states, probs, w: np.ndarray, conf=None):
+    """``np.sum`` of (conf * w[state]) * -log(p[state]) over one leaf's
+    rows, gathered, widened, checked, logged and weighted where they are
+    made.  Widening float32 is exact, so float32 inputs give the bits of
+    their float64 copies."""
+    idx = states.astype(np.intp)
+    # a negative state wraps to a huge unsigned one
+    if idx.view(np.uintp).max() >= N_STATES:
+        bad = idx[(idx < 0) | (idx >= N_STATES)][0]
+        raise BadState(f"state {bad} is not FREE 0, OCCUPIED 1 or UNKNOWN 2")
+    # one gather from the flat rows, not one per row of three
+    p_true = probs.reshape(-1).take(np.arange(0, N_STATES * len(probs), N_STATES) + idx)
+    p_true = p_true.astype(np.float64, copy=False)
+    if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
+        raise NonFiniteLoss("true-class probability is zero or non-finite")
+    nll = np.negative(np.log(p_true, out=p_true), out=p_true)
+    factor = w[idx]
+    if conf is not None:
+        factor *= conf
+    nll *= factor
+    return np.sum(nll)
 
 
 def _tree_sum(leaf, lo: int, n: int):
@@ -179,6 +181,84 @@ def recon_loss(
     if not np.isfinite(total):
         raise NonFiniteLoss("reconstruction loss overflowed")
     return total / expected
+
+
+def streamed_overlap_loss(records, probs, weights: ClassWeights = ClassWeights()) -> float:
+    """:func:`overlap_loss` of a ``.tovp`` file's records and their
+    ``.prob`` rows, ``records`` and ``probs`` as opened by
+    ``formats.overlap_blocks`` and ``formats.probability_blocks``.  The
+    leaves of the sum are visited in row order, and each reads its rows
+    from both files, so one leaf is held and the bits are those of the
+    whole-set call."""
+    n = records.count
+    if n == 0:
+        raise EmptyBatch("overlap loss needs at least one point")
+    w = weights.as_array()
+
+    def leaf(rows):
+        k = rows.stop - rows.start
+        block = records.read(k)
+        return _leaf_sum(block["state"], probs.read(k), w, block["confidence"])
+
+    total = float(_tree_sum(leaf, 0, n))
+    if not np.isfinite(total):
+        raise NonFiniteLoss("overlap loss overflowed")
+    return total / n
+
+
+def streamed_recon_loss(records, probs, weights: ClassWeights = ClassWeights()) -> float:
+    """:func:`recon_loss` of a ``.trcn`` file's records and their ``.prob``
+    rows, read as :func:`streamed_overlap_loss` reads them, from
+    ``formats.recon_blocks``, which keeps the records in beam order.  The
+    samples per beam are the runs of equal current index; beams of unequal
+    counts are a CountMismatch naming the file."""
+    n = records.count
+    if n == 0:
+        raise EmptyBatch(f"{records.path}: no reconstruction samples")
+    w = weights.as_array()
+    runs = _Runs()
+
+    def leaf(rows):
+        k = rows.stop - rows.start
+        block = records.read(k)
+        runs.add(block["current_index"], rows.start)
+        return _leaf_sum(block["state"], probs.read(k), w)
+
+    total = float(_tree_sum(leaf, 0, n))
+    low, high = runs.close(n)
+    if low != high:
+        raise CountMismatch(f"{records.path}: beams hold {low} to {high} samples; "
+                            "every beam must hold the same count")
+    if not np.isfinite(total):
+        raise NonFiniteLoss("reconstruction loss overflowed")
+    return total / n  # n_beams * per_beam
+
+
+class _Runs:
+    """The shortest and the longest run of equal values in a sequence that
+    is read block by block, holding none of it."""
+
+    def __init__(self):
+        self.value, self.start, self.low, self.high = None, 0, float("inf"), 0
+
+    def add(self, values: np.ndarray, lo: int) -> None:
+        """Take ``values``, the next rows of the sequence, from row ``lo``."""
+        starts = lo + 1 + np.flatnonzero(values[1:] != values[:-1])
+        if lo and values[0] != self.value:
+            starts = np.concatenate(([lo], starts))
+        if len(starts):
+            self._note(np.diff(starts, prepend=self.start))
+            self.start = int(starts[-1])
+        self.value = values[-1]
+
+    def close(self, n: int) -> tuple:
+        """(shortest, longest) once the sequence has ended at row ``n``."""
+        self._note(np.array([n - self.start]))
+        return self.low, self.high
+
+    def _note(self, lengths: np.ndarray) -> None:
+        self.low = min(self.low, int(lengths.min()))
+        self.high = max(self.high, int(lengths.max()))
 
 
 def total_loss(overlap: float, recon: float) -> float:

@@ -106,9 +106,13 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
+        """The points, (3,) or (N, 3), mapped by this transform, with the
+        translation added in place: one (N, 3) array is made, not two."""
         pts = np.asarray(points, dtype=float)
         with np.errstate(invalid="ignore"):  # inf * 0: a non-finite point maps to NaN
-            return pts @ self.rotation.T + self.translation
+            out = pts @ self.rotation.T
+            out += self.translation
+        return out
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self ∘ other)(x) = self(other(x))."""

@@ -3,17 +3,21 @@
 import errno
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tovp import formats, objectives
 from tovp.cli import DEFAULTS, build_parser, main, resolve_config
+from tovp.errors import CountMismatch
 from tovp.extraction import RECORD_DTYPE, OverlapSet
 from tovp.formats import (
     _OVERLAP_HEADER,
     read_boxes,
     read_labels,
     read_overlap_file,
+    read_probabilities,
     read_recon_file,
     read_scan_bin,
     write_overlap_file,
@@ -21,6 +25,7 @@ from tovp.formats import (
     write_recon_file,
     write_scan_bin,
 )
+from tovp.objectives import overlap_loss, recon_loss, streamed_overlap_loss, streamed_recon_loss
 from tovp.recon import RECON_DTYPE, ReconSet
 from tovp.sensor_model import SensorConfig
 
@@ -57,6 +62,18 @@ def simulate(tmp_path, name="sim", **kw):
     out = tmp_path / name
     assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 0
     return out
+
+
+def traced_peak(fn):
+    """The most memory, in bytes, that ``fn()`` holds at once beyond what
+    was held before it, as tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def run_extract(sim_dir, out_dir, *extra):
@@ -310,6 +327,17 @@ class TestBadValuesAreSchemaViolations:
         assert main(["stats", "--counts", str(tmp_path / "nope"), "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: config must be a mapping, got {config.strip()}\n"
 
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_config_that_does_not_parse_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # YAML that does not parse once exited 3, as "internal error: ParserError"
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: [1, 2\n")
+        assert main([command, *REQUIRED[command], "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {cfg}: while parsing"), captured.err
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
     LIDAR = "lidar:\n  elevations_rad: {min: -0.35, max: 0.03, count: 4}\n  azimuth_count: 32\n  max_range_m: 120.0\n"
     TRAJECTORY = "trajectory:\n  count: 7\n  period_s: 0.5\n  start: [0.0, 0.0, 1.7]\n  velocity: [2.0, 0.0, 0.0]\n"
 
@@ -338,6 +366,8 @@ class TestBadValuesAreSchemaViolations:
         ("max_range_m: 120.0", "max_range_m: -5", "lidar.max_range_m must be a finite number > 0, got -5"),
         ("max_range_m: 120.0", "max_range_m: 120.0\n  range_noise_std_m: -1",
          "lidar.range_noise_std_m must be a finite number >= 0, got -1"),
+        # refused before any time or pose is made: this once exited 3 as a MemoryError
+        ("count: 7", "count: 100000000", "trajectory.count must be at most 1000000, got 100000000"),
     ])
     def test_scene(self, tmp_path, capsys, old, new, key):
         scene = tmp_path / "scene.yaml"
@@ -720,6 +750,50 @@ class TestEval:
         assert main(["eval", "--scans", str(scans), "--labels", str(labels),
                      "--predictions", str(preds), "--boxes", str(boxes)]) == 2
 
+    POINTS = 20_000
+
+    def drive(self, root, n_scans):
+        """``eval`` arguments for ``n_scans`` scans of POINTS points each, 0.5 s
+        apart, half of them on one box moving 2 m/s, labelled and predicted
+        moving."""
+        dirs = {name: root / name for name in ("scans", "gt", "pred")}
+        for d in dirs.values():
+            d.mkdir(parents=True)
+        rng = np.random.default_rng(n_scans)
+        lines = []
+        for i in range(n_scans):
+            center = np.array([10.0 + i, 0.0, 0.0])
+            points = rng.uniform(-1.0, 1.0, (self.POINTS, 3)) + center
+            points[::2] += 30.0  # every other point off the box
+            write_scan_bin(dirs["scans"] / f"{i:06d}.bin", points)
+            moving = np.arange(self.POINTS) % 2 == 1
+            moving.astype(np.uint8).tofile(dirs["gt"] / f"{i:06d}.label")
+            moving.astype(np.uint8).tofile(dirs["pred"] / f"{i:06d}.label")
+            lines.append(json.dumps({"instance_id": "car", "category": "VEHICLE", "center": center.tolist(),
+                                     "size": [4.0, 4.0, 4.0], "yaw": 0.0, "time": 0.5 * i}))
+        (root / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+        return ["eval", "--scans", str(dirs["scans"]), "--labels", str(dirs["gt"]),
+                "--predictions", str(dirs["pred"]), "--boxes", str(root / "boxes.jsonl")]
+
+    def test_peak_does_not_grow_with_the_scan_count(self, tmp_path, capsys):
+        # scans are read as evaluate takes them: a list of every scan's
+        # inputs once held 24 B of points per point of the whole drive
+        argvs = {n: self.drive(tmp_path / str(n), n) for n in (4, 8)}
+        assert main(argvs[4]) == 0  # loads the modules before any peak is taken
+        peaks = {n: traced_peak(lambda: main(argv)) for n, argv in argvs.items()}
+        assert peaks[8] - peaks[4] < 24 * self.POINTS, peaks
+        out = capsys.readouterr().out.splitlines()
+        assert out[-4].endswith(" scans=8")
+        assert out[-3:] == ["recall_obj: 100.00", "iou_excluding_ego: 100.00", "iou_conventional: 100.00"]
+
+    def test_bad_label_file_in_a_late_scan_is_2(self, tmp_path, capsys):
+        argv = self.drive(tmp_path, 6)
+        bad = tmp_path / "gt" / "000005.label"
+        np.full(self.POINTS, 3, np.uint8).tofile(bad)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: labels must be 0 (static), 1 (moving) "
+                                           "or 2 (unknown), found 3\n")
+
 
 class TestStats:
     def test_head_heavy_counts(self, tmp_path, capsys):
@@ -946,3 +1020,94 @@ class TestLossCheck:
         write_probabilities(probs, np.zeros((0, 3)))
         assert main(["loss-check", "--overlaps", str(bad),
                      "--probs", str(probs)]) == 2
+
+    @staticmethod
+    def sixteen_by_1024(tmp_path, per_beam, seed=0):
+        """A .tovp of 16x1024 current beams, ``per_beam`` records each in
+        canonical order, written in blocks of 2048 beams, and its .prob rows."""
+        rng = np.random.default_rng(seed)
+        beams = 16 * 1024
+        rec = np.zeros(beams * per_beam, dtype=RECORD_DTYPE)
+        rec["current_index"] = np.repeat(np.arange(beams), per_beam)
+        offsets = np.repeat([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6], -(-per_beam // 12))
+        rec["scan_offset"] = np.tile(offsets[:per_beam], beams)
+        rec["adjacent_index"] = np.arange(len(rec))
+        rec["state"] = rng.integers(0, 3, len(rec))
+        rec["confidence"] = rng.uniform(0.01, 1.0, len(rec))
+        path, probs = tmp_path / f"{per_beam}.tovp", tmp_path / f"{per_beam}.prob"
+        step = 2048 * per_beam
+        write_overlap_file(path, (rec[lo:lo + step] for lo in range(0, len(rec), step)), SensorConfig())
+        write_probabilities(probs, rng.dirichlet([2, 2, 2], size=len(rec)))
+        return path, probs
+
+    @pytest.mark.parametrize("chunk", [128, objectives._CHUNK])
+    def test_streamed_losses_give_the_bits_of_the_whole_file_path(self, tmp_path, capsys, monkeypatch, chunk):
+        # at the smallest leaf and at the one the command runs with
+        monkeypatch.setattr(objectives, "_CHUNK", chunk)
+        path, probs = self.sixteen_by_1024(tmp_path, per_beam=24)
+        oset, _ = read_overlap_file(path)
+        want = overlap_loss(oset.records["state"], oset.records["confidence"], read_probabilities(probs))
+        with formats.overlap_blocks(path) as records, formats.probability_blocks(probs) as rows:
+            assert streamed_overlap_loss(records, rows) == want
+
+        rng = np.random.default_rng(chunk)
+        rec = np.zeros(16 * 1024 * 6, dtype=RECON_DTYPE)
+        rec["current_index"] = np.repeat(np.arange(16 * 1024), 6)
+        rec["state"] = rng.integers(0, 3, len(rec))
+        recon, rprobs = tmp_path / "x.trcn", tmp_path / "r.prob"
+        write_recon_file(recon, ReconSet(rec))
+        write_probabilities(rprobs, rng.dirichlet([2, 2, 2], size=len(rec)))
+        rwant = recon_loss(rec["state"], read_probabilities(rprobs), n_beams=16 * 1024, per_beam=6)
+        with formats.recon_blocks(recon) as records, formats.probability_blocks(rprobs) as rows:
+            assert streamed_recon_loss(records, rows) == rwant
+
+        capsys.readouterr()
+        assert main(["loss-check", "--overlaps", str(path), "--probs", str(probs),
+                     "--recon", str(recon), "--recon-probs", str(rprobs)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"overlap_loss: {want:.9f}", f"recon_loss: {rwant:.9f}", f"total_loss: {want + rwant:.9f}"]
+
+    def test_peak_does_not_grow_when_the_file_doubles(self, tmp_path, capsys):
+        peaks = {}
+        for per_beam in (24, 48):
+            path, probs = self.sixteen_by_1024(tmp_path, per_beam)
+            peaks[per_beam] = traced_peak(lambda: main(["loss-check", "--overlaps", str(path),
+                                                        "--probs", str(probs)]))
+        small = (tmp_path / "24.tovp").stat().st_size
+        # a few leaves' temporaries each time: the smaller set alone is 12 MB
+        assert peaks[48] < 1.1 * peaks[24] and peaks[24] < small / 2, (peaks, small)
+        out = capsys.readouterr().out
+        assert out.count("overlap_loss: ") == 2
+
+    @pytest.mark.parametrize("beams", [[0, 1, 0], [0, 0, 1, 1, 0, 2]])
+    def test_recon_out_of_beam_order_is_format_error(self, tmp_path, capsys, beams):
+        # [0, 1, 0] counted as two beams of 2 and 1 samples, and
+        # [0, 0, 1, 1, 0, 2] as three even beams of 2, which it is not
+        path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])
+        rec = np.zeros(len(beams), dtype=RECON_DTYPE)
+        rec["current_index"] = beams
+        recon_path = tmp_path / "x.trcn"
+        write_recon_file(recon_path, ReconSet(rec))
+        rprobs_path = tmp_path / "r.prob"
+        write_probabilities(rprobs_path, np.full((len(beams), 3), 1 / 3))
+        assert main(["loss-check", "--overlaps", str(path), "--probs", str(probs),
+                     "--recon", str(recon_path), "--recon-probs", str(rprobs_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {recon_path}: reconstruction records are not in beam index order\n"
+        assert "recon_loss" not in captured.out
+
+    @pytest.mark.parametrize("longer", [0, 23, 24, 47, 48, 99])
+    def test_recon_samples_uneven_across_leaves(self, tmp_path, monkeypatch, longer):
+        # runs of 3 samples per beam and one of 4: at either end, across
+        # the leaf seams at rows 72 and 144 of the 301, or starting at them
+        monkeypatch.setattr(objectives, "_CHUNK", 128)
+        lengths = [3] * 100
+        lengths[longer] = 4
+        rec = np.zeros(sum(lengths), dtype=RECON_DTYPE)
+        rec["current_index"] = np.repeat(np.arange(100), lengths)
+        path, probs = tmp_path / "x.trcn", tmp_path / "r.prob"
+        write_recon_file(path, ReconSet(rec))
+        write_probabilities(probs, np.full((len(rec), 3), 1 / 3))
+        with formats.recon_blocks(path) as records, formats.probability_blocks(probs) as rows:
+            with pytest.raises(CountMismatch, match=f"{path}: beams hold 3 to 4 samples"):
+                streamed_recon_loss(records, rows)

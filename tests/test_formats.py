@@ -377,6 +377,112 @@ class TestChunkedWrite:
         assert peak < 1.5 * block_bytes, peak
 
 
+def read_all(blocks, sizes):
+    """The rows that reads of ``sizes`` rows take from ``blocks``, joined."""
+    with blocks:
+        return np.concatenate([blocks.read(k) for k in sizes])
+
+
+def error_of(fn):
+    """(type, message) of what ``fn()`` raises."""
+    with pytest.raises(TovpError) as exc:
+        fn()
+    return type(exc.value), str(exc.value)
+
+
+class TestBlocks:
+    """Set and .prob files read block by block: the checks and the rows of
+    the whole-file readers, holding one block."""
+
+    CORRUPTIONS = {
+        "magic": lambda data: b"JUNK" + data[4:],
+        "version": lambda data: data[:4] + b"\x09" + data[5:],
+        "count": lambda data: data[:6] + b"\x07" + data[7:],
+        "short-header": lambda data: data[:20],
+        "ragged": lambda data: data[:-5],
+    }
+
+    @pytest.mark.parametrize("sizes", [[500], [1, 7, 0, 492], [250, 250]])
+    def test_rows_equal_the_whole_file_readers(self, tmp_path, sizes):
+        records = overlap_records(500, seed=2)
+        digest = bytes(range(16))
+        write_overlap_file(tmp_path / "x.tovp", [records[:123], records[123:]], SENSOR, digest)
+        blocks = formats.overlap_blocks(tmp_path / "x.tovp")
+        assert (blocks.count, blocks.info) == (500, read_overlap_file(tmp_path / "x.tovp")[1])
+        assert read_all(blocks, sizes).tobytes() == records.tobytes()
+        rset = recon_set(500, seed=2)
+        write_recon_file(tmp_path / "x.trcn", rset)
+        assert read_all(formats.recon_blocks(tmp_path / "x.trcn"), sizes).tobytes() == rset.records.tobytes()
+        write_probabilities(tmp_path / "x.prob", np.random.default_rng(2).dirichlet([1, 1, 1], size=500))
+        rows = read_all(formats.probability_blocks(tmp_path / "x.prob", expected_count=500), sizes)
+        assert rows.shape == (500, 3)
+        assert rows.tobytes() == read_probabilities(tmp_path / "x.prob").tobytes()
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("make,write,read,blocks", [
+        (SET_FILES[0][0], SET_FILES[0][1], read_overlap_file, formats.overlap_blocks),
+        (recon_set, write_recon_file, read_recon_file, formats.recon_blocks),
+    ], ids=["tovp", "trcn"])
+    def test_header_and_length_errors_equal_the_whole_file_readers(self, tmp_path, corrupt, make,
+                                                                    write, read, blocks):
+        path = tmp_path / "x.bin"
+        write(path, make(3))
+        path.write_bytes(self.CORRUPTIONS[corrupt](path.read_bytes()))
+        assert error_of(lambda: blocks(path)) == error_of(lambda: read(path))
+
+    def test_bad_header_sensor_and_prob_lengths_equal_the_whole_file_readers(self, tmp_path):
+        path = tmp_path / "x.tovp"
+        write_overlap_file(path, OverlapSet(overlap_records(3)), SENSOR)
+        data = bytearray(path.read_bytes())
+        offset = formats._OVERLAP_HEADER.fields["divergence_angle_rad"][1]
+        data[offset:offset + 8] = np.float64(0.5).tobytes()
+        path.write_bytes(bytes(data))
+        assert error_of(lambda: formats.overlap_blocks(path)) == error_of(lambda: read_overlap_file(path))
+        probs = tmp_path / "x.prob"
+        for size, count in ((10, None), (36, 4)):
+            probs.write_bytes(b"\x00" * size)
+            assert (error_of(lambda: formats.probability_blocks(probs, expected_count=count))
+                    == error_of(lambda: read_probabilities(probs, expected_count=count)))
+
+    def test_overlap_order_checked_across_blocks(self, tmp_path):
+        # a swap at, just before or just after a seam between reads of 7
+        # records, or at either end, is a FormatError naming the file, as
+        # read_overlap_file raises it on the whole file
+        rec = overlap_records(50, seed=8)
+        rec["current_index"] //= 2
+        rec["adjacent_index"] = np.random.default_rng(8).permutation(50)
+        canonical = rec[np.lexsort([rec[name] for name in
+                                    ("sample_rank", "adjacent_index", "scan_offset", "current_index")])]
+        path = tmp_path / "x.tovp"
+        write_overlap_file(path, [canonical], SENSOR)
+        assert read_all(formats.overlap_blocks(path), [7] * 7 + [1]).tobytes() == canonical.tobytes()
+        for i in (0, 5, 6, 7, 13, 48):
+            swapped = canonical.copy()
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+            write_overlap_file(path, [swapped], SENSOR)
+            want = error_of(lambda: read_overlap_file(path))
+            assert want[0] is FormatError and want[1].startswith(f"{path}: ")
+            assert error_of(lambda: read_all(formats.overlap_blocks(path), [7] * 7 + [1])) == want, i
+
+    def test_recon_beam_order_checked_across_blocks(self, tmp_path):
+        path = tmp_path / "x.trcn"
+        for beams in ([0, 0, 1, 1, 0], [0, 1, 1, 2, 2, 1], [3, 2]):
+            rec = np.zeros(len(beams), dtype=RECON_DTYPE)
+            rec["current_index"] = beams
+            write_recon_file(path, ReconSet(rec))
+            assert error_of(lambda: read_all(formats.recon_blocks(path), [2] * (len(beams) // 2)
+                                             + [1] * (len(beams) % 2))) == (
+                FormatError, f"{path}: reconstruction records are not in beam index order")
+
+    def test_a_read_past_the_end_is_truncated(self, tmp_path):
+        path = tmp_path / "x.tovp"
+        write_overlap_file(path, OverlapSet(overlap_records(3)), SENSOR)
+        with formats.overlap_blocks(path) as blocks:
+            blocks.read(2)
+            with pytest.raises(TruncatedFile, match="ended 4 records early"):
+                blocks.read(5)
+
+
 class TestReconFile:
     def test_round_trip_bytes(self, tmp_path):
         rset = recon_set(300)
@@ -728,6 +834,24 @@ class TestScene:
             "lidar:\n  elevations_rad: [0.0]\n  azimuth_count: 8\n"
             "trajectory:\n  count: 0\n  period_s: 0.5\n  start: [0, 0, 1]\n")
         with pytest.raises(SchemaViolation, match="count"):
+            read_scene(path)
+
+    def test_scan_count_bound(self, tmp_path, monkeypatch):
+        # scans are named {i:06d}.bin and read back in name order, so a
+        # seventh digit would sort scan 1000000 first
+        assert formats.MAX_SCANS == 10 ** 6
+        path = tmp_path / "scene.yaml"
+        text = ("lidar:\n  elevations_rad: [0.0]\n  azimuth_count: 8\n"
+                "trajectory:\n  count: {}\n  period_s: 0.5\n  start: [0, 0, 1]\n")
+        path.write_text(text.format(10 ** 6 + 1))
+        with pytest.raises(SchemaViolation, match=re.escape(
+                f"{path}: trajectory.count must be at most 1000000, got 1000001")):
+            read_scene(path)
+        monkeypatch.setattr(formats, "MAX_SCANS", 3)
+        path.write_text(text.format(3))
+        assert len(read_scene(path).times) == 3
+        path.write_text(text.format(4))
+        with pytest.raises(SchemaViolation, match="at most 3, got 4"):
             read_scene(path)
 
     @pytest.mark.parametrize("key, value", [("start", "[.nan, 0.0, 1.7]"), ("velocity", "[2.0, .inf, 0.0]"),

@@ -7,10 +7,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tovp
 from scan_factories import C10_SCENE_YAML
+from tovp.extraction import RECORD_DTYPE
+from tovp.formats import write_overlap_file, write_probabilities, write_recon_file
+from tovp.recon import RECON_DTYPE, ReconSet
+from tovp.sensor_model import SensorConfig
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tovp.__file__)))
 
@@ -20,9 +25,14 @@ OPTIONAL = {"tovp.evaluation", "tovp.extraction", "tovp.geometry", "tovp.objecti
 EXPECTED = {
     "simulate": {"tovp.simulator", "yaml"},
     "label": set(),
+    # eval streams its scans through evaluate, and nothing more
     "eval": {"tovp.evaluation"},
     "stats": {"tovp.evaluation"},
     "extract --help": set(),
+    # the block readers take the record layouts and the order rule from
+    # extraction (which loads geometry) and recon; the loss walk is objectives'
+    "loss-check": {"tovp.objectives", "tovp.extraction", "tovp.geometry"},
+    "loss-check --recon": {"tovp.objectives", "tovp.extraction", "tovp.geometry", "tovp.recon"},
 }
 
 # runs ``tovp`` with the given arguments, then prints its exit code and the
@@ -51,6 +61,10 @@ def loaded(tmp_path_factory):
                      .replace("azimuth_count: 1024", "azimuth_count: 64")
                      .replace("count: 13", "count: 3"))
     sim = d / "sim"
+    write_overlap_file(d / "x.tovp", [np.zeros(2, dtype=RECORD_DTYPE)], SensorConfig())
+    write_recon_file(d / "x.trcn", ReconSet(np.zeros(2, dtype=RECON_DTYPE)))
+    write_probabilities(d / "x.prob", np.full((2, 3), 1 / 3))
+    loss_check = ["loss-check", "--overlaps", str(d / "x.tovp"), "--probs", str(d / "x.prob")]
     common = ["--scans", str(sim / "scans"), "--boxes", str(sim / "boxes.jsonl"),
               "--poses", str(sim / "poses.txt")]
     argvs = {
@@ -59,6 +73,8 @@ def loaded(tmp_path_factory):
         "eval": ["eval", *common, "--labels", str(sim / "labels"), "--predictions", str(d / "pred")],
         "stats": ["stats", *common],
         "extract --help": ["extract", "--help"],
+        "loss-check": loss_check,
+        "loss-check --recon": [*loss_check, "--recon", str(d / "x.trcn"), "--recon-probs", str(d / "x.prob")],
     }
     out = {}
     for name, argv in argvs.items():  # in order: each reads what the one before wrote

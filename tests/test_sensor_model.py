@@ -1,6 +1,7 @@
 """Sensor model: beam reconstruction, divergence radius, occupancy rule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,24 @@ class TestRigidTransform:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3) * 1.01, np.zeros(3))
+
+    def test_apply_makes_one_array_with_the_bits_of_the_sum(self):
+        # the translation is added in place: pts @ R.T + t held a second
+        # (N, 3) array at once, the high-water mark of label, eval and stats
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pose = RigidTransform(q * np.sign(np.linalg.det(q)), rng.normal(size=3))
+        pts = rng.normal(size=(100_000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = pose.apply(pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pts.nbytes, peak
+        assert got.tobytes() == (pts @ pose.rotation.T + pose.translation).tobytes()
+        assert pose.apply(pts[0]).tobytes() == (pts[0] @ pose.rotation.T + pose.translation).tobytes()
 
     def test_scan_reframe_moves_origin(self):
         pose_a = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
