@@ -69,7 +69,7 @@ RECORD_DTYPE = np.dtype(
 # structured dtype when gathering, scattering or concatenating records
 _RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
 
-# records per chunk of the order check in _is_canonical: 256 KiB of keys
+# records per chunk of the order check in _canonical_tail: 256 KiB of keys
 _ORDER_CHUNK = 1 << 15
 _OUT_OF_ORDER = "overlap records are not in (current, offset, adjacent, rank) order"
 
@@ -129,7 +129,7 @@ class OverlapSet(RecordSet):
 
     def __init__(self, records: np.ndarray, presorted: bool = False):
         records = np.asarray(records, dtype=RECORD_DTYPE)
-        if not (presorted or _is_canonical(records)):
+        if not presorted and _canonical_tail(records, (0, 0)) is None:
             raise ValueError(_OUT_OF_ORDER)
         self.records = records
 
@@ -146,29 +146,22 @@ def _tail_keys(records: np.ndarray) -> np.ndarray:
     return key
 
 
-def _canonical_tail(chunk: np.ndarray, last: tuple):
-    """The (current, tail key) pair of the last record of ``chunk``, a
-    non-empty run of records that follows a record whose pair is ``last``,
-    when the run keeps canonical order: the current index never falls, and
-    among equal current indices the (offset, adjacent, rank) key never
-    falls.  None when it does not."""
-    cur, tail = chunk["current_index"], _tail_keys(chunk)
-    falls = (cur[1:] < cur[:-1]) | ((cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1]))
-    if (int(cur[0]), int(tail[0])) < last or falls.any():
-        return None
-    return int(cur[-1]), int(tail[-1])
-
-
-def _is_canonical(records: np.ndarray) -> bool:
-    """Whether the records are in (current, offset, adjacent, rank) order,
-    checked by :func:`_canonical_tail` ``_ORDER_CHUNK`` records at a time,
-    so one chunk of keys is held whatever the set's size."""
-    last = (0, 0)
+def _canonical_tail(records: np.ndarray, last: tuple):
+    """The (current, tail key) pair of the last record of ``records``, a run
+    of records that follows a record whose pair is ``last`` (``last`` itself
+    for an empty run), when the run keeps canonical order: the current index
+    never falls, and among equal current indices the (offset, adjacent,
+    rank) key never falls.  None when it does not.  Checked
+    ``_ORDER_CHUNK`` records at a time, so one chunk of keys is held
+    whatever the run's size."""
     for lo in range(0, len(records), _ORDER_CHUNK):
-        last = _canonical_tail(records[lo:lo + _ORDER_CHUNK], last)
-        if last is None:
-            return False
-    return True
+        chunk = records[lo:lo + _ORDER_CHUNK]
+        cur, tail = chunk["current_index"], _tail_keys(chunk)
+        falls = (cur[1:] < cur[:-1]) | ((cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1]))
+        if (int(cur[0]), int(tail[0])) < last or falls.any():
+            return None
+        last = int(cur[-1]), int(tail[-1])
+    return last
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ files fail loudly instead of decoding garbage.  Readers validate sizes
 before touching content; writers produce files whose read-write round trip
 is byte-identical.  Overlap and reconstruction sets are held in their
 on-disk record layouts, so they are written and read without a cast.
-They and ``.prob`` rows are read whole, or block by block through
-:class:`Blocks` with the same checks, so a reader of any file size can
-hold one block.
+Their records are read only through :class:`Blocks`, which checks the
+header, the length and the order of the records: a whole-file reader
+takes them as one block, and a streaming one holds one block at a time.
 
 The modules that only one format needs (PyYAML and ``simulator`` for
 scenes, ``extraction`` and ``recon`` for record sets, ``hashlib`` for the
@@ -216,23 +216,12 @@ def _set_header(fh, path, magic: bytes, header_dtype, record_dtype):
     return header, n_stored
 
 
-def _read_set(path, magic: bytes, header_dtype, record_dtype):
-    """Validate and decode a file written by :func:`_write_set`; returns
-    (header, records), read straight into an array of ``record_dtype``."""
-    with open(path, "rb") as fh:
-        header, n_stored = _set_header(fh, path, magic, header_dtype, record_dtype)
-        records = np.fromfile(fh, dtype=record_dtype, count=n_stored)
-    if len(records) != n_stored:
-        raise TruncatedFile(f"{path}: ended after {len(records)} of {n_stored} records")
-    return header, records
-
-
 class Blocks:
     """The records of a set file, or the rows of a ``.prob`` file, in file
     order: each :meth:`read` takes the next ``k`` with one ``np.fromfile``,
-    so a reader holds one block whatever the file's size.  ``check(fh)``
-    validates the header and the length, as the whole-file readers do,
-    before any record is read, and returns (record count, info).
+    the one read of set records, so a reader holds one block whatever the
+    file's size.  ``check(fh)`` validates the header and the length before
+    any record is read, and returns (record count, info).
     ``order``, when given, is (step, key before the first record, message):
     ``step(block, key)`` returns the key of the block's last record, or
     None when the block falls out of order, a FormatError naming the file.
@@ -297,22 +286,18 @@ def write_overlap_file(path, overlaps, sensor: SensorConfig,
 
 def read_overlap_file(path):
     """Returns (OverlapSet, OverlapFileInfo), the set's records in the
-    stored layout, ``extraction.RECORD_DTYPE``.  Records out of canonical
-    order are a FormatError, never sorted: ``.prob`` rows pair in file order."""
-    from .extraction import RECORD_DTYPE, OverlapSet
+    stored layout, ``extraction.RECORD_DTYPE``, read as one block of
+    :func:`overlap_blocks`: records out of canonical order are a
+    FormatError, never sorted, as ``.prob`` rows pair in file order."""
+    from .extraction import OverlapSet
 
-    header, rec = _read_set(path, OVERLAP_MAGIC, _OVERLAP_HEADER, RECORD_DTYPE)
-    info = _overlap_info(path, header)
-    try:
-        return OverlapSet(rec), info
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from None
+    with overlap_blocks(path) as blocks:
+        return OverlapSet(blocks.read(blocks.count), presorted=True), blocks.info
 
 
 def overlap_blocks(path) -> Blocks:
     """:class:`Blocks` of a ``.tovp`` file, its info an OverlapFileInfo,
-    refusing records out of canonical order as :func:`read_overlap_file`
-    does, one block at a time."""
+    refusing records out of canonical order."""
     from .extraction import _OUT_OF_ORDER, RECORD_DTYPE, _canonical_tail
 
     def check(fh):
@@ -331,11 +316,13 @@ def write_recon_file(path, rset: "ReconSet"):
 
 
 def read_recon_file(path) -> "ReconSet":
-    """Returns the ReconSet of the file's records, in the stored layout."""
-    from .recon import RECON_DTYPE, ReconSet
+    """Returns the ReconSet of the file's records, in the stored layout,
+    read as one block of :func:`recon_blocks`: records out of beam order
+    are a FormatError."""
+    from .recon import ReconSet
 
-    _, rec = _read_set(path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE)
-    return ReconSet(rec)
+    with recon_blocks(path) as blocks:
+        return ReconSet(blocks.read(blocks.count))
 
 
 def _beam_tail(block: np.ndarray, last: int):
@@ -545,6 +532,11 @@ def write_report(path, report: dict):
 # and scan directories are read in name order, so a seventh digit would
 # sort scan 1000000 before scan 1
 MAX_SCANS = 1_000_000
+# most beams (elevations x azimuths) in a scan of a scene, 32 times a
+# 64x2048 sensor: one scan at the bound peaks at 529 MB (VmHWM of `tovp
+# simulate`, 64x65536 beams, a ground plane and two boxes), and at 945 MB
+# as 4194304x1 beams
+MAX_BEAMS = 1 << 22
 
 @dataclass(frozen=True)
 class SimScene:
@@ -597,16 +589,22 @@ def read_scene(path) -> SimScene:
     if isinstance(elev, dict):
         at_elev = at + "elevations_rad."
         check_keys(elev, ("min", "max", "count"), at_elev)
+        rows = _field(elev, "count", "an integer >= 1", at_elev)
+        if rows > MAX_BEAMS:
+            raise SchemaViolation(f"{at_elev}count must be at most {MAX_BEAMS}, got {rows}")
         elevations = tuple(np.linspace(float(_field(elev, "min", "a finite number", at_elev)),
-                                       float(_field(elev, "max", "a finite number", at_elev)),
-                                       _field(elev, "count", "an integer >= 1", at_elev)))
+                                       float(_field(elev, "max", "a finite number", at_elev)), rows))
     else:
         elevations = tuple(float(check_kind(v, "a finite number", f"{at}elevations_rad[{k}]"))
                            for k, v in enumerate(_field(lidar, "elevations_rad", "a list", at)))
+    azimuths = _field(lidar, "azimuth_count", "an integer >= 1", at)
+    if len(elevations) * azimuths > MAX_BEAMS:
+        raise SchemaViolation(f"{at}azimuth_count must be at most {MAX_BEAMS // len(elevations)} "
+                              f"for {len(elevations)} elevations, got {azimuths}")
     try:
         spec = SpinningLidarSpec(
             elevation_angles_rad=elevations,
-            azimuth_step_rad=2.0 * np.pi / _field(lidar, "azimuth_count", "an integer >= 1", at),
+            azimuth_step_rad=2.0 * np.pi / azimuths,
             max_range_m=float(_field(lidar, "max_range_m", "a finite number > 0", at, 120.0)),
             range_noise_std_m=float(_field(lidar, "range_noise_std_m", "a finite number >= 0", at, 0.0)),
         )

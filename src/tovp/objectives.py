@@ -84,60 +84,65 @@ class ClassWeights:
         return np.array([self.free, self.occupied, self.unknown])
 
 
-def _probability_matrix(predictions) -> np.ndarray:
-    """(M, 3) probabilities: float32 rows as given, anything else float64."""
-    p = np.asarray(predictions)
-    if p.dtype != np.float32:
-        p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[1] != N_STATES:
+def _slices(states, predictions, conf=None):
+    """``rows_of`` for :func:`_mean_nll` over whole-batch arrays: a leaf's
+    rows are slices of them.  ``predictions`` are (M, 3) probabilities,
+    float32 rows as given and anything else as float64."""
+    probs = np.asarray(predictions)
+    if probs.dtype != np.float32:
+        probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != N_STATES:
         raise ValueError(f"predictions must be (M, {N_STATES})")
-    return p
-
-
-def _weighted_nll_sum(states, predictions, weights: ClassWeights, conf=None) -> float:
-    """Sum of (conf * w[state]) * -log(p[state]) over the batch, with
-    conf = 1 when not given: the bits of ``np.sum`` of the whole-batch
-    product, never held.  This walks np.sum's pairwise tree (n split at
-    n // 2, rounded down to a multiple of 8) down to leaves of at most
-    ``_CHUNK`` rows, and sums each leaf with :func:`_leaf_sum`."""
-    probs = _probability_matrix(predictions)
     s = np.asarray(states)
     if s.shape != (len(probs),):
         raise CountMismatch(f"{len(s)} states for {len(probs)} predictions")
     if conf is not None and conf.shape != s.shape:
         raise CountMismatch(f"{conf.shape} confidences for {s.shape} points")
+    return lambda rows: (s[rows], probs[rows], None if conf is None else conf[rows])
+
+
+def _mean_nll(n: int, rows_of, weights: ClassWeights, what: str) -> float:
+    """Mean over ``n`` rows of (conf * w[state]) * -log(p[state]), with
+    conf = 1 when not given: the bits of ``np.sum`` of the whole-batch
+    product, never held, divided by n.  This walks np.sum's pairwise tree
+    (see :func:`_tree_sum`) down to leaves of at most ``_CHUNK`` rows, in
+    row order; ``rows_of(rows)`` gives a leaf's (states, probabilities,
+    confidences or None), which are gathered, widened, checked, logged and
+    weighted where they are made.  Widening float32 is exact, so float32
+    inputs give the bits of their float64 copies.  A sum that overflows is
+    a NonFiniteLoss of ``what``."""
     w = weights.as_array()
-    return float(_tree_sum(lambda rows: _leaf_sum(
-        s[rows], probs[rows], w, None if conf is None else conf[rows]), 0, len(probs)))
 
+    def leaf(rows):
+        states, probs, conf = rows_of(rows)
+        idx = states.astype(np.intp)
+        # a negative state wraps to a huge unsigned one
+        if idx.view(np.uintp).max() >= N_STATES:
+            bad = idx[(idx < 0) | (idx >= N_STATES)][0]
+            raise BadState(f"state {bad} is not FREE 0, OCCUPIED 1 or UNKNOWN 2")
+        # one gather from the flat rows, not one per row of three
+        p_true = probs.reshape(-1).take(np.arange(0, N_STATES * len(probs), N_STATES) + idx)
+        p_true = p_true.astype(np.float64, copy=False)
+        if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
+            raise NonFiniteLoss("true-class probability is zero or non-finite")
+        nll = np.negative(np.log(p_true, out=p_true), out=p_true)
+        factor = w[idx]
+        if conf is not None:
+            factor *= conf
+        nll *= factor
+        return np.sum(nll)
 
-def _leaf_sum(states, probs, w: np.ndarray, conf=None):
-    """``np.sum`` of (conf * w[state]) * -log(p[state]) over one leaf's
-    rows, gathered, widened, checked, logged and weighted where they are
-    made.  Widening float32 is exact, so float32 inputs give the bits of
-    their float64 copies."""
-    idx = states.astype(np.intp)
-    # a negative state wraps to a huge unsigned one
-    if idx.view(np.uintp).max() >= N_STATES:
-        bad = idx[(idx < 0) | (idx >= N_STATES)][0]
-        raise BadState(f"state {bad} is not FREE 0, OCCUPIED 1 or UNKNOWN 2")
-    # one gather from the flat rows, not one per row of three
-    p_true = probs.reshape(-1).take(np.arange(0, N_STATES * len(probs), N_STATES) + idx)
-    p_true = p_true.astype(np.float64, copy=False)
-    if np.any(p_true <= 0.0) or not np.all(np.isfinite(p_true)):
-        raise NonFiniteLoss("true-class probability is zero or non-finite")
-    nll = np.negative(np.log(p_true, out=p_true), out=p_true)
-    factor = w[idx]
-    if conf is not None:
-        factor *= conf
-    nll *= factor
-    return np.sum(nll)
+    total = float(_tree_sum(leaf, 0, n))
+    if not np.isfinite(total):
+        raise NonFiniteLoss(f"{what} overflowed")
+    return total / n
 
 
 def _tree_sum(leaf, lo: int, n: int):
     """The sum of ``leaf(rows)`` over rows lo to lo + n, split as np.sum
-    splits them; a module function, not a closure that calls itself, so
-    that no reference cycle keeps the caller's arrays alive."""
+    splits them (n at n // 2, rounded down to a multiple of 8); a module
+    function, not a closure that calls itself, so that no reference cycle
+    keeps the caller's arrays alive."""
     if n <= _CHUNK:
         return leaf(slice(lo, lo + n))
     half = n // 2 - n // 2 % 8
@@ -153,10 +158,8 @@ def overlap_loss(states, confidences, predictions, weights: ClassWeights = Class
     """
     if len(predictions) == 0:
         raise EmptyBatch("overlap loss needs at least one point")
-    total = _weighted_nll_sum(states, predictions, weights, np.asarray(confidences))
-    if not np.isfinite(total):
-        raise NonFiniteLoss("overlap loss overflowed")
-    return total / len(predictions)
+    rows_of = _slices(states, predictions, np.asarray(confidences))
+    return _mean_nll(len(predictions), rows_of, weights, "overlap loss")
 
 
 def recon_loss(
@@ -177,33 +180,23 @@ def recon_loss(
         raise CountMismatch(f"expected {expected} samples, got {len(predictions)}")
     if expected == 0:
         raise EmptyBatch("reconstruction loss needs at least one sample")
-    total = _weighted_nll_sum(states, predictions, weights)
-    if not np.isfinite(total):
-        raise NonFiniteLoss("reconstruction loss overflowed")
-    return total / expected
+    return _mean_nll(expected, _slices(states, predictions), weights, "reconstruction loss")
 
 
 def streamed_overlap_loss(records, probs, weights: ClassWeights = ClassWeights()) -> float:
     """:func:`overlap_loss` of a ``.tovp`` file's records and their
     ``.prob`` rows, ``records`` and ``probs`` as opened by
-    ``formats.overlap_blocks`` and ``formats.probability_blocks``.  The
-    leaves of the sum are visited in row order, and each reads its rows
-    from both files, so one leaf is held and the bits are those of the
-    whole-set call."""
-    n = records.count
-    if n == 0:
-        raise EmptyBatch("overlap loss needs at least one point")
-    w = weights.as_array()
+    ``formats.overlap_blocks`` and ``formats.probability_blocks``.  Each
+    leaf of the sum reads its rows from both files, so one leaf is held and
+    the bits are those of the whole-set call."""
+    if records.count == 0:
+        raise EmptyBatch(f"{records.path}: overlap loss needs at least one point")
 
-    def leaf(rows):
-        k = rows.stop - rows.start
-        block = records.read(k)
-        return _leaf_sum(block["state"], probs.read(k), w, block["confidence"])
+    def rows_of(rows):
+        block = records.read(rows.stop - rows.start)
+        return block["state"], probs.read(len(block)), block["confidence"]
 
-    total = float(_tree_sum(leaf, 0, n))
-    if not np.isfinite(total):
-        raise NonFiniteLoss("overlap loss overflowed")
-    return total / n
+    return _mean_nll(records.count, rows_of, weights, "overlap loss")
 
 
 def streamed_recon_loss(records, probs, weights: ClassWeights = ClassWeights()) -> float:
@@ -215,23 +208,19 @@ def streamed_recon_loss(records, probs, weights: ClassWeights = ClassWeights()) 
     n = records.count
     if n == 0:
         raise EmptyBatch(f"{records.path}: no reconstruction samples")
-    w = weights.as_array()
     runs = _Runs()
 
-    def leaf(rows):
-        k = rows.stop - rows.start
-        block = records.read(k)
+    def rows_of(rows):
+        block = records.read(rows.stop - rows.start)
         runs.add(block["current_index"], rows.start)
-        return _leaf_sum(block["state"], probs.read(k), w)
+        return block["state"], probs.read(len(block)), None
 
-    total = float(_tree_sum(leaf, 0, n))
+    loss = _mean_nll(n, rows_of, weights, "reconstruction loss")  # over n_beams * per_beam
     low, high = runs.close(n)
     if low != high:
         raise CountMismatch(f"{records.path}: beams hold {low} to {high} samples; "
                             "every beam must hold the same count")
-    if not np.isfinite(total):
-        raise NonFiniteLoss("reconstruction loss overflowed")
-    return total / n  # n_beams * per_beam
+    return loss
 
 
 class _Runs:

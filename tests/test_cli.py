@@ -368,6 +368,10 @@ class TestBadValuesAreSchemaViolations:
          "lidar.range_noise_std_m must be a finite number >= 0, got -1"),
         # refused before any time or pose is made: this once exited 3 as a MemoryError
         ("count: 7", "count: 100000000", "trajectory.count must be at most 1000000, got 100000000"),
+        # refused before any ray is made: these once exited 3 as a MemoryError
+        ("count: 4}", "count: 100000000}", "lidar.elevations_rad.count must be at most 4194304, got 100000000"),
+        ("azimuth_count: 32", "azimuth_count: 100000000",
+         "lidar.azimuth_count must be at most 1048576 for 4 elevations, got 100000000"),
     ])
     def test_scene(self, tmp_path, capsys, old, new, key):
         scene = tmp_path / "scene.yaml"
@@ -960,6 +964,15 @@ class TestLossCheck:
                      "--probs", str(probs), "--recon", str(recon_path),
                      "--recon-probs", str(rprobs_path)]) == 2
         assert "state 3" in capsys.readouterr().err
+
+    def test_empty_overlap_set_names_the_file(self, tmp_path, capsys):
+        path, probs = tmp_path / "x.tovp", tmp_path / "x.prob"
+        write_overlap_file(path, OverlapSet.empty(), SensorConfig())
+        write_probabilities(probs, np.zeros((0, 3)))
+        assert main(["loss-check", "--overlaps", str(path), "--probs", str(probs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: overlap loss needs at least one point\n"
 
     def test_empty_recon_set_is_data_error(self, tmp_path, capsys):
         path, probs = self.overlap_file(tmp_path, 1, 1.0, [0.2, 0.5, 0.3])

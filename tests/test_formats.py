@@ -279,14 +279,14 @@ class TestOverlapFile:
             rec["adjacent_index"] += base
             keys = [rec[name] for name in ("sample_rank", "adjacent_index", "scan_offset", "current_index")]
             canonical = rec[np.lexsort(keys)]
-            assert extraction._is_canonical(canonical)
+            assert extraction._canonical_tail(canonical, (0, 0)) is not None
             path = tmp_path / f"{base}.tovp"
             write_overlap_file(path, OverlapSet(canonical), SENSOR)
             back, _ = read_overlap_file(path)
             assert back.records.tobytes() == canonical.tobytes()
 
             shuffled = canonical[np.random.default_rng(4).permutation(len(canonical))]
-            assert not extraction._is_canonical(shuffled)
+            assert extraction._canonical_tail(shuffled, (0, 0)) is None
             with pytest.raises(ValueError, match="order"):
                 OverlapSet(shuffled)
             write_overlap_file(path, [shuffled], SENSOR)
@@ -305,12 +305,12 @@ class TestOverlapFile:
         rec["adjacent_index"] = np.random.default_rng(8).permutation(50)  # unique keys
         keys = [rec[name] for name in ("sample_rank", "adjacent_index", "scan_offset", "current_index")]
         canonical = rec[np.lexsort(keys)]
-        assert extraction._is_canonical(canonical)
-        assert extraction._is_canonical(canonical[:1]) and extraction._is_canonical(canonical[:0])
+        for run in (canonical, canonical[:1], canonical[:0]):
+            assert extraction._canonical_tail(run, (0, 0)) is not None
         for i in (0, 1, 5, 6, 7, 12, 13, 14, 20, 47, 48):
             swapped = canonical.copy()
             swapped[[i, i + 1]] = swapped[[i + 1, i]]
-            assert not extraction._is_canonical(swapped), i
+            assert extraction._canonical_tail(swapped, (0, 0)) is None, i
 
     @pytest.mark.slow
     def test_large_round_trip(self, tmp_path):
@@ -470,9 +470,10 @@ class TestBlocks:
             rec = np.zeros(len(beams), dtype=RECON_DTYPE)
             rec["current_index"] = beams
             write_recon_file(path, ReconSet(rec))
+            want = (FormatError, f"{path}: reconstruction records are not in beam index order")
             assert error_of(lambda: read_all(formats.recon_blocks(path), [2] * (len(beams) // 2)
-                                             + [1] * (len(beams) % 2))) == (
-                FormatError, f"{path}: reconstruction records are not in beam index order")
+                                             + [1] * (len(beams) % 2))) == want
+            assert error_of(lambda: read_recon_file(path)) == want
 
     def test_a_read_past_the_end_is_truncated(self, tmp_path):
         path = tmp_path / "x.tovp"
@@ -533,6 +534,22 @@ class TestReconFile:
             assert write_peak < payload / 8, write_peak
             assert read_peak < 1.1 * payload, read_peak
             assert back.records.tobytes() == held.records.tobytes()
+
+    def test_whole_overlap_read_holds_one_chunk_of_keys(self, tmp_path):
+        # the order check of a whole-file read takes one chunk of keys at a
+        # time: a key of 8 bytes per record would add 8 MB here
+        records = overlap_records(1 << 20, seed=7)
+        path = tmp_path / "x.tovp"
+        write_overlap_file(path, [records], SENSOR)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back, _ = read_overlap_file(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= records.nbytes + 8 * extraction._ORDER_CHUNK + (1 << 20), peak
+        assert back.records.tobytes() == records.tobytes()
 
 
 class TestLabelsAndProbabilities:
@@ -852,6 +869,23 @@ class TestScene:
         assert len(read_scene(path).times) == 3
         path.write_text(text.format(4))
         with pytest.raises(SchemaViolation, match="at most 3, got 4"):
+            read_scene(path)
+
+    def test_beam_count_bound(self, tmp_path):
+        # elevations x azimuths, at most 32 times a 64x2048 sensor
+        assert formats.MAX_BEAMS == 32 * 64 * 2048
+        path = tmp_path / "scene.yaml"
+        text = ("lidar:\n  elevations_rad: {}\n  azimuth_count: {}\n"
+                "trajectory:\n  count: 1\n  period_s: 0.5\n  start: [0, 0, 1]\n")
+        path.write_text(text.format("[0.0, 0.1]", 1 << 21))
+        assert read_scene(path).lidar.n_azimuths == 1 << 21
+        path.write_text(text.format("[0.0, 0.1]", (1 << 21) + 1))
+        with pytest.raises(SchemaViolation, match=re.escape(
+                f"{path}: lidar.azimuth_count must be at most 2097152 for 2 elevations, got 2097153")):
+            read_scene(path)
+        path.write_text(text.format("{min: 0.0, max: 0.1, count: 4194305}", 1))
+        with pytest.raises(SchemaViolation, match=re.escape(
+                f"{path}: lidar.elevations_rad.count must be at most 4194304, got 4194305")):
             read_scene(path)
 
     @pytest.mark.parametrize("key, value", [("start", "[.nan, 0.0, 1.7]"), ("velocity", "[2.0, .inf, 0.0]"),
