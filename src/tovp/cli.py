@@ -263,13 +263,13 @@ def cmd_simulate(args) -> int:
           f"beams={len(sim.lidar.elevation_angles_rad)}x{sim.lidar.n_azimuths}")
 
     boxes = sim.scene.all_boxes()
+    # whether each hit box moves, then False for hit_box -1, a ground return
+    moving = np.array([box.is_moving for box in boxes] + [False], dtype=bool)
     with _AtomicOutputs() as outputs:
         for i, (pose, time) in enumerate(zip(sim.poses, sim.times)):
             scan, hit_box = simulate_scan_with_hits(
                 sim.scene, sim.lidar, pose, time, noise_seed=cfg["seed"] + i)
-            moving = np.array([box.is_moving for box in boxes], dtype=bool)
-            labels = np.where((hit_box >= 0) & moving[hit_box],
-                              np.uint8(MotionClass.MOVING),
+            labels = np.where(moving[hit_box], np.uint8(MotionClass.MOVING),
                               np.uint8(MotionClass.STATIC))
             outputs.write(os.path.join(scans_dir, f"{i:06d}.bin"),
                           lambda p: formats.write_scan_bin(p, scan.points,

@@ -17,11 +17,12 @@ in the frame of the baseline between the two sensors.  Every coplanarity
 plane contains the baseline, so it is an epipolar plane of the two sensors
 and one angle fixes it: its azimuth around the baseline axis.  Coplanarity
 then is a window test on the azimuth, read from rows of adjacent
-directions with similar angles to the axis, and the candidates are
-re-tested exactly.  Crossings ahead of both sensors need an adjacent beam
-farther from the baseline axis than the current one, on the current beam's
-side of that axis except in a thin band by the far end of the axis, so the
-query skips the other rows and windows (see :func:`_band_candidates`).
+directions with similar angles to the axis, and the kernel keeps a
+candidate by one mask, the exact angle test with the crossing gates.
+Crossings ahead of both sensors need an adjacent beam farther from the
+baseline axis than the current one, on the current beam's side of that
+axis except in a thin band by the far end of the axis, so the query
+skips the other rows and windows (see :func:`_band_candidates`).
 Everything downstream of the candidate query is vectorized.  The current
 scan is extracted in fixed blocks of CHUNK beams, each against every
 adjacent scan and sorted once into canonical order; the blocks cover
@@ -146,21 +147,28 @@ def _tail_keys(records: np.ndarray) -> np.ndarray:
     return key
 
 
-def _canonical_tail(records: np.ndarray, last: tuple):
-    """The (current, tail key) pair of the last record of ``records``, a run
-    of records that follows a record whose pair is ``last`` (``last`` itself
-    for an empty run), when the run keeps canonical order: the current index
-    never falls, and among equal current indices the (offset, adjacent,
-    rank) key never falls.  None when it does not.  Checked
-    ``_ORDER_CHUNK`` records at a time, so one chunk of keys is held
-    whatever the run's size."""
+def _canonical_tail(records: np.ndarray, last: tuple, tail_keys=_tail_keys):
+    """The key of the last record of ``records``, a run of records that
+    follows a record whose key is ``last`` (``last`` itself for an empty
+    run), when the run keeps canonical order: the current index never
+    falls, and among equal current indices the ``tail_keys`` key never
+    falls.  None when it does not.  A key is (current, tail key), or
+    (current,) with ``tail_keys`` None, the beam order of ``.trcn``
+    records.  Checked ``_ORDER_CHUNK`` records at a time, so one chunk of
+    keys is held whatever the run's size."""
     for lo in range(0, len(records), _ORDER_CHUNK):
         chunk = records[lo:lo + _ORDER_CHUNK]
-        cur, tail = chunk["current_index"], _tail_keys(chunk)
-        falls = (cur[1:] < cur[:-1]) | ((cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1]))
-        if (int(cur[0]), int(tail[0])) < last or falls.any():
+        # a contiguous copy: the comparisons read it several times
+        keys = [np.ascontiguousarray(chunk["current_index"])]
+        cur = keys[0]
+        falls = cur[1:] < cur[:-1]
+        if tail_keys is not None:
+            tail = tail_keys(chunk)
+            falls |= (cur[1:] == cur[:-1]) & (tail[1:] < tail[:-1])
+            keys.append(tail)
+        if tuple(int(k[0]) for k in keys) < last or falls.any():
             return None
-        last = int(cur[-1]), int(tail[-1])
+        last = tuple(int(k[-1]) for k in keys)
     return last
 
 
@@ -191,8 +199,6 @@ class DirectionIndex:
     """
 
     def __init__(self, adjacent: Scan, cell_size_rad: float):
-        if len(adjacent) == 0:
-            raise EmptyScan("cannot index an empty scan")
         self.cell_size = float(cell_size_rad)
         self.origin = adjacent.sensor_origin.copy()
         self.beam_ids, self.directions, self.ranges = adjacent.beams()
@@ -332,8 +338,6 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=N
                          index._row_start[row_r] + index._row_len[row_r]])
     who = np.concatenate([wi, row_i]).astype(np.int32)
     keep = hi > lo
-    if not keep.any():
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
     lo, hi = lo[keep], hi[keep]
     return np.repeat(who[keep], hi - lo), index._pos[_ranges_to_indices(lo, hi)]
 
@@ -341,11 +345,11 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=N
 def _ranges_to_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate arange(s, e) for every (s, e) pair with s < e, vectorized:
     a cumulative sum of unit steps, with each range's first step jumping
-    from the previous range's last index."""
+    from the previous range's last index, or from 0; no pair gives an
+    empty array."""
     counts = ends - starts
     step = np.ones(int(counts.sum()), dtype=np.int32)
-    step[0] = starts[0]
-    step[np.cumsum(counts[:-1])] = starts[1:] - ends[:-1] + 1
+    step[np.cumsum(counts) - counts] = starts - np.concatenate(([0], ends[:-1] - 1))
     return np.cumsum(step, dtype=np.int32)
 
 
@@ -396,9 +400,9 @@ def _band_planes(d, a):
 
 
 def _coarse_bound(theta: float) -> float:
-    """The |n . e| bound of the coarse coplanarity test: sin(theta / 2),
-    padded past the rounding of the exact test, so that every pair the
-    exact test keeps lies within it.  The band query reads this band."""
+    """The |n . e| half-width of the band the band query reads:
+    sin(theta / 2), padded past the rounding of the kernel's exact angle
+    test, so that every pair that test keeps lies within the band."""
     return math.sin(theta / 2.0) + 1e-9
 
 
@@ -420,32 +424,21 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
     samples along their shared segment, when that segment starts ahead of
     the sensor.  Samples outside the crop box, behind either sensor, or
     farther than the tail past the current hit are dropped, and the rest
-    are labeled against the adjacent beam's range.  Returns the records as
-    a list of unsorted runs viewed as bytes.
+    are labeled against the adjacent beam's range.  The angle test and the
+    crossing gates form one mask over the pairs, and the pair columns are
+    compacted once, by that mask.  Returns the records as a list of
+    unsorted runs viewed as bytes.
     """
     theta = sensor.divergence_angle_rad
     tau = math.tan(theta / 2.0)
     ids, d, r, normals = cur
     adj_ids, e, s, points = adj
-    if len(ii) == 0:
-        return []
 
-    # coplanarity: a coarse sine bound, then the exact angle test on what
-    # passes it; (n, 3) gathers use take(axis=0), several times faster than
-    # fancy indexing
-    e_j = e.take(jj, axis=0)
-    ndote = np.einsum("ij,ij->i", normals.take(ii, axis=0), e_j)
-    sel = np.nonzero(np.abs(ndote) <= _coarse_bound(theta))[0]
-    cop = np.abs(np.arccos(np.clip(ndote[sel], -1.0, 1.0)) - np.pi / 2.0) <= theta / 2.0
-    sel = sel[cop]
-    if len(sel) == 0:
-        return []
-    ii, jj, e_j = ii[sel], jj[sel], e_j.take(sel, axis=0)
-
-    # centerline crossing q = t * d_i, kept where the lines truly cross ahead
-    # of both sensors (t > 0 and p_adj > 0; NaN from parallel lines fails
-    # both), with a centerline gap |a . m| / |m| within the beam radii
-    d_i = d.take(ii, axis=0)
+    # centerline crossing q = t * d_i, where the lines truly cross ahead of
+    # both sensors (t > 0 and p_adj > 0; NaN from parallel lines fails
+    # both), with a centerline gap |a . m| / |m| within the beam radii; (n, 3)
+    # gathers use take(axis=0), several times faster than fancy indexing
+    d_i, e_j = d.take(ii, axis=0), e.take(jj, axis=0)
     d0, d1, d2 = d_i[:, 0], d_i[:, 1], d_i[:, 2]
     e0, e1, e2 = e_j[:, 0], e_j[:, 1], e_j[:, 2]
     m = np.empty_like(d_i)
@@ -462,7 +455,10 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
         q = t[:, None] * d_i
         p_adj = np.einsum("ij,ij->i", q - a, e_j)
         meet = np.abs(m @ a) <= (t + p_adj) * tau * np.sqrt(mm)
-    ok = (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0) & meet
+    # one gate: the exact coplanarity test and the crossing
+    ndote = np.einsum("ij,ij->i", normals.take(ii, axis=0), e_j)
+    ok = np.abs(np.arccos(np.clip(ndote, -1.0, 1.0)) - np.pi / 2.0) <= theta / 2.0
+    ok &= (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0) & meet
     sel = np.nonzero(ok)[0]
     if len(sel) == 0:
         return []
@@ -595,7 +591,7 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
         # ORIGIN_EPS or less (a stationary sensor) leaves none, and the job
         # ends before the index build
         live, normals = _band_planes(dirs, adjacent.sensor_origin)
-        if len(adjacent) == 0 or len(live) == 0:
+        if len(live) == 0:
             continue
         cur = (ids, dirs, ranges, normals)
         if len(live) < len(ids):

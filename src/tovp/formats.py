@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -325,25 +326,18 @@ def read_recon_file(path) -> "ReconSet":
         return ReconSet(blocks.read(blocks.count))
 
 
-def _beam_tail(block: np.ndarray, last: int):
-    """The last current index of ``block`` when its records keep beam order
-    after a record of beam ``last``: the index never falls; else None."""
-    cur = block["current_index"]
-    if cur[0] < last or np.any(cur[1:] < cur[:-1]):
-        return None
-    return int(cur[-1])
-
-
 def recon_blocks(path) -> Blocks:
     """:class:`Blocks` of a ``.trcn`` file, refusing records out of beam
     order."""
+    from .extraction import _canonical_tail
     from .recon import RECON_DTYPE
 
     def check(fh):
         return _set_header(fh, path, RECON_MAGIC, _RECON_HEADER, RECON_DTYPE)[1], None
 
     return Blocks(path, RECON_DTYPE, check,
-                  (_beam_tail, 0, "reconstruction records are not in beam index order"))
+                  (partial(_canonical_tail, tail_keys=None), (0,),
+                   "reconstruction records are not in beam index order"))
 
 
 # -- labels, predictions, probabilities ----------------------------------------
@@ -592,11 +586,11 @@ def read_scene(path) -> SimScene:
         rows = _field(elev, "count", "an integer >= 1", at_elev)
         if rows > MAX_BEAMS:
             raise SchemaViolation(f"{at_elev}count must be at most {MAX_BEAMS}, got {rows}")
-        elevations = tuple(np.linspace(float(_field(elev, "min", "a finite number", at_elev)),
-                                       float(_field(elev, "max", "a finite number", at_elev)), rows))
+        elevations = np.linspace(float(_field(elev, "min", "a finite number", at_elev)),
+                                 float(_field(elev, "max", "a finite number", at_elev)), rows)
     else:
-        elevations = tuple(float(check_kind(v, "a finite number", f"{at}elevations_rad[{k}]"))
-                           for k, v in enumerate(_field(lidar, "elevations_rad", "a list", at)))
+        elevations = np.array([float(check_kind(v, "a finite number", f"{at}elevations_rad[{k}]"))
+                               for k, v in enumerate(_field(lidar, "elevations_rad", "a list", at))])
     azimuths = _field(lidar, "azimuth_count", "an integer >= 1", at)
     if len(elevations) * azimuths > MAX_BEAMS:
         raise SchemaViolation(f"{at}azimuth_count must be at most {MAX_BEAMS // len(elevations)} "

@@ -55,16 +55,20 @@ class SceneSpec:
         return list(self.static_boxes) + list(self.moving_boxes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinningLidarSpec:
-    """Scan pattern: one beam per (elevation channel, azimuth step)."""
+    """Scan pattern: one beam per (elevation channel, azimuth step).  The
+    elevations are kept as one float64 array, whatever sequence is given;
+    specs compare by identity."""
 
-    elevation_angles_rad: tuple
+    elevation_angles_rad: np.ndarray
     azimuth_step_rad: float
     max_range_m: float = 120.0
     range_noise_std_m: float = 0.0
 
     def __post_init__(self):
+        elevations = np.asarray(self.elevation_angles_rad, dtype=float)
+        object.__setattr__(self, "elevation_angles_rad", elevations)
         if len(self.elevation_angles_rad) < 1:
             raise ValueError("at least one elevation channel required")
         if self.azimuth_step_rad <= 0.0:
@@ -77,7 +81,7 @@ class SpinningLidarSpec:
     def ray_directions(self) -> np.ndarray:
         """Unit directions in the sensor frame, channel-major then azimuth."""
         az = np.arange(self.n_azimuths) * self.azimuth_step_rad
-        el = np.asarray(self.elevation_angles_rad, dtype=float)
+        el = self.elevation_angles_rad
         cos_el = np.cos(el)[:, None]
         d = np.empty((len(el), len(az), 3))
         d[:, :, 0] = cos_el * np.cos(az)[None, :]

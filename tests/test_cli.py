@@ -422,6 +422,19 @@ class TestSimulate:
         np.testing.assert_array_equal(tracks["parked"].centers[0],
                                       tracks["parked"].centers[-1])
 
+    def test_scene_without_boxes(self, tmp_path):
+        # every return is a ground return, so every point is static
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(
+            "ground_plane: true\nlidar:\n  elevations_rad: [-0.2, 0.0]\n  azimuth_count: 8\n"
+            "trajectory:\n  count: 2\n  period_s: 0.5\n  start: [0, 0, 1]\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 0
+        for i in range(2):
+            labels = read_labels(out / "labels" / f"{i:06d}.label")
+            assert len(labels) == len(read_scan_bin(out / "scans" / f"{i:06d}.bin")[0]) == 8
+            assert not labels.any()
+
     def test_empty_trajectory_is_data_error(self, tmp_path, capsys):
         scene = tmp_path / "scene.yaml"
         scene.write_text(

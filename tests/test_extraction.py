@@ -229,8 +229,18 @@ class TestDirectionIndex:
             assert np.all(np.diff(psi[pos]) >= 0)
 
     def test_empty_scan_rejected(self):
-        with pytest.raises(EmptyScan):
+        # an empty scan has no point that forms a beam: one rule for both
+        with pytest.raises(EmptyScan, match="no adjacent point forms a valid beam"):
             build_direction_index(Scan(points=np.empty((0, 3)), time=0.5), 0.003)
+
+    def test_ranges_to_indices(self):
+        # ranges joined in order: one that starts at 0, several, and none
+        for starts, ends, want in (([0], [3], [0, 1, 2]),
+                                   ([0, 5, 6], [2, 6, 9], [0, 1, 5, 6, 7, 8]),
+                                   ([], [], [])):
+            got = extraction._ranges_to_indices(np.array(starts, dtype=np.int64),
+                                                np.array(ends, dtype=np.int64))
+            assert got.dtype == np.int32 and got.tolist() == want
 
     def test_origin_points_are_skipped(self):
         a = np.array([1.0, 0.0, 0.0])

@@ -293,7 +293,7 @@ class TestOverlapFile:
             with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*order"):
                 read_overlap_file(path)
 
-    def test_order_checked_across_chunks(self, monkeypatch):
+    def test_order_checked_across_chunks(self, tmp_path, monkeypatch):
         # chunks of 7 records over pairs of equal current indices: a swap
         # of two records at, just before or just after a chunk seam, or at
         # either end, is found, whether it puts a current index (odd i) or
@@ -311,6 +311,21 @@ class TestOverlapFile:
             swapped = canonical.copy()
             swapped[[i, i + 1]] = swapped[[i + 1, i]]
             assert extraction._canonical_tail(swapped, (0, 0)) is None, i
+
+        # the beam order of .trcn records, read by the same walk: tied beams
+        # pass, and a swap of two beams (odd i), at, just before or just
+        # after a chunk seam, or at the end, is refused
+        beams = recon_set(50, seed=8)
+        beams.records["current_index"] //= 2
+        path = tmp_path / "x.trcn"
+        write_recon_file(path, beams)
+        assert read_recon_file(path).records.tobytes() == beams.records.tobytes()
+        for i in (1, 5, 7, 13, 47):
+            swapped = beams.records.copy()
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+            write_recon_file(path, ReconSet(swapped))
+            with pytest.raises(FormatError, match="beam index order"):
+                read_recon_file(path)
 
     @pytest.mark.slow
     def test_large_round_trip(self, tmp_path):
@@ -535,21 +550,26 @@ class TestReconFile:
             assert read_peak < 1.1 * payload, read_peak
             assert back.records.tobytes() == held.records.tobytes()
 
-    def test_whole_overlap_read_holds_one_chunk_of_keys(self, tmp_path):
+    @pytest.mark.parametrize("make, write, read, n", [
+        SET_FILES[0][:3] + (1 << 20,),
+        SET_FILES[1][:3] + (1 << 21,),
+    ], ids=["tovp", "trcn"])
+    def test_whole_read_holds_one_chunk_of_keys(self, tmp_path, make, write, read, n):
         # the order check of a whole-file read takes one chunk of keys at a
-        # time: a key of 8 bytes per record would add 8 MB here
-        records = overlap_records(1 << 20, seed=7)
-        path = tmp_path / "x.tovp"
-        write_overlap_file(path, [records], SENSOR)
+        # time: a key of 8 bytes per overlap record would add 8 MB here,
+        # and a beam-order test over 2^21 recon records at once 2 MB
+        held = make(n, seed=7)
+        path = tmp_path / "x.set"
+        write(path, held)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            back, _ = read_overlap_file(path)
+            back = read(path)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= records.nbytes + 8 * extraction._ORDER_CHUNK + (1 << 20), peak
-        assert back.records.tobytes() == records.tobytes()
+        assert peak <= held.records.nbytes + 8 * extraction._ORDER_CHUNK + (1 << 20), peak
+        assert back.records.tobytes() == held.records.tobytes()
 
 
 class TestLabelsAndProbabilities:
@@ -831,13 +851,19 @@ class TestScene:
         assert sim.period_s == 0.5
 
     def test_elevation_list_form(self, tmp_path):
-        path = tmp_path / "scene.yaml"
-        path.write_text(
-            "lidar:\n  elevations_rad: [-0.1, 0.0, 0.1]\n  azimuth_count: 64\n"
-            "trajectory:\n  count: 1\n  period_s: 0.5\n  start: [0, 0, 1]\n")
-        sim = read_scene(path)
-        assert sim.lidar.elevation_angles_rad == (-0.1, 0.0, 0.1)
-        assert sim.scene.all_boxes() == []
+        # a list, and a {min, max, count} mapping of the same values, give
+        # equal float64 arrays, and so the same beams
+        lidars = []
+        for form in ("[-0.1, 0.0, 0.1]", "{min: -0.1, max: 0.1, count: 3}"):
+            path = tmp_path / "scene.yaml"
+            path.write_text(f"lidar:\n  elevations_rad: {form}\n  azimuth_count: 64\n"
+                            "trajectory:\n  count: 1\n  period_s: 0.5\n  start: [0, 0, 1]\n")
+            sim = read_scene(path)
+            assert sim.lidar.elevation_angles_rad.dtype == np.float64
+            np.testing.assert_array_equal(sim.lidar.elevation_angles_rad, [-0.1, 0.0, 0.1])
+            assert sim.scene.all_boxes() == []
+            lidars.append(sim.lidar)
+        assert lidars[0].ray_directions().tobytes() == lidars[1].ray_directions().tobytes()
 
     def test_missing_lidar(self, tmp_path):
         path = tmp_path / "scene.yaml"
