@@ -18,7 +18,8 @@ plane contains the baseline, so it is an epipolar plane of the two sensors
 and one angle fixes it: its azimuth around the baseline axis.  Coplanarity
 then is a window test on the azimuth, read from rows of adjacent
 directions with similar angles to the axis, and the kernel keeps a
-candidate by one mask, the exact angle test with the crossing gates.
+candidate by one mask, the coplanarity and crossing gates read off one
+triple product.
 Crossings ahead of both sensors need an adjacent beam farther from the
 baseline axis than the current one, on the current beam's side of that
 axis except in a thin band by the far end of the axis, so the query
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import EmptyScan, FrameMismatch, MissingPose
 from .geometry import ORIGIN_EPS, PARALLEL_EPS
-from .sensor_model import DEFAULT_BOUNDS, Beam, OccupancyState, RecordSet, Scan, SensorConfig
+from .sensor_model import DEFAULT_BOUNDS, FRAME_TOL, Beam, OccupancyState, RecordSet, Scan, SensorConfig
 
 # Current beams per block: a constant, so that what a block costs and holds
 # depends on no option.  Peak memory grows with it (one block per thread in
@@ -258,8 +259,9 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=N
 
     ``d`` holds unit directions of current beams that span a band plane
     (see :func:`_band_planes`).  Each beam gets at least each adjacent
-    direction e within sine distance ``s_lim`` of its coplanarity plane
-    (|n . e| <= s_lim), and no pair twice, in no set order.
+    direction e within sine distance ``s_lim`` of that plane
+    (|m . a| <= s_lim |d x a|, with m = d x e), and no pair twice, in no
+    set order.
 
     The plane of a beam at angle gamma to a_hat has the beam's own azimuth
     psi_d, and e lies sin(beta_e) |sin(psi_e - psi_d)| from it.  In a row
@@ -270,9 +272,10 @@ def _band_candidates(index: DirectionIndex, d: np.ndarray, s_lim: float, theta=N
     and keeps the two windows from meeting.  s_lim is padded by
     1e-13 / sin(gamma).  That is at least 1e-13, far above the rounding of
     the frame and of psi_e; near the baseline axis, where psi_d and the
-    caller's normal are off by a few ulps over sin(gamma), it is a thousand
-    times their error.  One searchsorted reads every window, shifted as its
-    row is; rounding is monotone, so no azimuth in a window is lost.
+    kernel's |m . a| / |d x a| are off by a few ulps over sin(gamma), it is
+    a thousand times their error.  One searchsorted reads every window,
+    shifted as its row is; rounding is monotone, so no azimuth in a window
+    is lost.
 
     ``theta``, when given, also skips pairs that cannot give a record in
     :func:`_pair_records`.  With c = cos(psi_e - psi_d), t has the sign of
@@ -376,45 +379,37 @@ def candidate_pairs(current_beam: Beam, index: DirectionIndex, adjacent_origin) 
 
 def _band_planes(d, a):
     """Band planes of beams with unit directions ``d`` (n, 3) against the
-    adjacent origin ``a``: (live, normals).
+    adjacent origin ``a``: (live, span).
 
-    The normals are those of the planes spanned by each beam and the
-    baseline.  A baseline of ORIGIN_EPS or less, or a beam within
-    PARALLEL_EPS of its line, spans no plane, and a beam without a plane
-    gives no record (as in :func:`geometry.plane_normal`).  ``live`` holds
-    the rows of ``d`` that span one, and ``normals`` their normals.
+    Each beam spans a plane with the baseline unless the baseline is
+    ORIGIN_EPS or shorter, or the beam lies within PARALLEL_EPS of its
+    line (|d x a_hat| < PARALLEL_EPS); a beam without a plane gives no
+    record (as in :func:`geometry.plane_normal`).  ``live`` holds the rows
+    of ``d`` that span one, and ``span`` their |d x a|, the length that
+    turns the kernel's triple product into a sine distance from the plane.
     """
     a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
     if a_norm <= ORIGIN_EPS:
-        return np.empty(0, dtype=np.intp), np.empty((0, 3))
-    cvec = np.cross(d, a / a_norm)
-    c_norm = np.linalg.norm(cvec, axis=1)
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    c_norm = np.linalg.norm(np.cross(d, a / a_norm), axis=1)
     live = np.nonzero(c_norm >= PARALLEL_EPS)[0]
-    if len(live) < len(d):
-        cvec, c_norm = cvec.take(live, axis=0), c_norm[live]
-    return live, cvec / c_norm[:, None]
+    return live, c_norm[live] * a_norm
 
 
 # ---------------------------------------------------------------------------
 # pair extraction
 
 
-def _coarse_bound(theta: float) -> float:
-    """The |n . e| half-width of the band the band query reads:
-    sin(theta / 2), padded past the rounding of the kernel's exact angle
-    test, so that every pair that test keeps lies within the band."""
-    return math.sin(theta / 2.0) + 1e-9
-
-
 def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
     """Records of (current, adjacent) beam pairs: the one copy of the
     per-pair formula, in column form.
 
-    ``cur`` is (ids, unit directions, ranges, band normals) of current
-    beams that span a band plane, ``adj`` is (ids, unit directions, ranges,
-    points) of adjacent beams in the current frame, with ``points`` the
-    adjacent scan's points by id, and ``a`` is the adjacent sensor origin.
-    Pair k joins row ``ii[k]`` of ``cur`` with row ``jj[k]`` of ``adj``.
+    ``cur`` is (ids, unit directions, ranges, spans |d x a|) of current
+    beams that span a band plane (see :func:`_band_planes`), ``adj`` is
+    (ids, unit directions, ranges, points) of adjacent beams in the current
+    frame, with ``points`` the adjacent scan's points by id, and ``a`` is
+    the adjacent sensor origin.  Pair k joins row ``ii[k]`` of ``cur`` with
+    row ``jj[k]`` of ``adj``.
 
     A pair gives records when the adjacent direction lies within theta / 2
     of the current beam's band plane, and the centerlines cross at
@@ -424,20 +419,26 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
     samples along their shared segment, when that segment starts ahead of
     the sensor.  Samples outside the crop box, behind either sensor, or
     farther than the tail past the current hit are dropped, and the rest
-    are labeled against the adjacent beam's range.  The angle test and the
-    crossing gates form one mask over the pairs, and the pair columns are
-    compacted once, by that mask.  Returns the records as a list of
-    unsorted runs viewed as bytes.
+    are labeled against the adjacent beam's range.
+
+    With m = d x e, m . a = -(d x a) . e, so |m . a| / |d x a| is |n . e|,
+    the sine of e's angle to the band plane of unit normal n: the angle
+    test |arccos(n . e) - pi / 2| <= theta / 2 (as in
+    :func:`geometry.coplanarity_angle`) holds exactly where
+    |m . a| <= sin(theta / 2) |d x a|, and |m . a| / |m| is the centerline
+    gap.  One mask holds every gate, and the pair columns are compacted
+    once, by it.  The beams cross at over theta where d . e < cos(theta).
+    Returns the records as a list of unsorted runs viewed as bytes.
     """
     theta = sensor.divergence_angle_rad
     tau = math.tan(theta / 2.0)
-    ids, d, r, normals = cur
+    ids, d, r, span = cur
     adj_ids, e, s, points = adj
 
-    # centerline crossing q = t * d_i, where the lines truly cross ahead of
-    # both sensors (t > 0 and p_adj > 0; NaN from parallel lines fails
-    # both), with a centerline gap |a . m| / |m| within the beam radii; (n, 3)
-    # gathers use take(axis=0), several times faster than fancy indexing
+    # coplanarity, and the crossing q = t * d_i, where the lines truly cross
+    # ahead of both sensors (t > 0 and p_adj > 0; NaN from parallel lines
+    # fails both) within the beam radii; (n, 3) gathers use take(axis=0),
+    # several times faster than fancy indexing
     d_i, e_j = d.take(ii, axis=0), e.take(jj, axis=0)
     d0, d1, d2 = d_i[:, 0], d_i[:, 1], d_i[:, 2]
     e0, e1, e2 = e_j[:, 0], e_j[:, 1], e_j[:, 2]
@@ -450,15 +451,14 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
     w[:, 1] = a[2] * e0 - a[0] * e2
     w[:, 2] = a[0] * e1 - a[1] * e0
     mm = np.einsum("ij,ij->i", m, m)
+    ma = np.abs(m @ a)
+    ok = ma <= math.sin(theta / 2.0) * span[ii]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.einsum("ij,ij->i", w, m) / mm
         q = t[:, None] * d_i
         p_adj = np.einsum("ij,ij->i", q - a, e_j)
-        meet = np.abs(m @ a) <= (t + p_adj) * tau * np.sqrt(mm)
-    # one gate: the exact coplanarity test and the crossing
-    ndote = np.einsum("ij,ij->i", normals.take(ii, axis=0), e_j)
-    ok = np.abs(np.arccos(np.clip(ndote, -1.0, 1.0)) - np.pi / 2.0) <= theta / 2.0
-    ok &= (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0) & meet
+        ok &= ma <= (t + p_adj) * tau * np.sqrt(mm)
+    ok &= (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0)
     sel = np.nonzero(ok)[0]
     if len(sel) == 0:
         return []
@@ -468,17 +468,16 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
     s_j = s[jj]
     j_ids = adj_ids[jj]
 
-    dot_de = np.clip(np.einsum("ij,ij->i", d_i, e_j), -1.0, 1.0)
-    alpha = np.arccos(dot_de)
     # one sample at the crossing, unless the beams cross at under theta
-    single = alpha > theta
+    dot_de = np.einsum("ij,ij->i", d_i, e_j)
+    single = dot_de < math.cos(theta)
     runs = [_emit_records(gi, j_ids, offset, q, p_adj, s_j, time, sensor, cfg, r_i, t,
                           np.zeros(len(gi), dtype=np.uint8), single)]
     two = np.nonzero(~single)[0]
     if len(two):
         # five samples, where the overlap segment starts ahead of the sensor
         l2 = np.linalg.norm(q.take(two, axis=0) - a, axis=1)
-        s_half = np.sin(alpha[two] / 2.0)
+        s_half = np.sin(np.arccos(np.minimum(dot_de[two], 1.0)) / 2.0)
         start = (t[two] * (s_half + tau) - l2 * tau) / (s_half + 2.0 * tau)
         two = two[start > 0.0]
     if len(two):
@@ -540,10 +539,10 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
 def _check_frames(current: Scan, adjacent: Scan | None = None):
     """Raise FrameMismatch unless the current scan is in its own sensor
     frame and the adjacent one, when given, in the current scan's frame."""
-    if np.linalg.norm(current.sensor_origin) > 1e-9:
+    if np.linalg.norm(current.sensor_origin) > FRAME_TOL:
         raise FrameMismatch("current scan must be expressed in its own sensor frame (origin at 0)")
     if adjacent is not None and current.pose is not None and adjacent.pose is not None:
-        if not current.pose.almost_equal(adjacent.pose, tol=1e-9):
+        if not current.pose.almost_equal(adjacent.pose):
             raise FrameMismatch("adjacent scan not re-expressed in the current scan's frame")
 
 
@@ -590,12 +589,12 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
         # only beams that span a band plane give records; a baseline of
         # ORIGIN_EPS or less (a stationary sensor) leaves none, and the job
         # ends before the index build
-        live, normals = _band_planes(dirs, adjacent.sensor_origin)
+        live, span = _band_planes(dirs, adjacent.sensor_origin)
         if len(live) == 0:
             continue
-        cur = (ids, dirs, ranges, normals)
+        cur = (ids, dirs, ranges, span)
         if len(live) < len(ids):
-            cur = (ids[live], dirs.take(live, axis=0), ranges[live], normals)
+            cur = (ids[live], dirs.take(live, axis=0), ranges[live], span)
         try:
             index = build_direction_index(adjacent, cfg.cell_size(sensor))
         except EmptyScan:
@@ -611,7 +610,7 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
         for cur, index, adj, a, offset, time in prepared:
             first, last = np.searchsorted(cur[0], (lo, lo + CHUNK))
             cur = tuple(col[first:last] for col in cur)
-            ii, jj = _band_candidates(index, cur[1], _coarse_bound(theta), theta)
+            ii, jj = _band_candidates(index, cur[1], math.sin(theta / 2.0), theta)
             for b in range(0, len(ii), PAIR_BLOCK):
                 runs += _pair_records(ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, a,
                                       offset, time, cfg, sensor)

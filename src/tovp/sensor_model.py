@@ -27,6 +27,11 @@ MIN_BEAM_RANGE = 1e-6
 # pose readers repair rotations off by more than this so that it holds.
 ORTHONORMAL_TOL = 1e-6
 
+# Largest offset of a scan from the frame extraction expects, entry by
+# entry: a current sensor origin from 0, and an adjacent scan's pose from
+# the current scan's. [m, and unitless rotation entries]
+FRAME_TOL = 1e-9
+
 # The default crop box (x0, x1, y0, y1, z0, z1) of overlap positions in the
 # current scan's frame. [m]
 DEFAULT_BOUNDS = (-70.0, 70.0, -70.0, 70.0, -4.5, 4.5)
@@ -125,7 +130,7 @@ class RigidTransform:
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 
-    def almost_equal(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
+    def almost_equal(self, other: "RigidTransform", tol: float = FRAME_TOL) -> bool:
         return (
             np.abs(self.rotation - other.rotation).max() <= tol
             and np.abs(self.translation - other.translation).max() <= tol

@@ -12,7 +12,7 @@ records from the scalar functions of ``tovp.geometry``.
 import numpy as np
 
 from tovp.extraction import RECORD_DTYPE, ExtractionConfig, _band_planes, _pair_records
-from tovp.sensor_model import MIN_BEAM_RANGE, Scan, SensorConfig
+from tovp.sensor_model import FRAME_TOL, MIN_BEAM_RANGE, Scan, SensorConfig
 
 
 def brute_force_overlaps(
@@ -23,13 +23,13 @@ def brute_force_overlaps(
     sensor: SensorConfig,
 ) -> np.ndarray:
     """All overlap records of one scan pair, canonically sorted."""
-    assert np.linalg.norm(current.sensor_origin) <= 1e-9
+    assert np.linalg.norm(current.sensor_origin) <= FRAME_TOL
     a = adjacent.sensor_origin
 
     r_cur = np.linalg.norm(current.points, axis=1)
     cur_ok = np.nonzero(r_cur >= MIN_BEAM_RANGE)[0]
     d = current.points[cur_ok] / r_cur[cur_ok, None]
-    live, normals = _band_planes(d, a)  # a beam without a plane gives no record
+    live, span = _band_planes(d, a)  # a beam without a plane gives no record
     delta = adjacent.points - a
     s_adj = np.linalg.norm(delta, axis=1)
     adj_ok = np.nonzero(s_adj >= MIN_BEAM_RANGE)[0]
@@ -38,7 +38,7 @@ def brute_force_overlaps(
     ii, jj = np.meshgrid(np.arange(len(live)), np.arange(len(adj_ok)), indexing="ij")
     runs = _pair_records(
         ii.ravel(), jj.ravel(),
-        (cur_ok[live], d[live], r_cur[cur_ok][live], normals),
+        (cur_ok[live], d[live], r_cur[cur_ok][live], span),
         (adj_ok, e, s_adj[adj_ok], adjacent.points),
         a, offset, adjacent.time - current.time, cfg, sensor,
     )

@@ -26,7 +26,7 @@ from tovp.extraction import (
     extract_sequence,
     extract_sequence_blocks,
 )
-from tovp.geometry import centerline_intersection, coplanarity_angle, plane_normal
+from tovp.geometry import ORIGIN_EPS, PARALLEL_EPS, centerline_intersection, coplanarity_angle, plane_normal
 
 SENSOR = SensorConfig()
 CFG = ExtractionConfig()
@@ -403,7 +403,7 @@ def _far_side_crossings_covered(cur, adj):
     index = build_direction_index(adj, CFG.cell_size(SENSOR))
     _, d, _ = cur.beams()
     e = index.directions
-    ii, jj = extraction._band_candidates(index, d, extraction._coarse_bound(theta), theta)
+    ii, jj = extraction._band_candidates(index, d, math.sin(theta / 2.0), theta)
     drawn = np.zeros((len(d), len(e)), dtype=bool)
     drawn[ii, jj] = True
 
@@ -439,6 +439,39 @@ class TestBaselineRows:
         tilt = np.arcsin(rng.uniform(-1.0, 1.0, 300) * math.sin(0.45 * theta) / np.sin(beta))
         cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, beta, psi_d + tilt))
         assert _assert_matches_reference(cur, adj, CFG) > 10
+
+    def test_pairs_at_the_coplanarity_bound(self):
+        # every adjacent beam lies within a few ulps of sin(theta / 2) from
+        # its partner's band plane, at the lower beta edge of a row below
+        # pi / 2: its sin(beta) is its row's smallest, so its window's edge
+        # is the kernel's bound, and only the band's pad keeps every pair
+        # the kernel's coplanarity gate, |m . a| <= sin(theta / 2) |d x a|,
+        # keeps.  Current beams from 0.3 theta off the baseline axis, below
+        # the 4 theta at which pruning starts, to about 1 rad
+        theta = SENSOR.divergence_angle_rad
+        rng = np.random.default_rng(25)
+        a = np.array([0.9, -0.3, 0.2])
+        f = _baseline_frame(a)
+        gamma = np.repeat(np.array([0.3, 1.0, 3.9, 4.1, 12.0, 40.0, 150.0, 350.0]) * theta, 25)
+        psi_d = rng.uniform(-np.pi, np.pi, 200)
+        k = rng.integers(0, 200, 600)
+        row = np.floor(gamma[k] * extraction.ROWS / np.pi) + rng.integers(2, 5, 600)
+        beta = row * (np.pi / extraction.ROWS)
+        tilt = np.arcsin(math.sin(theta / 2) / np.sin(beta)) + rng.uniform(-4.0, 4.0, 600) * 2.0 ** -52
+        psi_e = psi_d[k] + rng.choice((-1.0, 1.0), 600) * tilt
+        cur, adj = _baseline_pair(rng, a, _at(f, gamma, psi_d), _at(f, beta, psi_e))
+        assert _assert_matches_reference(cur, adj, CFG) > 100
+
+        index = build_direction_index(adj, CFG.cell_size(SENSOR))
+        d = cur.beams()[1]
+        live, span = extraction._band_planes(d, a)
+        d = d[live]
+        ii, jj = extraction._band_candidates(index, d, math.sin(theta / 2.0))
+        drawn = np.zeros((len(d), len(index)), dtype=bool)
+        drawn[ii, jj] = True
+        m = np.cross(d[:, None, :], index.directions[None, :, :])
+        kept = np.abs(m @ a) <= math.sin(theta / 2.0) * span[:, None]
+        assert np.count_nonzero(kept) > 500 and np.all(drawn[kept])
 
     def test_far_half_plane_next_to_minus_a_hat(self):
         # current beams just past the 4 theta at which pruning starts, and
@@ -494,7 +527,7 @@ class TestBaselineRows:
         f = _baseline_frame(a)
         gamma = rng.uniform(0.1, 2.5, 200)
         psi_d = rng.uniform(-np.pi, np.pi, 200)
-        beta_1 = np.pi - math.asin((math.sin(theta / 2) + 1e-9) / ratio)
+        beta_1 = np.pi - math.asin(math.sin(theta / 2) / ratio)
         k = rng.integers(0, 200, 300)
         edge = psi_d[k] + rng.choice((-1.0, 1.0), 300) * (math.asin(ratio) + rng.uniform(-1e-9, 1e-9, 300))
         beta = np.concatenate([np.full(600, beta_1), rng.uniform(np.pi * (1 - 1 / extraction.ROWS) + 1e-3, beta_1, 200)])
@@ -592,8 +625,22 @@ class TestZeroBaseline:
         on_line = np.arange(0, len(pts), 50)
         pts[on_line] = a * np.linspace(-20.0, 30.0, len(on_line))[:, None]
         cur = Scan(points=pts, time=0.0)
-        live, _ = extraction._band_planes(cur.beams()[1], a)
-        assert len(live) == len(pts) - len(on_line)
+        ids, d, _ = cur.beams()
+        live, span = extraction._band_planes(d, a)
+        assert np.array_equal(ids[live], np.setdiff1d(np.arange(len(pts)), on_line))
+        # span is |d x a|, to a few ulps of |a|, the scale of its rounding
+        want = np.linalg.norm(np.cross(d[live], a), axis=1)
+        assert np.all(np.abs(span - want) <= 4.0 * np.spacing(np.linalg.norm(a)))
+        # a beam just inside PARALLEL_EPS of the line spans no plane, one
+        # just outside it does, and no beam does with a baseline of
+        # ORIGIN_EPS or less
+        a_hat, u, _ = _baseline_frame(a)
+        near = a_hat + np.outer([0.9, 1.1], PARALLEL_EPS * u)
+        near /= np.linalg.norm(near, axis=1)[:, None]
+        assert extraction._band_planes(near, a)[0].tolist() == [1]
+        for length in (ORIGIN_EPS, 1e-9, 0.0):
+            live, span = extraction._band_planes(d, np.array([length, 0.0, 0.0]))
+            assert len(live) == len(span) == 0
         assert _assert_matches_reference(cur, adj) > 0
         rec = extract_scan_pair(cur, adj, CFG, SENSOR).records
         assert not np.isin(rec["current_index"], on_line).any()

@@ -140,6 +140,25 @@ def short_crossings(rng, a, n):
     return r * d, a + (s + rng.uniform(-1.0, 1.0, (n, 1))) * x / s
 
 
+def split_crossings(rng, a, n):
+    """Current points on beams a little off the baseline axis, and adjacent
+    points on beams crossing them in their band plane, ahead of both
+    sensors and short of their hits, at 3e-7 rad under and over theta: one
+    sample at the crossing over theta, five at or under it."""
+    a_hat = a / np.linalg.norm(a)
+    perp = np.cross(a_hat, rng.normal(size=(n, 3)))
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    # the baseline's part across d sets the crossing range for the angle
+    h = rng.uniform(0.03, 0.1, (n, 1))
+    gamma = np.arcsin(h / np.linalg.norm(a))
+    d = np.cos(gamma) * a_hat + np.sin(gamma) * perp
+    alpha = THETA + rng.choice([-3e-7, 3e-7], (n, 1))
+    t = np.linalg.norm(a) * np.cos(gamma) + h / np.tan(alpha)
+    x = t * d - a
+    s = np.linalg.norm(x, axis=1)[:, None]
+    return (t + rng.uniform(0.5, 3.0, (n, 1))) * d, a + (s + rng.uniform(-1.0, 1.0, (n, 1))) * x / s
+
+
 def posed_window(seed):
     """A current scan and two adjacent scans, offsets -1 and +1, each
     adjacent scan in its own sensor frame behind a pose."""
@@ -157,8 +176,9 @@ def posed_window(seed):
     for scan, time in ((adj_prev, -0.5), (adj_next, 0.5)):
         a = scan.sensor_origin
         short_cur, short_adj = short_crossings(rng, a, 12)
-        cur_pts.append(short_cur)
-        pts = np.concatenate([scan.points, edge_beams(rng, a, dirs, 12), short_adj])
+        split_cur, split_adj = split_crossings(rng, a, 12)
+        cur_pts += [short_cur, split_cur]
+        pts = np.concatenate([scan.points, edge_beams(rng, a, dirs, 12), short_adj, split_adj])
         adjacents.append(Scan(points=pts - a, time=time, pose=pose.compose(RigidTransform(np.eye(3), a))))
     return Scan(points=np.concatenate(cur_pts), time=0.0, pose=pose), adjacents
 
