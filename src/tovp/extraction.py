@@ -6,8 +6,9 @@ five overlap points are emitted depending on the crossing angle, each
 labeled FREE / OCCUPIED / UNKNOWN by projecting onto the adjacent beam and
 applying the occupancy rule against that beam's reported range.  That
 per-pair formula lives in one column kernel, :func:`_pair_records`, which
-the all-pairs test reference runs too; it computes in float64 and rounds
-once, as it packs records in the ``.tovp`` layout, ``RECORD_DTYPE``.  A
+the all-pairs test reference runs too; it makes every record from one
+table of samples, one row per overlap point, computes in float64 and
+rounds once, as it packs them in the ``.tovp`` layout, ``RECORD_DTYPE``.  A
 beam that spans no plane with the baseline (see :func:`_band_planes`)
 gives no record; with a baseline of ORIGIN_EPS or less, as from a
 stationary sensor, no beam does, and the scan pair gives nothing.
@@ -400,7 +401,7 @@ def _band_planes(d, a):
 # pair extraction
 
 
-def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
+def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> np.ndarray:
     """Records of (current, adjacent) beam pairs: the one copy of the
     per-pair formula, in column form.
 
@@ -426,9 +427,14 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
     test |arccos(n . e) - pi / 2| <= theta / 2 (as in
     :func:`geometry.coplanarity_angle`) holds exactly where
     |m . a| <= sin(theta / 2) |d x a|, and |m . a| / |m| is the centerline
-    gap.  One mask holds every gate, and the pair columns are compacted
-    once, by it.  The beams cross at over theta where d . e < cos(theta).
-    Returns the records as a list of unsorted runs viewed as bytes.
+    gap.  One mask holds every gate.  The beams cross at over theta where
+    d . e < cos(theta).  Every sample is a row of one table of four
+    columns: the pair k it comes from, its range along d (t at q), its rho
+    along e (p_adj at q) and its rank.  One filter chain, one labeling and
+    one pack run on that table, and each position is made there, as
+    range * d, the product that gives q, so a position at q has q's bits.
+    Returns the records, unsorted, as one RECORD_DTYPE array, empty when
+    no sample is kept.
     """
     theta = sensor.divergence_angle_rad
     tau = math.tan(theta / 2.0)
@@ -459,21 +465,14 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
         p_adj = np.einsum("ij,ij->i", q - a, e_j)
         ok &= ma <= (t + p_adj) * tau * np.sqrt(mm)
     ok &= (mm >= PARALLEL_EPS ** 2) & (t > 0.0) & (p_adj > 0.0)
-    sel = np.nonzero(ok)[0]
-    if len(sel) == 0:
-        return []
-    ii, jj, t, p_adj = ii[sel], jj[sel], t[sel], p_adj[sel]
-    gi, r_i = ids[ii], r[ii]
-    d_i, e_j, q = d_i.take(sel, axis=0), e_j.take(sel, axis=0), q.take(sel, axis=0)
-    s_j = s[jj]
-    j_ids = adj_ids[jj]
 
-    # one sample at the crossing, unless the beams cross at under theta
+    # the sample table (pair, range, rho, rank): one sample at the
+    # crossing, unless the beams cross at under theta
     dot_de = np.einsum("ij,ij->i", d_i, e_j)
     single = dot_de < math.cos(theta)
-    runs = [_emit_records(gi, j_ids, offset, q, p_adj, s_j, time, sensor, cfg, r_i, t,
-                          np.zeros(len(gi), dtype=np.uint8), single)]
-    two = np.nonzero(~single)[0]
+    k = np.nonzero(ok & single)[0]
+    samples = (k, t[k], p_adj[k], np.zeros(len(k), dtype=np.uint8))
+    two = np.nonzero(ok & ~single)[0]
     if len(two):
         # five samples, where the overlap segment starts ahead of the sensor
         l2 = np.linalg.norm(q.take(two, axis=0) - a, axis=1)
@@ -481,27 +480,20 @@ def _pair_records(ii, jj, cur, adj, a, offset, time, cfg, sensor) -> list:
         start = (t[two] * (s_half + tau) - l2 * tau) / (s_half + 2.0 * tau)
         two = two[start > 0.0]
     if len(two):
-        gi, j_ids, r_i, s_j, t = gi[two], j_ids[two], r_i[two], s_j[two], t[two]
-        d_i = d_i.take(two, axis=0)
-        proj = np.einsum("ij,ij->i", points.take(j_ids, axis=0), d_i)
-        ranges5 = np.stack([r_i, proj, 0.5 * (r_i + proj), 0.5 * (r_i + t), 0.5 * (proj + t)], axis=1)
-        p5 = ranges5[:, :, None] * d_i[:, None, :]
-        rho5 = np.einsum("pkj,pj->pk", p5 - a, e_j.take(two, axis=0))
-        runs.append(_emit_records(
-            np.repeat(gi, 5), np.repeat(j_ids, 5), offset, p5.reshape(-1, 3), rho5.reshape(-1),
-            np.repeat(s_j, 5), time, sensor, cfg, np.repeat(r_i, 5), ranges5.reshape(-1),
-            np.tile(np.arange(5, dtype=np.uint8), len(gi)),
-        ))
-    return [rec.view(_RECORD_BYTES) for rec in runs if rec is not None]
+        r_i, t_i, d_two = r[ii[two]], t[two], d_i.take(two, axis=0)
+        proj = np.einsum("ij,ij->i", points.take(adj_ids[jj[two]], axis=0), d_two)
+        ranges5 = np.stack([r_i, proj, 0.5 * (r_i + proj), 0.5 * (r_i + t_i), 0.5 * (proj + t_i)], axis=1)
+        rho5 = np.einsum("pkj,pj->pk", ranges5[:, :, None] * d_two[:, None, :] - a, e_j.take(two, axis=0))
+        five = (np.repeat(two, 5), ranges5.ravel(), rho5.ravel(), np.tile(np.arange(5, dtype=np.uint8), len(two)))
+        samples = tuple(np.concatenate(c) for c in zip(samples, five))
+    k, ranges, rho, rank = samples
 
-
-def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur, rank, keep=None):
-    """Apply the shared point filters (after ``keep``, if given), label, and
-    pack records."""
+    # the point filters, the labels and the pack, once for every sample
+    pos = ranges[:, None] * d_i.take(k, axis=0)
     b = cfg.bounds
-    keep = rho >= 0.0 if keep is None else keep & (rho >= 0.0)
-    keep &= range_cur >= 0.0
-    keep &= range_cur <= r_i + cfg.tail_m(sensor)
+    keep = rho >= 0.0
+    keep &= ranges >= 0.0
+    keep &= ranges <= r[ii[k]] + cfg.tail_m(sensor)
     keep &= pos[:, 0] >= b[0]
     keep &= pos[:, 0] <= b[1]
     keep &= pos[:, 1] >= b[2]
@@ -509,11 +501,10 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     keep &= pos[:, 2] >= b[4]
     keep &= pos[:, 2] <= b[5]
     idx = np.nonzero(keep)[0]
-    if len(idx) == 0:
-        return None
     if len(idx) < len(keep):
-        i, j, rho, s_j, rank = i[idx], j[idx], rho[idx], s_j[idx], rank[idx]
-        pos = pos.take(idx, axis=0)
+        k, rho, rank, pos = k[idx], rho[idx], rank[idx], pos.take(idx, axis=0)
+    ii, jj = ii[k], jj[k]
+    s_j = s[jj]
 
     rate = sensor.decay_rate_per_meter
     band = sensor.occupied_band_m
@@ -525,9 +516,9 @@ def _emit_records(i, j, offset, pos, rho, s_j, time, sensor, cfg, r_i, range_cur
     state[rho > s_j + band] = int(OccupancyState.UNKNOWN)
 
     rec = np.empty(len(rho), dtype=RECORD_DTYPE)
-    rec["current_index"] = i
+    rec["current_index"] = ids[ii]
     rec["scan_offset"] = offset
-    rec["adjacent_index"] = j
+    rec["adjacent_index"] = adj_ids[jj]
     rec["position"] = pos
     rec["time"] = time
     rec["state"] = state
@@ -550,7 +541,10 @@ def _derive_offset(current: Scan, adjacent: Scan, cfg: ExtractionConfig) -> int:
     dt = adjacent.time - current.time
     if dt == 0.0:
         raise ValueError("adjacent scan time equals current scan time")
-    k = max(1, int(round(abs(dt) / cfg.scan_period_s)))
+    periods = abs(dt) / cfg.scan_period_s
+    if not math.isfinite(periods):  # NaN or inf
+        raise ValueError(f"time difference to the adjacent scan is {dt} s, not a finite number of periods")
+    k = max(1, int(round(periods)))
     if k > 127:  # the record field is a signed byte
         raise ValueError(f"adjacent scan is {k} periods away; scan offsets stop at 127")
     return k if dt > 0 else -k
@@ -612,8 +606,8 @@ def _extract_blocks(current, jobs, cfg, sensor, threads):
             cur = tuple(col[first:last] for col in cur)
             ii, jj = _band_candidates(index, cur[1], math.sin(theta / 2.0), theta)
             for b in range(0, len(ii), PAIR_BLOCK):
-                runs += _pair_records(ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, a,
-                                      offset, time, cfg, sensor)
+                runs.append(_pair_records(ii[b:b + PAIR_BLOCK], jj[b:b + PAIR_BLOCK], cur, adj, a,
+                                          offset, time, cfg, sensor).view(_RECORD_BYTES))
             del ii, jj  # freed before the next band query
         rec = np.concatenate(runs).view(RECORD_DTYPE)
         del runs  # freed before the sort

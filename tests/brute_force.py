@@ -11,7 +11,7 @@ records from the scalar functions of ``tovp.geometry``.
 
 import numpy as np
 
-from tovp.extraction import RECORD_DTYPE, ExtractionConfig, _band_planes, _pair_records
+from tovp.extraction import ExtractionConfig, _band_planes, _pair_records
 from tovp.sensor_model import FRAME_TOL, MIN_BEAM_RANGE, Scan, SensorConfig
 
 
@@ -36,15 +36,12 @@ def brute_force_overlaps(
     e = delta[adj_ok] / s_adj[adj_ok, None]
 
     ii, jj = np.meshgrid(np.arange(len(live)), np.arange(len(adj_ok)), indexing="ij")
-    runs = _pair_records(
+    rec = _pair_records(
         ii.ravel(), jj.ravel(),
         (cur_ok[live], d[live], r_cur[cur_ok][live], span),
         (adj_ok, e, s_adj[adj_ok], adjacent.points),
         a, offset, adjacent.time - current.time, cfg, sensor,
     )
-    if not runs:
-        return np.empty(0, dtype=RECORD_DTYPE)
-    rec = np.concatenate(runs).view(RECORD_DTYPE)
     order = np.lexsort(
         (rec["sample_rank"], rec["adjacent_index"], rec["scan_offset"], rec["current_index"])
     )

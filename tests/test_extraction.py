@@ -123,6 +123,17 @@ class TestPairGeometryAndLabels:
         cfg = ExtractionConfig(bounds=(-5.0, 5.0, -5.0, 5.0, -2.0, 2.0))
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))
         assert len(extract_scan_pair(cur, adj, cfg, SENSOR)) == 0
+        # the pair kernel gives an empty record array for a slice that keeps
+        # no sample: this pair cropped, or, with the adjacent beam turned
+        # around, crossing behind the adjacent sensor
+        d, a = np.array([[1.0, 0.0, 0.0]]), adj.sensor_origin
+        _, span = extraction._band_planes(d, a)
+        one = np.zeros(1, dtype=np.intp)
+        for up, c, n in ((1.0, CFG, 1), (1.0, cfg, 0), (-1.0, CFG, 0)):
+            e = np.array([[0.0, 0.0, up]])
+            rec = extraction._pair_records(one, one, (one, d, np.array([10.0]), span),
+                                           (one, e, np.array([5.0]), a + 5.0 * e), a, 1, 0.5, c, SENSOR)
+            assert rec.dtype == RECORD_DTYPE and len(rec) == n
 
     def test_tail_filter_drops_far_crossings(self):
         # crossing 1 m past the current hit exceeds the default tail
@@ -169,8 +180,13 @@ class TestScanPairApi:
         far = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=127 * 0.5)
         assert extract_scan_pair(cur, far, CFG, SENSOR).records[0]["scan_offset"] == 127
         too_far = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=-128 * 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stop at 127"):
             extract_scan_pair(cur, too_far, CFG, SENSOR)
+        # a time difference of no finite number of periods names itself
+        for t in (math.inf, -math.inf, math.nan, 1e308):
+            unbounded = Scan(points=adj.points, sensor_origin=adj.sensor_origin, time=t)
+            with pytest.raises(ValueError, match="time difference to the adjacent scan is"):
+                extract_scan_pair(cur, unbounded, CFG, SENSOR)
 
     def test_equal_times_rejected(self):
         cur, adj = scan_pair([[10.0, 0.0, 0.0]], [[10.0, 0.0, 0.0]], np.array([10.0, 0.0, -5.0]))

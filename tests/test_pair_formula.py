@@ -159,6 +159,38 @@ def split_crossings(rng, a, n):
     return (t + rng.uniform(0.5, 3.0, (n, 1))) * d, a + (s + rng.uniform(-1.0, 1.0, (n, 1))) * x / s
 
 
+def behind_crossings(rng, a, n):
+    """Current points on beams 0.3 to 3 theta off the baseline axis, and
+    adjacent points on beams crossing them 15 to 40 m out at under theta,
+    with one hit short of the other sensor.  Along a_hat the current hit
+    lies short of the adjacent sensor, so its sample has rho < 0; along
+    -a_hat the adjacent hit lies short of the current sensor, so its
+    projection on the current beam has range < 0."""
+    a_norm = np.linalg.norm(a)
+    perp = np.cross(a / a_norm, rng.normal(size=(n, 3)))
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    gamma = THETA * rng.uniform(0.3, 3.0, (n, 1))
+    ahead = rng.choice([-1.0, 1.0], (n, 1))
+    d = ahead * np.cos(gamma) * a / a_norm + np.sin(gamma) * perp
+    t = rng.uniform(15.0, 40.0, (n, 1))
+    x = t * d - a
+    s = np.linalg.norm(x, axis=1)[:, None]
+    short = rng.uniform(0.3, 0.8, (n, 1)) * a_norm * np.cos(gamma)
+    r = np.where(ahead > 0, short, t + rng.uniform(0.5, 3.0, (n, 1)))
+    s_j = np.where(ahead > 0, s + rng.uniform(-1.0, 1.0, (n, 1)), short)
+    return r * d, a + s_j * x / s
+
+
+def far_crossings(rng, a, n):
+    """Current and adjacent points on beams that cross short of the
+    current hit at points up to 90 m out in x and y, so that many lie
+    beyond one of the x or y faces of the crop box."""
+    x = rng.uniform([-90.0, -90.0, -3.0], [90.0, 90.0, 3.0], (n, 3))
+    t = np.linalg.norm(x, axis=1)[:, None]
+    s = np.linalg.norm(x - a, axis=1)[:, None]
+    return (t + rng.uniform(0.0, 1.0, (n, 1))) * x / t, a + (s + rng.uniform(-1.0, 1.0, (n, 1))) * (x - a) / s
+
+
 def posed_window(seed):
     """A current scan and two adjacent scans, offsets -1 and +1, each
     adjacent scan in its own sensor frame behind a pose."""
@@ -175,10 +207,9 @@ def posed_window(seed):
     cur_pts, adjacents = [cur.points], []
     for scan, time in ((adj_prev, -0.5), (adj_next, 0.5)):
         a = scan.sensor_origin
-        short_cur, short_adj = short_crossings(rng, a, 12)
-        split_cur, split_adj = split_crossings(rng, a, 12)
-        cur_pts += [short_cur, split_cur]
-        pts = np.concatenate([scan.points, edge_beams(rng, a, dirs, 12), short_adj, split_adj])
+        made = [make(rng, a, 12) for make in (short_crossings, split_crossings, behind_crossings, far_crossings)]
+        cur_pts += [c for c, _ in made]
+        pts = np.concatenate([scan.points, edge_beams(rng, a, dirs, 12)] + [adj for _, adj in made])
         adjacents.append(Scan(points=pts - a, time=time, pose=pose.compose(RigidTransform(np.eye(3), a))))
     return Scan(points=np.concatenate(cur_pts), time=0.0, pose=pose), adjacents
 
